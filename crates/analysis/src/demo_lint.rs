@@ -13,8 +13,9 @@
 //! * `SIGNAL` — arity, per-thread tick monotonicity (signal ticks are the
 //!   *target's* last tick, so they are ordered per thread, not globally),
 //!   thread-id validity against the QUEUE;
-//! * `SYSCALL` — seq contiguity, global tick monotonicity, declared
-//!   buffer counts and lengths matching the payload;
+//! * `SYSCALL` — seq contiguity, global tick monotonicity, kind names
+//!   within the loader's cap, declared buffer counts and lengths
+//!   matching the payload;
 //! * `ASYNC` — arity, global tick monotonicity;
 //! * `ALLOC` — RLE well-formedness.
 
@@ -23,6 +24,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
+use srr_replay::codec::MAX_KIND_LEN;
 use srr_replay::rle;
 
 /// One linter diagnostic, anchored to a stream file and line.
@@ -442,6 +444,17 @@ fn lint_syscall(text: &str, nthreads: Option<usize>, diags: &mut Vec<DemoDiagnos
                 }
                 Err(_) => diag(diags, FILE, ln, format!("bad tick `{}`", fields[2])),
             }
+            if fields[3].len() > MAX_KIND_LEN {
+                diag(
+                    diags,
+                    FILE,
+                    ln,
+                    format!(
+                        "kind of {} bytes is longer than {MAX_KIND_LEN}",
+                        fields[3].len()
+                    ),
+                );
+            }
             for (field, prefix) in [(fields[4], "ret="), (fields[5], "errno=")] {
                 if field
                     .strip_prefix(prefix)
@@ -617,6 +630,17 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!((diags[0].file.as_str(), diags[0].line), ("SYSCALL", 2));
         assert!(diags[0].message.contains("declares 11 bytes"));
+    }
+
+    #[test]
+    fn kind_names_over_the_cap_are_caught() {
+        let mut map = sample_demo().to_string_map();
+        let sys = map.get_mut("SYSCALL").unwrap();
+        *sys = sys.replace(" recv ", &format!(" {} ", "k".repeat(MAX_KIND_LEN + 1)));
+        let diags = lint_demo_map(&map);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].file.as_str(), diags[0].line), ("SYSCALL", 1));
+        assert!(diags[0].message.contains("longer than 64"));
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //!
 //! The paper's Table 2 discussion estimates ~4.8KB per request and
 //! suggests "more aggressive compression" as a trade-off; this ablation
-//! quantifies what the *existing* RLE buys by re-serializing recorded
+//! quantifies what the text format's RLE buys by re-serializing recorded
 //! demos with the codecs disabled (literal token per value / hex per
 //! byte).
 
 use srr_apps::httpd::{server, world, HttpdParams};
 use srr_apps::litmus::table1_suite;
 use srr_bench::{banner, bench_scale, run_tool, seeds_for, TablePrinter, Tool};
-use srr_replay::rle;
+use srr_replay::{rle, DemoFormat};
 use tsan11rec::Demo;
 
 /// Size of the demo with RLE replaced by naive encodings.
@@ -49,7 +49,7 @@ fn main() {
         let litmus = table1_suite().into_iter().next_back().expect("suite");
         let r = run_tool(Tool::QueueRec, seeds_for(3), |_| {}, litmus.run);
         let demo = r.demo.expect("recorded");
-        let (a, b) = (demo.size_bytes(), naive_size(&demo));
+        let (a, b) = (demo.size_bytes_as(DemoFormat::Text), naive_size(&demo));
         table.row(&[
             &format!("litmus/{}", litmus.name),
             &a.to_string(),
@@ -69,7 +69,7 @@ fn main() {
         };
         let r = run_tool(Tool::QueueRec, seeds_for(3), world(params), server(params));
         let demo = r.demo.expect("recorded");
-        let (a, b) = (demo.size_bytes(), naive_size(&demo));
+        let (a, b) = (demo.size_bytes_as(DemoFormat::Text), naive_size(&demo));
         table.row(&[
             "httpd",
             &a.to_string(),

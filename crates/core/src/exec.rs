@@ -1,6 +1,7 @@
 //! The execution harness: runs a program under a tool configuration,
 //! optionally recording or replaying a demo.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering as AOrd;
 use std::sync::Arc;
 use std::time::Instant;
@@ -295,12 +296,18 @@ impl Execution {
         };
 
         let mut obs_report = rt.obs.as_ref().map(|o| o.finish()).unwrap_or_default();
-        // Stream counters describe the demo the run produced or consumed;
-        // they cost nothing to compute and are reported even with the
-        // event trace off.
-        if let Some(d) = produced_demo.as_ref().or(demo) {
-            obs_report.streams = demo_stream_counters(d);
-        }
+        // Stream counters describe the demo the run produced or consumed,
+        // and are reported even with the event trace off. One binary
+        // encode sizes them and, on a recording, the whole demo.
+        let files = produced_demo.as_ref().or(demo).map(|d| {
+            let files = d.to_bytes_map();
+            obs_report.streams = demo_stream_counters(d, &files);
+            files
+        });
+        let demo_bytes = produced_demo
+            .as_ref()
+            .and(files.as_ref())
+            .map(|files| files.values().map(Vec::len).sum());
         if let Outcome::HardDesync(hd) = &mut outcome {
             // Diagnose the divergence: the demo's intended schedule vs
             // the ticks the trace actually saw (empty without tracing —
@@ -329,7 +336,7 @@ impl Execution {
             syscalls: vos.syscall_count(),
             duration,
             console: vos.console(),
-            demo_bytes: produced_demo.as_ref().map(Demo::size_bytes),
+            demo_bytes,
             replay_leftover_syscalls: rt.replay_leftover(),
             schedule_trace: rt
                 .sched
@@ -367,11 +374,11 @@ impl Execution {
     }
 }
 
-/// Per-stream entry and serialized-byte counters for a demo, keyed the
-/// way the demo directory is laid out on disk.
-fn demo_stream_counters(demo: &Demo) -> Vec<StreamCounter> {
-    let sizes = demo.to_string_map();
-    let bytes = |name: &str| sizes.get(name).map_or(0, |t| t.len() as u64);
+/// Per-stream entry and on-disk byte counters for a demo, keyed the way
+/// the demo directory is laid out; `files` is the demo's binary
+/// encoding, where an empty stream writes no file.
+fn demo_stream_counters(demo: &Demo, files: &BTreeMap<String, Vec<u8>>) -> Vec<StreamCounter> {
+    let bytes = |name: &str| files.get(name).map_or(0, |b| b.len() as u64);
     let entry = |name: &str, entries: u64| StreamCounter {
         stream: name.to_owned(),
         entries,

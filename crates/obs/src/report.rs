@@ -16,14 +16,15 @@ pub struct ThreadTrace {
     pub dropped: u64,
 }
 
-/// Per-demo-stream size counters (entries and encoded bytes).
+/// Per-demo-stream size counters (entries and on-disk bytes).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StreamCounter {
     /// Stream name as in the demo directory (`"QUEUE"`, `"SYSCALL"`, …).
     pub stream: String,
     /// Number of recorded entries.
     pub entries: u64,
-    /// Encoded size in bytes.
+    /// Size of the stream's file in the default (binary) demo format;
+    /// 0 when the stream is empty and so writes no file.
     pub bytes: u64,
 }
 

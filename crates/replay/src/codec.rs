@@ -1,5 +1,6 @@
 //! The binary demo codec: per-stream framing with a magic/version
-//! header, varint + RLE payload encoding, and a zero-copy cursor reader.
+//! header, delta-coded varint payloads, one optional LZ77 pass, and a
+//! cursor reader.
 //!
 //! Each stream of a demo serializes to one self-describing *frame*:
 //!
@@ -16,26 +17,48 @@
 //! damaged stream as a shorter or different one (the corruption battery
 //! in `tests/corruption.rs` proves this bit by bit).
 //!
-//! Payloads are varint (LEB128) based:
+//! Payloads (codec version 2) are plain LEB128 varints:
 //!
-//! * integer sequences (QUEUE next-ticks, ALLOC) use the same three-token
-//!   RLE model as the text codec ([`crate::rle`]) — literal / arithmetic
-//!   run / constant repeat — with a tag byte per token;
-//! * syscall output buffers use the text codec's byte-RLE chunk grammar
-//!   directly (no hex expansion — this is where binary wins big);
+//! * `seq`, every `tick`, each QUEUE next-tick (taken against its own
+//!   tick + 1, so a thread that runs again at once costs a zero byte)
+//!   and each ALLOC address are written as wrapping zigzag deltas, so
+//!   any `u64` sequence round-trips and near-monotone ones cost a byte
+//!   per value;
+//! * SYSCALL records are laid out field by field (all `seq`s, then all
+//!   `tid`s, ...), so like values sit together; output buffers are
+//!   stored raw, length-prefixed;
 //! * syscall kind names are interned into a per-stream string table, so a
 //!   10k-request httpd demo stores `recv` once, not 10k times.
 //!
-//! The layout is mmap-able: frames are length-prefixed, contain no
-//! internal pointers, and decode by walking a borrowed `&[u8]` with a
-//! [`Cursor`] — no intermediate line splitting, no `Vec<String>`, and
-//! every buffer decodes straight into its final `Vec<u8>`.
+//! A payload is then stored either as is or after one LZ77 pass
+//! (`lz.rs`), whichever is smaller. The top bit of the stream-id
+//! byte ([`PACKED`]) records the choice, so no frame grows.
+//!
+//! Decoding allocates in proportion to its input. Every count and
+//! length read from a payload is checked before anything is allocated
+//! for it: against the bytes left, at the smallest encoding of its
+//! elements (seven bytes for a syscall record, three for a signal, two
+//! for an async event, one for anything else). A packed payload's raw
+//! length is checked against [`MAX_RAW_LEN`] and [`MAX_EXPANSION`]
+//! times its packed bytes. Syscall kind names are at most
+//! [`MAX_KIND_LEN`] bytes, since every record decodes to its own copy
+//! of one. So a payload of `n` raw bytes decodes with at most `24·n`
+//! bytes of allocation besides the payload itself. The worst case is an
+//! empty syscall buffer, a 24-byte `Vec` for one length byte. A packed
+//! frame therefore costs at most `25 × 255` bytes per frame byte.
+//!
+//! The layout is mmap-able: frames are length-prefixed and contain no
+//! internal pointers. A plain payload decodes by walking a borrowed
+//! `&[u8]` with a [`Cursor`]; a packed one is inflated once and walked
+//! the same way.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
 use crate::demo::{DemoHeader, FORMAT_VERSION};
-use crate::rle;
+use crate::lz;
+pub use crate::lz::{MAX_EXPANSION, MAX_RAW_LEN};
 use crate::streams::{AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
 
 /// The four magic bytes opening every binary stream file.
@@ -43,12 +66,17 @@ pub const MAGIC: [u8; 4] = *b"SRRB";
 
 /// Binary codec version understood by this crate (independent of the
 /// demo [`FORMAT_VERSION`], which describes the logical stream model).
-pub const CODEC_VERSION: u64 = 1;
+/// Frames of any other version, v1 included, fail with
+/// [`CodecError::UnsupportedVersion`].
+pub const CODEC_VERSION: u64 = 2;
 
-/// Hard cap on a single RLE run/repeat expansion. Far above anything a
-/// real recording produces, low enough that a crafted length cannot ask
-/// the decoder for gigabytes before validation catches up.
-const MAX_RUN: u64 = 1 << 28;
+/// Top bit of the stream-id byte: the payload is stored LZ77-packed.
+pub const PACKED: u8 = 0x80;
+
+/// Longest syscall kind name a demo may hold, in bytes (Linux's longest
+/// syscall name has 23). Both the binary and the text decoder reject
+/// longer ones.
+pub const MAX_KIND_LEN: usize = 64;
 
 /// The streams a demo serializes, with their on-disk file names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -117,7 +145,8 @@ pub enum CodecError {
         /// What was found instead (zero-padded when shorter).
         found: [u8; 4],
     },
-    /// The frame's codec version is newer than this build understands.
+    /// The frame's codec version is not [`CODEC_VERSION`]; no decoder
+    /// for older versions is kept.
     UnsupportedVersion(u64),
     /// The frame names a stream id this build does not know.
     UnknownStream(u8),
@@ -138,6 +167,18 @@ pub enum CodecError {
     /// A varint ran past 10 bytes or past 64 bits.
     VarintOverflow {
         /// Byte offset of the varint's first byte.
+        offset: usize,
+    },
+    /// A declared count or length exceeds what the input can hold or a
+    /// stated cap; rejected before anything is allocated for it.
+    TooLarge {
+        /// What was declared.
+        what: &'static str,
+        /// The declared value.
+        declared: u64,
+        /// The most the input (or the cap) allows.
+        limit: u64,
+        /// Byte offset of the declaration.
         offset: usize,
     },
     /// The frame checksum does not match its contents.
@@ -186,6 +227,15 @@ impl fmt::Display for CodecError {
             CodecError::VarintOverflow { offset } => {
                 write!(f, "varint overflow at byte {offset}")
             }
+            CodecError::TooLarge {
+                what,
+                declared,
+                limit,
+                offset,
+            } => write!(
+                f,
+                "{what} {declared} at byte {offset} exceeds the limit {limit}"
+            ),
             CodecError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "checksum mismatch: stored {stored:016x}, computed {computed:016x}"
@@ -334,6 +384,42 @@ impl<'a> Cursor<'a> {
         Ok(decode_zigzag(raw))
     }
 
+    /// Reads a value written by [`write_delta`] against `prev`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cursor::read_varint`].
+    pub(crate) fn read_delta(&mut self, prev: u64, what: &'static str) -> Result<u64, CodecError> {
+        Ok(prev.wrapping_add(self.read_zigzag(what)? as u64))
+    }
+
+    /// Reads a count of elements that each take at least `min_size`
+    /// bytes to encode. A count whose elements cannot fit in the bytes
+    /// left cannot be honest, and is rejected before the caller reserves
+    /// anything for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cursor::read_varint`], or [`CodecError::TooLarge`].
+    pub(crate) fn read_count(
+        &mut self,
+        min_size: usize,
+        what: &'static str,
+    ) -> Result<usize, CodecError> {
+        let offset = self.pos;
+        let declared = self.read_varint(what)?;
+        let limit = (self.remaining() / min_size) as u64;
+        if declared > limit {
+            return Err(CodecError::TooLarge {
+                what,
+                declared,
+                limit,
+                offset,
+            });
+        }
+        Ok(declared as usize)
+    }
+
     /// Reads a length-prefixed UTF-8 string as a borrowed `&str`.
     ///
     /// # Errors
@@ -341,11 +427,7 @@ impl<'a> Cursor<'a> {
     /// Truncation or [`CodecError::Invalid`] on non-UTF-8 bytes.
     pub fn read_str(&mut self, what: &'static str) -> Result<&'a str, CodecError> {
         let start = self.pos;
-        let len = self.read_varint(what)?;
-        let len = usize::try_from(len).map_err(|_| CodecError::Invalid {
-            what: format!("{what} length {len} does not fit in memory"),
-            offset: start,
-        })?;
+        let len = self.read_count(1, what)?;
         let bytes = self.read_bytes(len, what)?;
         std::str::from_utf8(bytes).map_err(|_| CodecError::Invalid {
             what: format!("{what} is not UTF-8"),
@@ -372,6 +454,13 @@ pub fn write_zigzag(out: &mut Vec<u8>, v: i64) {
     write_varint(out, encode_zigzag(v));
 }
 
+/// Appends `v` as its wrapping difference from `prev`, zigzagged: any
+/// `u64` sequence round-trips, and one that stays near `prev` costs a
+/// byte per value.
+pub(crate) fn write_delta(out: &mut Vec<u8>, prev: u64, v: u64) {
+    write_zigzag(out, v.wrapping_sub(prev) as i64);
+}
+
 fn encode_zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -389,14 +478,15 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
 // Frames
 // ---------------------------------------------------------------------
 
-/// A parsed frame: the stream it carries and a borrowed view of its
-/// payload (checksum already verified).
-#[derive(Clone, Copy, Debug)]
+/// A parsed frame: the stream it carries and its payload (checksum
+/// already verified, LZ77 packing already undone).
+#[derive(Clone, Debug)]
 pub struct Frame<'a> {
     /// The stream this frame serializes.
     pub stream: StreamId,
-    /// The stream payload (borrowed, zero-copy).
-    pub payload: &'a [u8],
+    /// The stream payload: borrowed from the input when stored plain,
+    /// inflated when packed.
+    pub payload: Cow<'a, [u8]>,
 }
 
 /// Whether `bytes` look like a binary stream frame (magic check only —
@@ -406,21 +496,27 @@ pub fn is_binary(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
 
-/// Wraps a stream payload into a framed file image.
+/// Wraps a stream payload into a framed file image, LZ77-packed when
+/// that is smaller.
 #[must_use]
 pub fn encode_frame(stream: StreamId, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
+    let packed = lz::pack(payload);
+    let (id, body) = match &packed {
+        Some(p) => (stream as u8 | PACKED, p.as_slice()),
+        None => (stream as u8, payload),
+    };
+    let mut out = Vec::with_capacity(body.len() + 24);
     out.extend_from_slice(&MAGIC);
     write_varint(&mut out, CODEC_VERSION);
-    out.push(stream as u8);
-    write_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
+    out.push(id);
+    write_varint(&mut out, body.len() as u64);
+    out.extend_from_slice(body);
     let sum = fnv1a64(&out[MAGIC.len()..]);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
-/// Parses and verifies a framed file image, returning a zero-copy view.
+/// Parses and verifies a framed file image, inflating a packed payload.
 ///
 /// # Errors
 ///
@@ -453,100 +549,18 @@ pub fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, CodecError> {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let id = cur.read_u8("stream id")?;
-    let stream = StreamId::from_byte(id).ok_or(CodecError::UnknownStream(id))?;
-    let len = cur.read_varint("payload length")?;
-    let len = usize::try_from(len).map_err(|_| CodecError::Invalid {
-        what: format!("payload length {len} does not fit in memory"),
-        offset: cur.pos(),
-    })?;
-    let payload = cur.read_bytes(len, "payload")?;
+    let stream = StreamId::from_byte(id & !PACKED).ok_or(CodecError::UnknownStream(id))?;
+    let len = cur.read_count(1, "payload length")?;
+    let body = cur.read_bytes(len, "payload")?;
     if !cur.is_at_end() {
         return Err(CodecError::TrailingBytes { offset: cur.pos() });
     }
+    let payload = if id & PACKED != 0 {
+        Cow::Owned(lz::unpack(body)?)
+    } else {
+        Cow::Borrowed(body)
+    };
     Ok(Frame { stream, payload })
-}
-
-// ---------------------------------------------------------------------
-// RLE integer blocks (shared token model with the text codec)
-// ---------------------------------------------------------------------
-
-const TOK_LITERAL: u8 = 0;
-const TOK_INC_RUN: u8 = 1;
-const TOK_REPEAT: u8 = 2;
-
-fn write_u64_block(out: &mut Vec<u8>, values: &[u64]) {
-    let tokens = rle::u64_tokens(values);
-    write_varint(out, tokens.len() as u64);
-    for tok in tokens {
-        match tok {
-            rle::U64Token::Literal(v) => {
-                out.push(TOK_LITERAL);
-                write_varint(out, v);
-            }
-            rle::U64Token::IncRun { base, extra } => {
-                out.push(TOK_INC_RUN);
-                write_varint(out, base);
-                write_varint(out, extra);
-            }
-            rle::U64Token::Repeat { value, count } => {
-                out.push(TOK_REPEAT);
-                write_varint(out, value);
-                write_varint(out, count);
-            }
-        }
-    }
-}
-
-fn read_u64_block(cur: &mut Cursor<'_>, what: &'static str) -> Result<Vec<u64>, CodecError> {
-    let ntokens = cur.read_varint(what)?;
-    // Each token is at least 2 bytes; reject claims the input cannot hold
-    // before reserving anything.
-    if ntokens > (cur.remaining() as u64) {
-        return Err(CodecError::Truncated {
-            what,
-            offset: cur.pos(),
-        });
-    }
-    let mut out = Vec::new();
-    for _ in 0..ntokens {
-        let at = cur.pos();
-        match cur.read_u8(what)? {
-            TOK_LITERAL => out.push(cur.read_varint(what)?),
-            TOK_INC_RUN => {
-                let base = cur.read_varint(what)?;
-                let extra = cur.read_varint(what)?;
-                if extra == 0 || extra > MAX_RUN {
-                    return Err(CodecError::Invalid {
-                        what: format!("run length {extra} out of range in {what}"),
-                        offset: at,
-                    });
-                }
-                let end = base.checked_add(extra).ok_or(CodecError::Invalid {
-                    what: format!("run {base}+{extra} overflows in {what}"),
-                    offset: at,
-                })?;
-                out.extend(base..=end);
-            }
-            TOK_REPEAT => {
-                let value = cur.read_varint(what)?;
-                let count = cur.read_varint(what)?;
-                if !(2..=MAX_RUN).contains(&count) {
-                    return Err(CodecError::Invalid {
-                        what: format!("repeat count {count} out of range in {what}"),
-                        offset: at,
-                    });
-                }
-                out.resize(out.len() + count as usize, value);
-            }
-            tag => {
-                return Err(CodecError::Invalid {
-                    what: format!("unknown RLE token tag {tag} in {what}"),
-                    offset: at,
-                })
-            }
-        }
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -591,16 +605,32 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<DemoHeader, CodecError> {
 }
 
 pub(crate) fn encode_queue(q: &QueueStream) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_u64_block(&mut out, &q.first_tick);
-    write_u64_block(&mut out, &q.next_ticks);
+    let mut out = Vec::with_capacity(q.first_tick.len() + q.next_ticks.len() + 8);
+    write_varint(&mut out, q.first_tick.len() as u64);
+    for &t in &q.first_tick {
+        write_varint(&mut out, t);
+    }
+    write_varint(&mut out, q.next_ticks.len() as u64);
+    // `next_ticks[k]` is consumed leaving tick k + 1, so it is written
+    // against k + 2: a thread that runs again at once costs a zero.
+    for (k, &t) in (2u64..).zip(&q.next_ticks) {
+        write_delta(&mut out, k, t);
+    }
     out
 }
 
 pub(crate) fn decode_queue(payload: &[u8]) -> Result<QueueStream, CodecError> {
     let mut cur = Cursor::new(payload);
-    let first_tick = read_u64_block(&mut cur, "QUEUE first ticks")?;
-    let next_ticks = read_u64_block(&mut cur, "QUEUE next ticks")?;
+    let n = cur.read_count(1, "QUEUE first-tick count")?;
+    let mut first_tick = Vec::with_capacity(n);
+    for _ in 0..n {
+        first_tick.push(cur.read_varint("QUEUE first tick")?);
+    }
+    let n = cur.read_count(1, "QUEUE next-tick count")?;
+    let mut next_ticks = Vec::with_capacity(n);
+    for k in (2u64..).take(n) {
+        next_ticks.push(cur.read_delta(k, "QUEUE next tick")?);
+    }
     expect_end(&cur)?;
     Ok(QueueStream {
         first_tick,
@@ -611,22 +641,26 @@ pub(crate) fn decode_queue(payload: &[u8]) -> Result<QueueStream, CodecError> {
 pub(crate) fn encode_signals(events: &[SignalEvent]) -> Vec<u8> {
     let mut out = Vec::new();
     write_varint(&mut out, events.len() as u64);
+    let mut tick = 0;
     for e in events {
         write_varint(&mut out, u64::from(e.tid));
-        write_varint(&mut out, e.tick);
+        write_delta(&mut out, tick, e.tick);
         write_zigzag(&mut out, i64::from(e.signo));
+        tick = e.tick;
     }
     out
 }
 
 pub(crate) fn decode_signals(payload: &[u8]) -> Result<Vec<SignalEvent>, CodecError> {
     let mut cur = Cursor::new(payload);
-    let count = cur.read_varint("SIGNAL count")?;
-    let mut out = Vec::new();
+    // tid, tick and signo: a byte each at least.
+    let count = cur.read_count(3, "SIGNAL count")?;
+    let mut out = Vec::with_capacity(count);
+    let mut tick = 0;
     for _ in 0..count {
         let at = cur.pos();
         let tid = read_u32(&mut cur, "signal tid")?;
-        let tick = cur.read_varint("signal tick")?;
+        tick = cur.read_delta(tick, "signal tick")?;
         let signo = cur.read_zigzag("signal signo")?;
         let signo = i32::try_from(signo).map_err(|_| CodecError::Invalid {
             what: format!("signo {signo} out of range"),
@@ -642,10 +676,13 @@ pub(crate) fn encode_syscalls(records: &[SyscallRecord]) -> Vec<u8> {
     // Intern the kind names: most demos use a handful of kinds across
     // thousands of records.
     let mut kinds: Vec<&str> = Vec::new();
+    let mut kind_idx = Vec::with_capacity(records.len());
     for r in records {
-        if !kinds.contains(&r.kind.as_str()) {
+        let idx = kinds.iter().position(|k| *k == r.kind).unwrap_or_else(|| {
             kinds.push(&r.kind);
-        }
+            kinds.len() - 1
+        });
+        kind_idx.push(idx as u64);
     }
     let mut out = Vec::new();
     write_varint(&mut out, kinds.len() as u64);
@@ -653,100 +690,127 @@ pub(crate) fn encode_syscalls(records: &[SyscallRecord]) -> Vec<u8> {
         write_str(&mut out, k);
     }
     write_varint(&mut out, records.len() as u64);
+    // Field by field rather than record by record: like values sit
+    // together, so the LZ77 pass finds longer repeats.
+    let mut prev = 0;
     for r in records {
-        write_varint(&mut out, r.seq);
+        write_delta(&mut out, prev, r.seq);
+        prev = r.seq;
+    }
+    for r in records {
         write_varint(&mut out, u64::from(r.tid));
-        write_varint(&mut out, r.tick);
-        let idx = kinds.iter().position(|k| *k == r.kind).expect("interned");
-        write_varint(&mut out, idx as u64);
+    }
+    let mut prev = 0;
+    for r in records {
+        write_delta(&mut out, prev, r.tick);
+        prev = r.tick;
+    }
+    for &idx in &kind_idx {
+        write_varint(&mut out, idx);
+    }
+    for r in records {
         write_zigzag(&mut out, r.ret);
+    }
+    for r in records {
         write_zigzag(&mut out, i64::from(r.errno));
+    }
+    for r in records {
         write_varint(&mut out, r.bufs.len() as u64);
-        for b in &r.bufs {
-            write_varint(&mut out, b.len() as u64);
-            let chunks = rle::byte_chunks(b);
-            write_varint(&mut out, chunks.len() as u64);
-            out.extend_from_slice(&chunks);
-        }
+    }
+    for b in records.iter().flat_map(|r| &r.bufs) {
+        write_varint(&mut out, b.len() as u64);
+        out.extend_from_slice(b);
     }
     out
 }
 
 pub(crate) fn decode_syscalls(payload: &[u8]) -> Result<Vec<SyscallRecord>, CodecError> {
     let mut cur = Cursor::new(payload);
-    let nkinds = cur.read_varint("SYSCALL kind count")?;
-    if nkinds > cur.remaining() as u64 {
-        return Err(CodecError::Truncated {
-            what: "SYSCALL kind table",
-            offset: cur.pos(),
+    let nkinds = cur.read_count(1, "SYSCALL kind count")?;
+    let mut kinds: Vec<&str> = Vec::with_capacity(nkinds);
+    for _ in 0..nkinds {
+        let at = cur.pos();
+        let kind = cur.read_str("syscall kind")?;
+        // Every record gets its own copy of its kind name, so a long
+        // name would cost far more than the table entry holding it.
+        if kind.len() > MAX_KIND_LEN {
+            return Err(CodecError::TooLarge {
+                what: "syscall kind length",
+                declared: kind.len() as u64,
+                limit: MAX_KIND_LEN as u64,
+                offset: at,
+            });
+        }
+        kinds.push(kind);
+    }
+    // A record takes at least a byte in each of its seven columns.
+    let count = cur.read_count(7, "SYSCALL count")?;
+    let mut out = Vec::with_capacity(count);
+    let mut seq = 0;
+    for _ in 0..count {
+        seq = cur.read_delta(seq, "syscall seq")?;
+        out.push(SyscallRecord {
+            seq,
+            tid: 0,
+            tick: 0,
+            kind: String::new(),
+            ret: 0,
+            errno: 0,
+            bufs: Vec::new(),
         });
     }
-    let mut kinds: Vec<&str> = Vec::with_capacity(nkinds as usize);
-    for _ in 0..nkinds {
-        kinds.push(cur.read_str("syscall kind")?);
+    for r in &mut out {
+        r.tid = read_u32(&mut cur, "syscall tid")?;
     }
-    let count = cur.read_varint("SYSCALL count")?;
-    let mut out = Vec::new();
-    for _ in 0..count {
+    let mut tick = 0;
+    for r in &mut out {
+        tick = cur.read_delta(tick, "syscall tick")?;
+        r.tick = tick;
+    }
+    for r in &mut out {
         let at = cur.pos();
-        let seq = cur.read_varint("syscall seq")?;
-        let tid = read_u32(&mut cur, "syscall tid")?;
-        let tick = cur.read_varint("syscall tick")?;
-        let kind_idx = cur.read_varint("syscall kind index")?;
+        let idx = cur.read_varint("syscall kind index")?;
         let kind = kinds
-            .get(usize::try_from(kind_idx).unwrap_or(usize::MAX))
-            .ok_or(CodecError::Invalid {
-                what: format!("kind index {kind_idx} out of table (len {})", kinds.len()),
+            .get(usize::try_from(idx).unwrap_or(usize::MAX))
+            .ok_or_else(|| CodecError::Invalid {
+                what: format!("kind index {idx} out of table (len {})", kinds.len()),
                 offset: at,
-            })?
-            .to_owned();
-        let ret = cur.read_zigzag("syscall ret")?;
+            })?;
+        r.kind = (*kind).to_owned();
+    }
+    for r in &mut out {
+        r.ret = cur.read_zigzag("syscall ret")?;
+    }
+    for r in &mut out {
+        let at = cur.pos();
         let errno = cur.read_zigzag("syscall errno")?;
-        let errno = i32::try_from(errno).map_err(|_| CodecError::Invalid {
+        r.errno = i32::try_from(errno).map_err(|_| CodecError::Invalid {
             what: format!("errno {errno} out of range"),
             offset: at,
         })?;
-        let nbufs = cur.read_varint("syscall buf count")?;
-        if nbufs > cur.remaining() as u64 {
-            return Err(CodecError::Truncated {
-                what: "syscall buffers",
-                offset: cur.pos(),
-            });
-        }
-        let mut bufs = Vec::with_capacity(nbufs as usize);
-        for _ in 0..nbufs {
-            let buf_at = cur.pos();
-            let raw_len = cur.read_varint("buf length")?;
-            let chunk_len = cur.read_varint("buf chunk length")?;
-            let chunk_len = usize::try_from(chunk_len).map_err(|_| CodecError::Invalid {
-                what: format!("chunk length {chunk_len} does not fit in memory"),
-                offset: buf_at,
-            })?;
-            let chunks = cur.read_bytes(chunk_len, "buf chunks")?;
-            let data = rle::decode_byte_chunks(chunks).map_err(|e| CodecError::Invalid {
-                what: e,
-                offset: buf_at,
-            })?;
-            if data.len() as u64 != raw_len {
-                return Err(CodecError::Invalid {
-                    what: format!(
-                        "buf length mismatch: declared {raw_len}, got {}",
-                        data.len()
-                    ),
-                    offset: buf_at,
-                });
-            }
-            bufs.push(data);
-        }
-        out.push(SyscallRecord {
-            seq,
-            tid,
-            tick,
-            kind: kind.to_owned(),
-            ret,
-            errno,
-            bufs,
+    }
+    let at = cur.pos();
+    let mut nbufs = Vec::with_capacity(count);
+    for _ in 0..count {
+        nbufs.push(cur.read_varint("syscall buf count")?);
+    }
+    // Each buffer takes at least its length byte, so all the buffers
+    // together must fit in the bytes left.
+    let total = nbufs.iter().fold(0u64, |sum, &n| sum.saturating_add(n));
+    if total > cur.remaining() as u64 {
+        return Err(CodecError::TooLarge {
+            what: "syscall buffer count",
+            declared: total,
+            limit: cur.remaining() as u64,
+            offset: at,
         });
+    }
+    for (r, n) in out.iter_mut().zip(nbufs) {
+        r.bufs = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            let len = cur.read_count(1, "buf length")?;
+            r.bufs.push(cur.read_bytes(len, "buf")?.to_vec());
+        }
     }
     expect_end(&cur)?;
     Ok(out)
@@ -758,59 +822,74 @@ const ASYNC_SIGWAKEUP: u8 = 1;
 pub(crate) fn encode_asyncs(events: &[AsyncEvent]) -> Vec<u8> {
     let mut out = Vec::new();
     write_varint(&mut out, events.len() as u64);
+    let mut tick = 0;
     for e in events {
         match *e {
-            AsyncEvent::Reschedule { tick } => {
-                out.push(ASYNC_RESCHEDULE);
-                write_varint(&mut out, tick);
-            }
-            AsyncEvent::SignalWakeup { tid, tick } => {
+            AsyncEvent::Reschedule { .. } => out.push(ASYNC_RESCHEDULE),
+            AsyncEvent::SignalWakeup { tid, .. } => {
                 out.push(ASYNC_SIGWAKEUP);
                 write_varint(&mut out, u64::from(tid));
-                write_varint(&mut out, tick);
             }
         }
+        write_delta(&mut out, tick, e.tick());
+        tick = e.tick();
     }
     out
 }
 
 pub(crate) fn decode_asyncs(payload: &[u8]) -> Result<Vec<AsyncEvent>, CodecError> {
     let mut cur = Cursor::new(payload);
-    let count = cur.read_varint("ASYNC count")?;
-    let mut out = Vec::new();
+    // A tag and a tick: a byte each at least.
+    let count = cur.read_count(2, "ASYNC count")?;
+    let mut out = Vec::with_capacity(count);
+    let mut tick = 0;
     for _ in 0..count {
         let at = cur.pos();
-        match cur.read_u8("async tag")? {
-            ASYNC_RESCHEDULE => out.push(AsyncEvent::Reschedule {
-                tick: cur.read_varint("reschedule tick")?,
-            }),
-            ASYNC_SIGWAKEUP => out.push(AsyncEvent::SignalWakeup {
-                tid: read_u32(&mut cur, "sigwakeup tid")?,
-                tick: cur.read_varint("sigwakeup tick")?,
-            }),
+        let event = match cur.read_u8("async tag")? {
+            ASYNC_RESCHEDULE => {
+                tick = cur.read_delta(tick, "reschedule tick")?;
+                AsyncEvent::Reschedule { tick }
+            }
+            ASYNC_SIGWAKEUP => {
+                let tid = read_u32(&mut cur, "sigwakeup tid")?;
+                tick = cur.read_delta(tick, "sigwakeup tick")?;
+                AsyncEvent::SignalWakeup { tid, tick }
+            }
             tag => {
                 return Err(CodecError::Invalid {
                     what: format!("unknown ASYNC tag {tag}"),
                     offset: at,
                 })
             }
-        }
+        };
+        out.push(event);
     }
     expect_end(&cur)?;
     Ok(out)
 }
 
 pub(crate) fn encode_alloc(alloc: &[u64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_u64_block(&mut out, alloc);
+    let mut out = Vec::with_capacity(alloc.len() * 2 + 4);
+    write_varint(&mut out, alloc.len() as u64);
+    let mut prev = 0;
+    for &addr in alloc {
+        write_delta(&mut out, prev, addr);
+        prev = addr;
+    }
     out
 }
 
 pub(crate) fn decode_alloc(payload: &[u8]) -> Result<Vec<u64>, CodecError> {
     let mut cur = Cursor::new(payload);
-    let alloc = read_u64_block(&mut cur, "ALLOC values")?;
+    let count = cur.read_count(1, "ALLOC count")?;
+    let mut out = Vec::with_capacity(count);
+    let mut prev = 0;
+    for _ in 0..count {
+        prev = cur.read_delta(prev, "ALLOC address")?;
+        out.push(prev);
+    }
     expect_end(&cur)?;
-    Ok(alloc)
+    Ok(out)
 }
 
 fn read_u32(cur: &mut Cursor<'_>, what: &'static str) -> Result<u32, CodecError> {
@@ -879,7 +958,8 @@ mod tests {
         let frame = encode_frame(StreamId::Alloc, b"payload");
         let parsed = parse_frame(&frame).unwrap();
         assert_eq!(parsed.stream, StreamId::Alloc);
-        assert_eq!(parsed.payload, b"payload");
+        assert_eq!(frame[5] & PACKED, 0, "7 bytes cannot pack smaller");
+        assert_eq!(&*parsed.payload, b"payload");
         assert!(is_binary(&frame));
         assert!(!is_binary(b"first 1\n"));
 
@@ -898,35 +978,48 @@ mod tests {
     }
 
     #[test]
-    fn u64_block_matches_text_rle() {
-        for vals in [
-            vec![],
-            vec![5],
-            vec![5, 6, 7, 3, 3, 3, 9, 100, 101, 0],
-            (0..1000).collect::<Vec<u64>>(),
-            vec![0; 1000],
-        ] {
-            let mut buf = Vec::new();
-            write_u64_block(&mut buf, &vals);
-            let mut cur = Cursor::new(&buf);
-            assert_eq!(read_u64_block(&mut cur, "t").unwrap(), vals);
-            assert!(cur.is_at_end());
-        }
+    fn repetitive_payloads_pack_and_roundtrip() {
+        let payload = b"GET /item/1 HTTP/1.1\n".repeat(20);
+        let frame = encode_frame(StreamId::Syscall, &payload);
+        assert!(frame.len() < payload.len() / 4, "{} bytes", frame.len());
+        assert_eq!(
+            frame[5] & PACKED,
+            PACKED,
+            "the packing bit rides the id byte"
+        );
+        let parsed = parse_frame(&frame).unwrap();
+        assert_eq!(parsed.stream, StreamId::Syscall);
+        assert_eq!(&*parsed.payload, payload.as_slice());
     }
 
     #[test]
-    fn u64_block_rejects_hostile_lengths() {
-        // A repeat token claiming 2^60 values must be rejected, not
-        // allocated.
+    fn deltas_wrap_losslessly() {
+        let vals = [0, u64::MAX, 0, 5, 3, u64::MAX - 1, 1 << 63, 7];
         let mut buf = Vec::new();
-        write_varint(&mut buf, 1); // one token
-        buf.push(TOK_REPEAT);
-        write_varint(&mut buf, 7);
-        write_varint(&mut buf, 1 << 60);
+        let mut prev = 0;
+        for &v in &vals {
+            write_delta(&mut buf, prev, v);
+            prev = v;
+        }
         let mut cur = Cursor::new(&buf);
+        let mut prev = 0;
+        for &v in &vals {
+            prev = cur.read_delta(prev, "v").unwrap();
+            assert_eq!(prev, v);
+        }
+        assert!(cur.is_at_end());
+    }
+
+    #[test]
+    fn counts_above_the_bytes_left_are_rejected() {
+        // An ALLOC payload claiming 2^60 addresses in ten bytes must be
+        // rejected, not reserved.
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 1 << 60);
+        buf.push(0);
         assert!(matches!(
-            read_u64_block(&mut cur, "t"),
-            Err(CodecError::Invalid { .. })
+            decode_alloc(&buf),
+            Err(CodecError::TooLarge { declared, limit: 1, .. }) if declared == 1 << 60
         ));
     }
 
@@ -956,8 +1049,12 @@ mod tests {
         let payload = encode_syscalls(&recs);
         assert_eq!(decode_syscalls(&payload).unwrap(), recs);
         // One table entry, not 100 copies of "recvmsg".
-        let naive = recs.len() * "recvmsg".len();
-        assert!(payload.len() < naive + recs.len() * 16);
+        let copies = payload.windows(7).filter(|w| w == b"recvmsg").count();
+        assert_eq!(copies, 1);
+        // Buffers are stored raw; the frame's LZ77 pass folds the
+        // repeats.
+        let frame = encode_frame(StreamId::Syscall, &payload);
+        assert!(frame.len() < payload.len() / 20, "{} bytes", frame.len());
     }
 
     #[test]

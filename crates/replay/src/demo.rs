@@ -267,22 +267,22 @@ impl Demo {
                 };
                 match id {
                     StreamId::Header => {
-                        header = Some(codec::decode_header(frame.payload).map_err(codec_err)?);
+                        header = Some(codec::decode_header(&frame.payload).map_err(codec_err)?);
                     }
                     StreamId::Queue => {
-                        queue = codec::decode_queue(frame.payload).map_err(codec_err)?;
+                        queue = codec::decode_queue(&frame.payload).map_err(codec_err)?;
                     }
                     StreamId::Signal => {
-                        signals = codec::decode_signals(frame.payload).map_err(codec_err)?;
+                        signals = codec::decode_signals(&frame.payload).map_err(codec_err)?;
                     }
                     StreamId::Syscall => {
-                        syscalls = codec::decode_syscalls(frame.payload).map_err(codec_err)?;
+                        syscalls = codec::decode_syscalls(&frame.payload).map_err(codec_err)?;
                     }
                     StreamId::Async => {
-                        async_events = codec::decode_asyncs(frame.payload).map_err(codec_err)?;
+                        async_events = codec::decode_asyncs(&frame.payload).map_err(codec_err)?;
                     }
                     StreamId::Alloc => {
-                        alloc = codec::decode_alloc(frame.payload).map_err(codec_err)?;
+                        alloc = codec::decode_alloc(&frame.payload).map_err(codec_err)?;
                     }
                 }
             } else {
@@ -433,9 +433,10 @@ impl Demo {
             .map_or(0, Vec::len)
     }
 
-    /// Per-stream summary statistics.
+    /// Per-stream summary statistics (one binary encode).
     #[must_use]
     pub fn stats(&self) -> DemoStats {
+        let files = self.to_bytes_map();
         DemoStats {
             strategy: self.header.strategy.clone(),
             queue_entries: self.queue.next_ticks.len(),
@@ -443,8 +444,8 @@ impl Demo {
             syscalls: self.syscalls.len(),
             async_events: self.async_events.len(),
             alloc_entries: self.alloc.len(),
-            total_bytes: self.size_bytes(),
-            syscall_bytes: self.syscall_bytes(),
+            total_bytes: files.values().map(Vec::len).sum(),
+            syscall_bytes: files.get(StreamId::Syscall.file_name()).map_or(0, Vec::len),
         }
     }
 }

@@ -7,23 +7,24 @@
 //! | File      | Contents |
 //! |-----------|----------|
 //! | `HEADER`  | tool, strategy, PRNG seeds, format version |
-//! | `QUEUE`   | queue-strategy interleaving: first tick per thread + RLE-compressed next-tick list |
+//! | `QUEUE`   | queue-strategy interleaving: first tick per thread + next-tick list |
 //! | `SIGNAL`  | `tid tick signo` per asynchronous signal |
-//! | `SYSCALL` | per recorded syscall: kind, return value, errno, RLE-compressed output buffers |
+//! | `SYSCALL` | per recorded syscall: kind, return value, errno, output buffers |
 //! | `ASYNC`   | reschedule / signal-wakeup events floated to their tick |
 //! | `ALLOC`   | (comprehensive tools only) the allocator's address stream |
 //!
 //! Each stream file exists in two formats ([`DemoFormat`]): a framed,
-//! checksummed binary form ([`codec`] — varint + RLE payloads, decoded
-//! zero-copy; the default), and the original line-oriented text form
+//! checksummed binary form ([`codec`] — delta-coded varint payloads,
+//! LZ77-packed when that is smaller; the default), and the original
+//! line-oriented text form with run-length coded integers and buffers,
 //! kept for fixtures and diffing. Loading auto-detects per file, so
 //! either (or a mix) loads transparently. [`DemoStore`] layers
 //! content-addressed, stream-deduplicated storage on top for corpora
 //! and archives.
 //!
 //! The crate provides the typed event model ([`SignalEvent`],
-//! [`SyscallRecord`], [`AsyncEvent`], [`QueueStream`]), the run-length
-//! codecs ([`rle`]), serialization ([`Demo::save_dir`] / [`Demo::load_dir`]
+//! [`SyscallRecord`], [`AsyncEvent`], [`QueueStream`]), the text
+//! format's run-length codecs ([`rle`]), serialization ([`Demo::save_dir`] / [`Demo::load_dir`]
 //! and in-memory string/byte forms), and the desynchronisation taxonomy
 //! ([`HardDesync`], [`SoftDesync`]).
 //!
@@ -46,6 +47,7 @@
 pub mod codec;
 mod demo;
 mod desync;
+mod lz;
 pub mod rle;
 mod store;
 mod streams;

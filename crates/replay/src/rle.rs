@@ -1,4 +1,4 @@
-//! Run-length codecs for demo streams.
+//! Run-length codecs for the text demo format.
 //!
 //! Two codecs cover the paper's two compression needs:
 //!
@@ -13,90 +13,44 @@
 //! * [`encode_bytes`] / [`decode_bytes`] — byte buffers (SYSCALL output
 //!   data). "A simple run length encoding" (§4.4): alternating literal and
 //!   run chunks, serialized as lowercase hex.
+//!
+//! The binary format ([`crate::codec`]) uses neither: it delta-codes its
+//! integers and leaves repetition to one LZ77 pass.
 
 use std::fmt::Write as _;
 
-/// One RLE token of the integer codec. The token model is shared by the
-/// text form (this module) and the binary form ([`crate::codec`]), so
-/// the two formats compress identically and text→bin→text is lossless.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum U64Token {
-    /// A single literal value (`N` in text form).
-    Literal(u64),
-    /// The arithmetic run `base, base+1, …, base+extra` with `extra ≥ 1`
-    /// (`N+K` in text form).
-    IncRun {
-        /// First value of the run.
-        base: u64,
-        /// Number of increments after the base (run length − 1).
-        extra: u64,
-    },
-    /// The value repeated `count ≥ 2` times (`N*K` in text form).
-    Repeat {
-        /// The repeated value.
-        value: u64,
-        /// How many copies.
-        count: u64,
-    },
-}
+/// Most values one text integer stream may decode to (16 Mi, 128 MiB of
+/// `u64`). A token is a few bytes however many values it stands for, so
+/// without a cap `0*18446744073709551615` would ask for all of memory.
+pub const MAX_DECODED_VALUES: usize = 1 << 24;
 
-/// Tokenizes an integer sequence with the run-detection heuristic shared
-/// by both codecs: prefer the longest arithmetic(+1) run, else the
-/// longest constant run, else a literal.
-#[must_use]
-pub fn u64_tokens(values: &[u64]) -> Vec<U64Token> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i];
-        // Longest arithmetic(+1) run from i.
-        let mut inc = 1;
-        while i + inc < values.len() && values[i + inc] == v + inc as u64 {
-            inc += 1;
-        }
-        // Longest constant run from i.
-        let mut rep = 1;
-        while i + rep < values.len() && values[i + rep] == v {
-            rep += 1;
-        }
-        if inc >= rep && inc > 1 {
-            out.push(U64Token::IncRun {
-                base: v,
-                extra: (inc - 1) as u64,
-            });
-            i += inc;
-        } else if rep > 1 {
-            out.push(U64Token::Repeat {
-                value: v,
-                count: rep as u64,
-            });
-            i += rep;
-        } else {
-            out.push(U64Token::Literal(v));
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Encodes an integer sequence into the token text form.
+/// Encodes an integer sequence into the token text form. At each value
+/// it takes the longest arithmetic(+1) run, else the longest constant
+/// run, else a literal.
 #[must_use]
 pub fn encode_u64s(values: &[u64]) -> String {
     let mut out = String::new();
-    for tok in u64_tokens(values) {
+    let mut i = 0;
+    while i < values.len() {
+        let v = values[i];
+        let inc = values[i..]
+            .iter()
+            .zip(0u64..)
+            .take_while(|&(&x, d)| Some(x) == v.checked_add(d))
+            .count();
+        let rep = values[i..].iter().take_while(|&&x| x == v).count();
         if !out.is_empty() {
             out.push(' ');
         }
-        match tok {
-            U64Token::Literal(v) => {
-                let _ = write!(out, "{v}");
-            }
-            U64Token::IncRun { base, extra } => {
-                let _ = write!(out, "{base}+{extra}");
-            }
-            U64Token::Repeat { value, count } => {
-                let _ = write!(out, "{value}*{count}");
-            }
+        if inc >= rep && inc > 1 {
+            let _ = write!(out, "{v}+{}", inc - 1);
+            i += inc;
+        } else if rep > 1 {
+            let _ = write!(out, "{v}*{rep}");
+            i += rep;
+        } else {
+            let _ = write!(out, "{v}");
+            i += 1;
         }
     }
     out
@@ -106,32 +60,43 @@ pub fn encode_u64s(values: &[u64]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed token.
+/// Returns a description of the first malformed token, of a run that
+/// passes `u64::MAX`, or of the token that takes the stream past
+/// [`MAX_DECODED_VALUES`].
 pub fn decode_u64s(text: &str) -> Result<Vec<u64>, String> {
     let mut out = Vec::new();
     for tok in text.split_whitespace() {
-        if let Some((base, k)) = tok.split_once('+') {
+        let (value, count, step) = if let Some((base, k)) = tok.split_once('+') {
             let base: u64 = base
                 .parse()
                 .map_err(|_| format!("bad run base in `{tok}`"))?;
             let k: u64 = k
                 .parse()
                 .map_err(|_| format!("bad run length in `{tok}`"))?;
-            out.extend((0..=k).map(|d| base + d));
+            base.checked_add(k)
+                .ok_or_else(|| format!("run `{tok}` passes u64::MAX"))?;
+            (base, k.saturating_add(1), 1)
         } else if let Some((base, k)) = tok.split_once('*') {
             let base: u64 = base
                 .parse()
                 .map_err(|_| format!("bad repeat base in `{tok}`"))?;
-            let k: usize = k
+            let k: u64 = k
                 .parse()
                 .map_err(|_| format!("bad repeat count in `{tok}`"))?;
             if k < 2 {
                 return Err(format!("repeat count must be >= 2 in `{tok}`"));
             }
-            out.resize(out.len() + k, base);
+            (base, k, 0)
         } else {
-            out.push(tok.parse().map_err(|_| format!("bad literal `{tok}`"))?);
+            let v = tok.parse().map_err(|_| format!("bad literal `{tok}`"))?;
+            (v, 1, 0)
+        };
+        if count > (MAX_DECODED_VALUES - out.len()) as u64 {
+            return Err(format!(
+                "`{tok}` takes the stream past {MAX_DECODED_VALUES} values"
+            ));
         }
+        out.extend((0..count).map(|d| value + d * step));
     }
     Ok(out)
 }
@@ -142,10 +107,8 @@ const BYTE_RUN_MIN: usize = 4;
 /// Encodes a byte buffer into the raw RLE chunk stream.
 ///
 /// Chunk grammar: `0x00 len byte` is a run of `len` (1–255) copies of
-/// `byte`; `0x01 len b…` is `len` literal bytes. The text codec hexes
-/// this stream ([`encode_bytes`]); the binary codec stores it as-is.
-#[must_use]
-pub fn byte_chunks(data: &[u8]) -> Vec<u8> {
+/// `byte`; `0x01 len b…` is `len` literal bytes.
+fn byte_chunks(data: &[u8]) -> Vec<u8> {
     let mut chunks: Vec<u8> = Vec::new();
     let mut i = 0;
     let mut lit_start = 0;
@@ -182,19 +145,14 @@ pub fn byte_chunks(data: &[u8]) -> Vec<u8> {
     chunks
 }
 
-/// Encodes a byte buffer: RLE chunks ([`byte_chunks`]) serialized as
-/// lowercase hex.
+/// Encodes a byte buffer: RLE chunks serialized as lowercase hex.
 #[must_use]
 pub fn encode_bytes(data: &[u8]) -> String {
     to_hex(&byte_chunks(data))
 }
 
 /// Decodes a raw RLE chunk stream back into the original bytes.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed chunk.
-pub fn decode_byte_chunks(chunks: &[u8]) -> Result<Vec<u8>, String> {
+fn decode_byte_chunks(chunks: &[u8]) -> Result<Vec<u8>, String> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < chunks.len() {
@@ -297,6 +255,27 @@ mod tests {
         assert!(decode_u64s("abc").is_err());
         assert!(decode_u64s("5+x").is_err());
         assert!(decode_u64s("5*1").is_err());
+    }
+
+    #[test]
+    fn u64_runs_end_at_the_top_of_the_range() {
+        let top = u64::MAX;
+        assert_eq!(encode_u64s(&[top - 1, top]), format!("{}+1", top - 1));
+        assert_eq!(encode_u64s(&[top, 0]), format!("{top} 0"));
+        assert_eq!(
+            decode_u64s(&format!("{}+1", top - 1)).unwrap(),
+            [top - 1, top]
+        );
+        let err = decode_u64s(&format!("{top}+1")).unwrap_err();
+        assert!(err.contains("passes u64::MAX"), "{err}");
+    }
+
+    #[test]
+    fn u64_decode_caps_the_decoded_length() {
+        let err = decode_u64s(&format!("0*{}", u64::MAX)).unwrap_err();
+        assert!(err.contains("past"), "{err}");
+        let err = decode_u64s(&format!("0+{}", u64::MAX)).unwrap_err();
+        assert!(err.contains("past"), "{err}");
     }
 
     #[test]

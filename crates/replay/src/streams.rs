@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use crate::codec::MAX_KIND_LEN;
 use crate::demo::DemoLoadError;
 use crate::rle;
 
@@ -52,7 +53,8 @@ pub struct SyscallRecord {
     pub tid: u32,
     /// Tick of the syscall's critical section.
     pub tick: u64,
-    /// Syscall kind name (e.g. `recv`, `poll`).
+    /// Syscall kind name (e.g. `recv`, `poll`), at most
+    /// [`MAX_KIND_LEN`] bytes: a demo holding a longer one does not load.
     pub kind: String,
     /// The return value to enforce on replay.
     pub ret: i64,
@@ -82,12 +84,6 @@ impl SyscallRecord {
             out.push('\n');
         }
         out
-    }
-
-    /// Approximate on-disk size in bytes of this record.
-    #[must_use]
-    pub fn encoded_size(&self) -> usize {
-        self.to_lines().len()
     }
 }
 
@@ -300,6 +296,12 @@ fn parse_syscalls_inner(text: &str, last_line: &mut usize) -> Result<Vec<Syscall
                 .parse()
                 .map_err(|_| format!("bad tick in `{line}`"))?;
             let kind = next("kind")?;
+            if kind.len() > MAX_KIND_LEN {
+                return Err(format!(
+                    "syscall kind of {} bytes is longer than {MAX_KIND_LEN}",
+                    kind.len()
+                ));
+            }
             let field = |s: String, prefix: &str| -> Result<String, String> {
                 s.strip_prefix(prefix)
                     .map(str::to_owned)
@@ -528,24 +530,5 @@ mod tests {
             Err(DemoLoadError::Malformed { line, .. }) => assert_eq!(line, Some(2)),
             other => panic!("expected malformed line 2, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn syscall_encoded_size_is_positive_and_tracks_payload() {
-        let small = SyscallRecord {
-            seq: 0,
-            tid: 0,
-            tick: 0,
-            kind: "read".into(),
-            ret: 0,
-            errno: 0,
-            bufs: vec![],
-        };
-        let big = SyscallRecord {
-            bufs: vec![(0..200).collect()],
-            ..small.clone()
-        };
-        assert!(small.encoded_size() > 0);
-        assert!(big.encoded_size() > small.encoded_size());
     }
 }

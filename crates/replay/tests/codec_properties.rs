@@ -3,8 +3,12 @@
 //! well-formed serializations.
 
 use proptest::prelude::*;
+use srr_replay::codec::{fnv1a64, parse_frame, PACKED};
 use srr_replay::rle;
-use srr_replay::{AsyncEvent, Demo, DemoHeader, QueueStream, SignalEvent, SyscallRecord};
+use srr_replay::{
+    AsyncEvent, CodecError, Demo, DemoHeader, DemoLoadError, QueueStream, SignalEvent,
+    SyscallRecord,
+};
 
 /// A demo whose streams are derived from an actual schedule — the QUEUE
 /// linked-list invariants (exact cover of ticks `1..=T`, forward-pointing
@@ -325,5 +329,183 @@ proptest! {
         // The replay cursor semantics ride on the QUEUE stream alone;
         // byte-level equality of the re-encoded stream pins it.
         prop_assert_eq!(back.queue, demo.queue);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Codec v2: every field round-trips whatever its values. The deltas wrap,
+// so non-monotone and extreme sequences are as lossless as recorded ones.
+
+/// A `u64` biased to the edges: 0, `u64::MAX`, small, or anything.
+fn edgy_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0), Just(u64::MAX), 0u64..64, any::<u64>()]
+}
+
+fn edgy_i64() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        Just(0),
+        Just(i64::MIN),
+        Just(i64::MAX),
+        -64i64..64,
+        any::<i64>()
+    ]
+}
+
+fn any_syscall() -> impl Strategy<Value = SyscallRecord> {
+    (
+        (edgy_u64(), any::<u32>(), edgy_u64()),
+        prop_oneof![Just("recv"), Just("poll"), Just(""), Just("sendmsg")],
+        edgy_i64(),
+        any::<i32>(),
+        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..3),
+    )
+        .prop_map(|((seq, tid, tick), kind, ret, errno, bufs)| SyscallRecord {
+            seq,
+            tid,
+            tick,
+            kind: kind.to_owned(),
+            ret,
+            errno,
+            bufs,
+        })
+}
+
+/// A demo with every stream filled from arbitrary, unordered values.
+fn any_demo() -> impl Strategy<Value = Demo> {
+    (
+        (edgy_u64(), edgy_u64()),
+        (
+            proptest::collection::vec(edgy_u64(), 0..6),
+            proptest::collection::vec(edgy_u64(), 0..80),
+        ),
+        proptest::collection::vec((any::<u32>(), edgy_u64(), any::<i32>()), 0..8),
+        proptest::collection::vec(any_syscall(), 0..12),
+        proptest::collection::vec((any::<bool>(), any::<u32>(), edgy_u64()), 0..8),
+        proptest::collection::vec(edgy_u64(), 0..40),
+    )
+        .prop_map(|(seeds, (first, next), signals, syscalls, asyncs, alloc)| {
+            let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [seeds.0, seeds.1]));
+            demo.queue = QueueStream {
+                first_tick: first,
+                next_ticks: next,
+            };
+            demo.signals = signals
+                .into_iter()
+                .map(|(tid, tick, signo)| SignalEvent { tid, tick, signo })
+                .collect();
+            demo.syscalls = syscalls;
+            demo.async_events = asyncs
+                .into_iter()
+                .map(|(resched, tid, tick)| {
+                    if resched {
+                        AsyncEvent::Reschedule { tick }
+                    } else {
+                        AsyncEvent::SignalWakeup { tid, tick }
+                    }
+                })
+                .collect();
+            demo.alloc = alloc;
+            demo
+        })
+}
+
+/// `v` repeated `n` times.
+fn cycled<T: Clone>(v: &[T], n: usize) -> Vec<T> {
+    v.iter().cloned().cycle().take(v.len() * n).collect()
+}
+
+/// An arbitrary demo with every stream repeated `n` times over: the
+/// LZ77 pass packs its longer streams.
+fn repetitive_demo() -> impl Strategy<Value = Demo> {
+    (any_demo(), 2usize..60).prop_map(|(mut demo, n)| {
+        demo.queue.next_ticks = cycled(&demo.queue.next_ticks, n);
+        demo.signals = cycled(&demo.signals, n);
+        demo.syscalls = cycled(&demo.syscalls, n);
+        demo.async_events = cycled(&demo.async_events, n);
+        demo.alloc = cycled(&demo.alloc, n);
+        demo
+    })
+}
+
+proptest! {
+    /// Arbitrary demos — any values, in any order — round-trip.
+    #[test]
+    fn v2_roundtrips_arbitrary_demos(demo in any_demo()) {
+        let map = demo.to_bytes_map();
+        prop_assert_eq!(Demo::from_bytes_map(&map).unwrap(), demo);
+    }
+
+    /// Repetitive demos round-trip through their packed frames, and the
+    /// binary encoding is canonical: re-encoding reproduces the bytes.
+    #[test]
+    fn v2_roundtrips_packed_frames(demo in repetitive_demo()) {
+        let map = demo.to_bytes_map();
+        let back = Demo::from_bytes_map(&map).unwrap();
+        prop_assert_eq!(&back, &demo);
+        prop_assert_eq!(back.to_bytes_map(), map);
+    }
+}
+
+#[test]
+fn extreme_sequences_roundtrip_and_pack() {
+    // Non-monotone, wrapping sequences in every delta-coded field.
+    let wild = [0, u64::MAX, 1, u64::MAX - 1, 0, 1 << 63, 5, 3, u64::MAX, 0];
+    let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [0, u64::MAX]));
+    demo.queue = QueueStream {
+        first_tick: wild.to_vec(),
+        next_ticks: wild.repeat(30),
+    };
+    demo.alloc = wild.repeat(30);
+    demo.signals = wild
+        .iter()
+        .map(|&tick| SignalEvent {
+            tid: u32::MAX,
+            tick,
+            signo: i32::MIN,
+        })
+        .collect();
+    demo.async_events = wild
+        .iter()
+        .map(|&tick| AsyncEvent::SignalWakeup { tid: 0, tick })
+        .collect();
+    demo.syscalls = wild
+        .iter()
+        .zip(wild.iter().rev())
+        .map(|(&seq, &tick)| SyscallRecord {
+            seq,
+            tid: 7,
+            tick,
+            kind: "recv".into(),
+            ret: i64::MIN,
+            errno: i32::MAX,
+            bufs: vec![b"GET /item/7 HTTP/1.1\n".to_vec(); 3],
+        })
+        .collect();
+    let map = demo.to_bytes_map();
+    assert_eq!(Demo::from_bytes_map(&map).unwrap(), demo);
+    for file in ["QUEUE", "ALLOC", "SYSCALL"] {
+        // The stream-id byte, after the magic and the one-byte version.
+        assert_eq!(map[file][5] & PACKED, PACKED, "{file} repeats");
+    }
+}
+
+#[test]
+fn v1_frames_fail_with_unsupported_version() {
+    // A v1 frame, valid down to its checksum: same magic, version 1.
+    let mut frame = b"SRRB".to_vec();
+    frame.extend_from_slice(&[1, 0, 1, 0]); // version 1, HEADER, empty payload
+    let sum = fnv1a64(&frame[4..]);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    assert!(matches!(
+        parse_frame(&frame),
+        Err(CodecError::UnsupportedVersion(1))
+    ));
+    let map = [("HEADER".to_owned(), frame)].into_iter().collect();
+    match Demo::from_bytes_map(&map) {
+        Err(DemoLoadError::Codec { file, err }) => {
+            assert_eq!(file, "HEADER");
+            assert_eq!(err, CodecError::UnsupportedVersion(1));
+        }
+        other => panic!("expected UnsupportedVersion(1), got {other:?}"),
     }
 }

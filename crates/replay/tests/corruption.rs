@@ -8,17 +8,82 @@
 //! probabilistic: the fnv1a64 trailer covers every byte after the magic,
 //! so a flip either breaks the magic ([`CodecError::BadMagic`]) or the
 //! checksum, before any payload decoding is trusted.
+//!
+//! The checksum is no defence against a frame *crafted* with a valid
+//! one, so the hostile-input battery below feeds such frames (and text
+//! streams) through the loader and checks that each is a typed error
+//! reached without allocating more than its size justifies. A counting
+//! allocator measures what the decoding thread allocates.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
+use srr_replay::codec::{
+    fnv1a64, write_varint, CODEC_VERSION, MAX_EXPANSION, MAX_KIND_LEN, MAX_RAW_LEN, PACKED,
+};
 use srr_replay::{
-    AsyncEvent, CodecError, Demo, DemoHeader, DemoLoadError, QueueStream, SignalEvent,
+    AsyncEvent, CodecError, Demo, DemoHeader, DemoLoadError, QueueStream, SignalEvent, StreamId,
     SyscallRecord,
 };
 
-/// A demo exercising every stream and every payload encoder: RLE-friendly
-/// and RLE-hostile queue runs, interned and distinct syscall kinds,
-/// compressible and incompressible buffers.
+thread_local! {
+    /// Bytes this thread has asked the allocator for, ever.
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note(bytes: usize) {
+    // `try_with`: the slot is gone while the thread exits.
+    let _ = ALLOCATED.try_with(|a| a.set(a.get().saturating_add(bytes)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialised thread-local `Cell`, which neither allocates nor
+// touches the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's guarantees for `layout` are passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, hence from `System`,
+        // with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f`, returning its result and the bytes it allocated.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
+
+/// A demo exercising every stream and every payload encoder: periodic
+/// and broken queue runs, interned and distinct syscall kinds,
+/// compressible and incompressible buffers. Its QUEUE and SYSCALL
+/// payloads are stored LZ77-packed, its HEADER and ASYNC ones plain
+/// (`full_demo_has_packed_and_plain_frames`).
 fn full_demo() -> Demo {
     let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 40398]));
     demo.queue = QueueStream {
@@ -133,7 +198,7 @@ fn bad_magic_and_unknown_version_are_typed() {
 
     // The real magic with a from-the-future codec version.
     let mut b = queue.clone();
-    b[4] = 0x7F; // varint 127 where CODEC_VERSION=1 lives
+    b[4] = 0x7F; // varint 127 where CODEC_VERSION=2 lives
     let mut m = map.clone();
     m.insert("QUEUE".to_owned(), b);
     match load(&m).unwrap_err() {
@@ -159,7 +224,7 @@ fn crafted_varint_overflow_is_typed() {
     // itself passes and the varint reader is what must object.
     let mut frame = Vec::new();
     frame.extend_from_slice(b"SRRB");
-    frame.push(1); // codec version
+    write_varint(&mut frame, CODEC_VERSION);
     frame.push(1); // stream id: QUEUE
     frame.extend_from_slice(&[0xFF; 10]); // overflowing varint
     let crc = srr_replay::codec::fnv1a64(&frame[4..]);
@@ -193,6 +258,381 @@ fn corrupt_demos_never_load_equal() {
             if let Ok(loaded) = load(&m) {
                 assert_ne!(loaded, demo, "{file} byte {pos}: corruption loaded equal");
             }
+        }
+    }
+}
+
+#[test]
+fn full_demo_has_packed_and_plain_frames() {
+    let map = full_demo().to_bytes_map();
+    // The stream-id byte, after the magic and the one-byte version.
+    let packed = |file: &str| map[file][5] & PACKED != 0;
+    for file in ["QUEUE", "SYSCALL"] {
+        assert!(packed(file), "{file} should be stored packed");
+    }
+    for file in ["HEADER", "ASYNC"] {
+        assert!(!packed(file), "{file} should be stored plain");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile input: crafted frames with valid checksums, and text streams
+// whose few bytes ask for unbounded output.
+
+/// A frame with stream-id byte `id` around `payload` and a valid
+/// checksum, so that only the payload decoder stands in its way.
+fn frame(version: u64, id: u8, payload: &[u8]) -> Vec<u8> {
+    let mut f = b"SRRB".to_vec();
+    write_varint(&mut f, version);
+    f.push(id);
+    write_varint(&mut f, payload.len() as u64);
+    f.extend_from_slice(payload);
+    let sum = fnv1a64(&f[4..]);
+    f.extend_from_slice(&sum.to_le_bytes());
+    f
+}
+
+/// A packed payload: declared raw length, then LZ77 sequences.
+fn packed(raw_len: u64, sequences: &[u8]) -> Vec<u8> {
+    let mut p = Vec::new();
+    write_varint(&mut p, raw_len);
+    p.extend_from_slice(sequences);
+    p
+}
+
+/// Appends the LZ77 extension bytes of a length whose token nibble is
+/// `len.min(15)`.
+fn push_len_ext(out: &mut Vec<u8>, len: usize) {
+    if len >= 15 {
+        let mut rest = len - 15;
+        while rest >= 255 {
+            out.push(255);
+            rest -= 255;
+        }
+        out.push(rest as u8);
+    }
+}
+
+/// `payload` framed as stream `id` twice: stored plain, and stored
+/// packed as one LZ77 literal run.
+fn plain_and_packed(id: StreamId, payload: &[u8]) -> [Vec<u8>; 2] {
+    let mut run = vec![(payload.len().min(15) as u8) << 4];
+    push_len_ext(&mut run, payload.len());
+    run.extend_from_slice(payload);
+    [
+        frame(CODEC_VERSION, id as u8, payload),
+        frame(
+            CODEC_VERSION,
+            id as u8 | PACKED,
+            &packed(payload.len() as u64, &run),
+        ),
+    ]
+}
+
+/// Loads the full demo with `file` replaced by `bytes` and returns the
+/// error, checking that the load allocated at most 4 KiB beyond what
+/// decoding the other streams costs.
+fn rejected(file: &str, bytes: Vec<u8>) -> DemoLoadError {
+    let mut map = full_demo().to_bytes_map();
+    map.remove(file);
+    let (_, baseline) = allocated_by(|| load(&map));
+    map.insert(file.to_owned(), bytes);
+    let (got, used) = allocated_by(|| load(&map));
+    let err = got.expect_err("a hostile stream must not load");
+    assert!(
+        used <= baseline + 4096,
+        "{file}: rejecting it allocated {used} bytes (baseline {baseline})"
+    );
+    err
+}
+
+fn codec_err(file: &str, bytes: Vec<u8>) -> CodecError {
+    match rejected(file, bytes) {
+        DemoLoadError::Codec { file: f, err } => {
+            assert_eq!(f, file);
+            err
+        }
+        other => panic!("{file}: expected a codec error, got {other}"),
+    }
+}
+
+const QUEUE: u8 = StreamId::Queue as u8;
+
+#[test]
+fn lz77_distance_outside_the_output_is_typed() {
+    // One literal byte, then a match at distance 0, and at distance 2
+    // (one past the single byte decoded).
+    for dist in [0u8, 2] {
+        let payload = packed(8, &[0x10, 0, dist]);
+        let err = codec_err("QUEUE", frame(CODEC_VERSION, QUEUE | PACKED, &payload));
+        assert!(
+            matches!(&err, CodecError::Invalid { what, .. } if what.contains("distance")),
+            "distance {dist}: {err}"
+        );
+    }
+}
+
+#[test]
+fn lz77_match_past_the_declared_length_is_typed() {
+    // One literal and a 4-byte match cannot fit in 4 declared bytes.
+    let payload = packed(4, &[0x10, 0, 1]);
+    let err = codec_err("QUEUE", frame(CODEC_VERSION, QUEUE | PACKED, &payload));
+    assert!(
+        matches!(&err, CodecError::Invalid { what, .. } if what.contains("past the declared")),
+        "{err}"
+    );
+}
+
+#[test]
+fn declared_raw_length_above_the_cap_is_typed() {
+    // Enough sequence bytes that the 255x bound alone would allow it:
+    // the 64 MiB cap is what must refuse.
+    let body = vec![0u8; MAX_RAW_LEN / MAX_EXPANSION as usize + 1];
+    let payload = packed(MAX_RAW_LEN as u64 + 1, &body);
+    let err = codec_err("QUEUE", frame(CODEC_VERSION, QUEUE | PACKED, &payload));
+    assert_eq!(
+        err,
+        CodecError::TooLarge {
+            what: "packed raw length",
+            declared: MAX_RAW_LEN as u64 + 1,
+            limit: MAX_RAW_LEN as u64,
+            offset: 0,
+        }
+    );
+    // Below the cap, a length no sequence run of that size can produce
+    // is refused as well: three bytes expand to at most 765.
+    let payload = packed(766, &[0x10, 0, 1]);
+    let err = codec_err("QUEUE", frame(CODEC_VERSION, QUEUE | PACKED, &payload));
+    assert!(
+        matches!(
+            err,
+            CodecError::TooLarge {
+                declared: 766,
+                limit: 765,
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn element_counts_above_the_bytes_left_are_typed() {
+    // `prefix`, then a count of `declared`, then `left` zero bytes.
+    let count = |prefix: &[u8], declared: u64, left: usize| {
+        let mut p = prefix.to_vec();
+        write_varint(&mut p, declared);
+        p.resize(p.len() + left, 0);
+        p
+    };
+    let huge = 1 << 40;
+    // One kind `k`, then eight records (seq .. errno columns all zero)
+    // each declaring 100 buffers, with 100 bytes left: every buffer
+    // count fits alone, not all of them together.
+    let mut buffers = vec![1, 1, b'k', 8];
+    buffers.resize(buffers.len() + 6 * 8, 0);
+    buffers.extend([100; 8]);
+    buffers.resize(buffers.len() + 100, 0);
+    let cases = [
+        // QUEUE: no first ticks, then 2^40 next ticks in 8 bytes.
+        ("QUEUE", StreamId::Queue, count(&[0], huge, 8), huge),
+        ("ALLOC", StreamId::Alloc, count(&[], huge, 8), huge),
+        ("SIGNAL", StreamId::Signal, count(&[], huge, 8), huge),
+        ("ASYNC", StreamId::Async, count(&[], huge, 8), huge),
+        // SYSCALL: an empty kind table, then 2^40 records.
+        ("SYSCALL", StreamId::Syscall, count(&[0], huge, 8), huge),
+        // SYSCALL: one kind `k`, one record whose one buffer claims 2^40
+        // bytes.
+        (
+            "SYSCALL",
+            StreamId::Syscall,
+            count(&[1, 1, b'k', 1, 0, 0, 0, 0, 0, 0, 1], huge, 8),
+            huge,
+        ),
+        // A count equal to the bytes left passes at one byte an element,
+        // but a syscall record takes at least seven (one per column), a
+        // signal three and an async event two.
+        ("SYSCALL", StreamId::Syscall, count(&[0], 1000, 1000), 1000),
+        ("SIGNAL", StreamId::Signal, count(&[], 1000, 1000), 1000),
+        ("ASYNC", StreamId::Async, count(&[], 1000, 1000), 1000),
+        ("SYSCALL", StreamId::Syscall, buffers, 800),
+    ];
+    for (file, id, payload, want) in cases {
+        for bytes in plain_and_packed(id, &payload) {
+            let err = codec_err(file, bytes);
+            assert!(
+                matches!(err, CodecError::TooLarge { declared, .. } if declared == want),
+                "{file}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn syscall_kind_names_above_the_cap_are_typed() {
+    // Every record decodes to its own copy of its kind name, so one long
+    // name and many records referring to it would cost their product.
+    let records = 400;
+    let mut payload = vec![1];
+    write_varint(&mut payload, MAX_KIND_LEN as u64 + 1);
+    payload.resize(payload.len() + MAX_KIND_LEN + 1, b'k');
+    write_varint(&mut payload, records as u64);
+    payload.resize(payload.len() + 7 * records, 0);
+    for bytes in plain_and_packed(StreamId::Syscall, &payload) {
+        let err = codec_err("SYSCALL", bytes);
+        assert_eq!(
+            err,
+            CodecError::TooLarge {
+                what: "syscall kind length",
+                declared: MAX_KIND_LEN as u64 + 1,
+                limit: MAX_KIND_LEN as u64,
+                offset: 1,
+            }
+        );
+    }
+    // The text decoder holds kind names to the same cap.
+    let long = "k".repeat(MAX_KIND_LEN + 1);
+    let text = format!("syscall 0 0 1 {long} ret=0 errno=0 nbufs=0\n");
+    match rejected("SYSCALL", text.into_bytes()) {
+        DemoLoadError::Malformed { file, err, .. } => {
+            assert_eq!(file, "SYSCALL");
+            assert!(err.contains("longer than 64"), "{err}");
+        }
+        other => panic!("expected malformed text, got {other}"),
+    }
+}
+
+#[test]
+fn v1_frames_are_refused_unread() {
+    // The v1 token layer let this 23-byte QUEUE frame, checksum valid,
+    // decode to 2^27 next ticks (1 GiB): no first ticks, then one
+    // repeat token of the value 0, 2^27 times.
+    let mut payload = vec![0, 1, 2, 0];
+    write_varint(&mut payload, 1 << 27);
+    let bomb = frame(1, QUEUE, &payload);
+    assert_eq!(bomb.len(), 23);
+    assert_eq!(codec_err("QUEUE", bomb), CodecError::UnsupportedVersion(1));
+}
+
+/// A packed frame for stream `id` whose raw payload is `head` and then
+/// `zeros` zero bytes, written as the head and the first zero as
+/// literals and one distance-1 match whose length extension is all
+/// 255s: as close to 255 raw bytes per packed byte as a frame gets.
+/// Returns the frame and its raw length.
+fn zero_run_frame(id: StreamId, head: &[u8], zeros: usize) -> (Vec<u8>, usize) {
+    let literals = head.len() + 1;
+    let mut seq = vec![(literals.min(15) as u8) << 4 | 0x0F];
+    push_len_ext(&mut seq, literals);
+    seq.extend_from_slice(head);
+    seq.push(0);
+    seq.push(1); // distance 1: repeat the zero
+    push_len_ext(&mut seq, zeros - 1 - 4);
+    let raw_len = head.len() + zeros;
+    let bytes = frame(
+        CODEC_VERSION,
+        id as u8 | PACKED,
+        &packed(raw_len as u64, &seq),
+    );
+    (bytes, raw_len)
+}
+
+/// How many elements `file`'s stream decoded to (a syscall buffer
+/// counts as one).
+fn elements(demo: &Demo, file: &str) -> usize {
+    match file {
+        "QUEUE" => demo.queue.first_tick.len() + demo.queue.next_ticks.len(),
+        "ALLOC" => demo.alloc.len(),
+        "SIGNAL" => demo.signals.len(),
+        "ASYNC" => demo.async_events.len(),
+        "SYSCALL" => demo.syscalls.iter().map(|r| 1 + r.bufs.len()).sum(),
+        other => panic!("no elements in {other}"),
+    }
+}
+
+#[test]
+fn packed_frames_decode_within_25_bytes_per_raw_byte() {
+    // The costliest stream each packed payload of ~255 KB can hold, all
+    // zeros after a short head: a zero is a repeated next tick or
+    // address, a signal or async event at the same tick, a syscall
+    // record of the one kind, or an empty syscall buffer. Each loads;
+    // what it costs must stay within the codec's stated bound of 24
+    // bytes of allocation per raw payload byte besides the inflated
+    // payload itself, so 25 x 255 per frame byte.
+    let n = 255 * 1000;
+    let varint = |v: usize| {
+        let mut p = Vec::new();
+        write_varint(&mut p, v as u64);
+        p
+    };
+    let kind = "k".repeat(MAX_KIND_LEN);
+    let mut kind_table = vec![1];
+    kind_table.extend(varint(MAX_KIND_LEN));
+    kind_table.extend_from_slice(kind.as_bytes());
+    let one_record_of_empty_buffers =
+        [kind_table.clone(), vec![1, 0, 0, 0, 0, 0, 0], varint(n)].concat();
+    let cases = [
+        (
+            "QUEUE",
+            StreamId::Queue,
+            [vec![0], varint(n)].concat(),
+            n,
+            n,
+        ),
+        ("ALLOC", StreamId::Alloc, varint(n), n, n),
+        ("SIGNAL", StreamId::Signal, varint(n / 3), n / 3 * 3, n / 3),
+        ("ASYNC", StreamId::Async, varint(n / 2), n / 2 * 2, n / 2),
+        (
+            "SYSCALL",
+            StreamId::Syscall,
+            [kind_table, varint(n / 7)].concat(),
+            n / 7 * 7,
+            n / 7,
+        ),
+        (
+            "SYSCALL",
+            StreamId::Syscall,
+            one_record_of_empty_buffers,
+            n,
+            1 + n,
+        ),
+    ];
+    for (file, id, head, zeros, want) in cases {
+        let (bytes, raw_len) = zero_run_frame(id, &head, zeros);
+        assert!(raw_len >= 200 * bytes.len(), "{file}: {raw_len} raw bytes");
+        let mut map = full_demo().to_bytes_map();
+        map.remove(file);
+        let (_, baseline) = allocated_by(|| load(&map));
+        map.insert(file.to_owned(), bytes.clone());
+        let (demo, used) = allocated_by(|| load(&map));
+        let demo = demo.unwrap_or_else(|e| panic!("{file}: a well-formed frame loads: {e}"));
+        assert_eq!(elements(&demo, file), want, "{file}");
+        let extra = used - baseline;
+        assert!(
+            extra <= 25 * raw_len,
+            "{file}: {raw_len} raw bytes in {} frame bytes allocated {extra}",
+            bytes.len()
+        );
+    }
+}
+
+#[test]
+fn text_rle_overflows_are_typed() {
+    // Through `Demo::from_bytes_map`, as `Demo::load_dir` reads a text
+    // QUEUE or ALLOC file: a repeat count that would ask for all of
+    // memory, and a run that would wrap past u64::MAX.
+    let max = u64::MAX;
+    for (file, text, why) in [
+        ("QUEUE", format!("first 1\nticks 0*{max}\n"), "values"),
+        ("QUEUE", format!("first 1\nticks {max}+1\n"), "u64::MAX"),
+        ("ALLOC", format!("0*{max}\n"), "values"),
+        ("ALLOC", format!("{max}+1\n"), "u64::MAX"),
+    ] {
+        match rejected(file, text.clone().into_bytes()) {
+            DemoLoadError::Malformed { file: f, err, .. } => {
+                assert_eq!(f, file);
+                assert!(err.contains(why), "{file} `{}`: {err}", text.trim_end());
+            }
+            other => panic!("{file}: expected malformed text, got {other}"),
         }
     }
 }
