@@ -563,20 +563,21 @@ fn lint_alloc(text: &str, diags: &mut Vec<DemoDiagnostic>) {
 mod tests {
     use super::*;
     use srr_replay::{Demo, DemoHeader, QueueStream, SignalEvent, SyscallRecord};
+    use std::sync::Arc;
 
     fn sample_demo() -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
         // Two threads: t0 runs ticks 1,2 then 4; t1 runs tick 3.
-        d.queue = QueueStream {
+        d.queue = Arc::new(QueueStream {
             first_tick: vec![1, 3],
             next_ticks: vec![2, 4, 0, 0],
-        };
+        });
         d.signals.push(SignalEvent {
             tid: 1,
             tick: 3,
             signo: 15,
         });
-        d.syscalls.push(SyscallRecord {
+        Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
             seq: 0,
             tid: 0,
             tick: 2,
@@ -585,7 +586,7 @@ mod tests {
             errno: 0,
             bufs: vec![b"helloworld".to_vec()],
         });
-        d.alloc = vec![4096, 8192];
+        d.alloc = Arc::new(vec![4096, 8192]);
         d
     }
 
@@ -646,7 +647,7 @@ mod tests {
     #[test]
     fn seq_gap_and_tick_regression_are_caught() {
         let mut d = sample_demo();
-        d.syscalls.push(SyscallRecord {
+        Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
             seq: 2, // gap: expected 1
             tid: 1,
             tick: 1, // regression: previous record was tick 2
@@ -672,10 +673,10 @@ mod tests {
     fn queue_double_claim_and_hole_are_caught() {
         let mut d = sample_demo();
         // Both threads claim tick 1; tick 3 is claimed nowhere.
-        d.queue = QueueStream {
+        d.queue = Arc::new(QueueStream {
             first_tick: vec![1, 1],
             next_ticks: vec![2, 4, 0, 0],
-        };
+        });
         let diags = lint(&d);
         assert!(
             diags
@@ -694,10 +695,10 @@ mod tests {
     fn queue_next_tick_must_be_in_the_future() {
         let mut d = sample_demo();
         // CS 2's next-tick entry names tick 2 (not strictly later).
-        d.queue = QueueStream {
+        d.queue = Arc::new(QueueStream {
             first_tick: vec![1, 3],
             next_ticks: vec![2, 2, 0, 0],
-        };
+        });
         let diags = lint(&d);
         assert!(
             diags.iter().any(|d| d.message.contains("<= 2")),
@@ -708,10 +709,10 @@ mod tests {
     #[test]
     fn queue_out_of_range_tick_is_caught() {
         let mut d = sample_demo();
-        d.queue = QueueStream {
+        d.queue = Arc::new(QueueStream {
             first_tick: vec![1, 9],
             next_ticks: vec![2, 3, 4, 0],
-        };
+        });
         let diags = lint(&d);
         assert!(
             diags.iter().any(|d| d.message.contains("> total 4")),

@@ -347,11 +347,35 @@ mod tests {
         )
         .demo
         .expect("recorded");
+        // Under the queue strategy the QUEUE stream follows physical
+        // arrival order and the number of idle `poll`s follows timing, so
+        // neither measures the load. Nor does the packed SYSCALL size: LZ77
+        // packs a regular schedule's records tighter than an irregular
+        // one's. Every schedule records each request once, in a `recv`
+        // holding its bytes (closing clients add empty ones), and each
+        // response in a `send`.
+        fn sends(demo: &tsan11rec::Demo) -> usize {
+            demo.syscalls.iter().filter(|s| s.kind == "send").count()
+        }
+        /// The bytes of each `recv` that received a request.
+        fn requests(demo: &tsan11rec::Demo) -> Vec<usize> {
+            demo.syscalls
+                .iter()
+                .filter(|s| s.kind == "recv")
+                .map(|s| s.bufs.iter().map(Vec::len).sum())
+                .filter(|&len| len > 0)
+                .collect()
+        }
+        for (demo, queries) in [(&small_demo, 12), (&big_demo, 48)] {
+            assert_eq!(sends(demo), queries);
+            assert_eq!(requests(demo).len(), queries);
+        }
+        let request_bytes = |demo| requests(demo).into_iter().sum::<usize>();
         assert!(
-            big_demo.size_bytes() > small_demo.size_bytes(),
-            "per-request demo growth (§5.2): {} vs {}",
-            big_demo.size_bytes(),
-            small_demo.size_bytes()
+            request_bytes(&big_demo) > request_bytes(&small_demo),
+            "per-request SYSCALL growth (§5.2): {} vs {}",
+            request_bytes(&big_demo),
+            request_bytes(&small_demo)
         );
     }
 }

@@ -4,6 +4,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{bounded_buffer, config, fixture_dir};
 use tsan11rec::{Demo, Execution, Strategy, TraceSpec};
 
@@ -18,7 +20,7 @@ fn corrupt_and_replay(keep: usize) -> (tsan11rec::ExecReport, Demo, Vec<(u32, u6
         keep < full_order.len(),
         "fixture too short to truncate at {keep}"
     );
-    demo.queue.next_ticks.truncate(keep);
+    Arc::make_mut(&mut demo.queue).next_ticks.truncate(keep);
 
     // Round-trip through serialization so the corruption exercises the
     // same loader path a hand-edited demo directory would.
@@ -100,7 +102,7 @@ fn diagnostics_skip_divergence_when_tracing_off() {
     const M: usize = 10;
     let dir = fixture_dir("queue");
     let mut demo = Demo::load_dir(&dir).expect("fixture");
-    demo.queue.next_ticks.truncate(M);
+    Arc::make_mut(&mut demo.queue).next_ticks.truncate(M);
     let rep = Execution::new(config(Strategy::Queue, [11, 13])).replay(&demo, bounded_buffer);
     let hd = rep.desync().expect("hard desync");
     assert_eq!((hd.tick, hd.offset), (M as u64 + 1, M as u64));

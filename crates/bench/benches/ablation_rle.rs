@@ -25,7 +25,7 @@ fn naive_size(demo: &Demo) -> usize {
     // SIGNAL/ASYNC unchanged (already minimal).
     total += demo.to_string_map()["SIGNAL"].len() + demo.to_string_map()["ASYNC"].len();
     // SYSCALL: plain hex for every buffer byte.
-    for s in &demo.syscalls {
+    for s in demo.syscalls.iter() {
         total += 48 + s.kind.len(); // header line estimate
         for b in &s.bufs {
             total += 8 + b.len() * 2;

@@ -139,7 +139,7 @@ impl Execution {
         // reproduces pointer values (what rr does, §5.5).
         if !demo.alloc.is_empty() {
             self.vos_config = self.vos_config.with_alloc(AllocMode::Scripted {
-                addresses: demo.alloc.clone(),
+                addresses: Arc::clone(&demo.alloc),
             });
         }
         self.launch(program, RecordMode::Replay, Some(demo)).0
@@ -191,15 +191,20 @@ impl Execution {
             }
         }
 
+        // A replay reads the demo's streams in place: the scheduler and
+        // the syscall cursor share them with the caller's demo.
         match (&rec_mode, demo) {
             (RecordMode::Record, _) => {
                 rt.sched().enable_recording();
-                rt.set_record_mode(RecordMode::Record, Vec::new());
+                rt.set_record_mode(RecordMode::Record, Arc::default());
             }
             (RecordMode::Replay, Some(demo)) => {
-                rt.sched()
-                    .enable_replay(&demo.queue, &demo.signals, &demo.async_events);
-                rt.set_record_mode(RecordMode::Replay, demo.syscalls.clone());
+                rt.sched().enable_replay(
+                    Arc::clone(&demo.queue),
+                    &demo.signals,
+                    &demo.async_events,
+                );
+                rt.set_record_mode(RecordMode::Replay, Arc::clone(&demo.syscalls));
             }
             _ => {}
         }
@@ -276,12 +281,12 @@ impl Execution {
             let (queue, signals, async_events) = rt.sched().take_recording();
             let strategy = strategy.expect("record mode is controlled");
             let mut d = Demo::new(DemoHeader::new("tsan11rec", strategy.name(), seeds));
-            d.queue = queue;
+            d.queue = Arc::new(queue);
             d.signals = signals;
             d.async_events = async_events;
-            d.syscalls = rt.take_syscall_recording();
+            d.syscalls = Arc::new(rt.take_syscall_recording());
             if record_alloc {
-                d.alloc = vos.alloc_log();
+                d.alloc = Arc::new(vos.alloc_log());
             }
             Some(d)
         } else {
@@ -297,17 +302,22 @@ impl Execution {
 
         let mut obs_report = rt.obs.as_ref().map(|o| o.finish()).unwrap_or_default();
         // Stream counters describe the demo the run produced or consumed,
-        // and are reported even with the event trace off. One binary
-        // encode sizes them and, on a recording, the whole demo.
-        let files = produced_demo.as_ref().or(demo).map(|d| {
-            let files = d.to_bytes_map();
-            obs_report.streams = demo_stream_counters(d, &files);
-            files
-        });
-        let demo_bytes = produced_demo
-            .as_ref()
-            .and(files.as_ref())
-            .map(|files| files.values().map(Vec::len).sum());
+        // and are reported even with the event trace off. Only a demo the
+        // run produced is encoded: one binary encode sizes its streams and
+        // the whole demo. A replay writes nothing, so its counters carry
+        // entries only.
+        let demo_bytes = match (&produced_demo, demo) {
+            (Some(d), _) => {
+                let files = d.to_bytes_map();
+                obs_report.streams = demo_stream_counters(d, Some(&files));
+                Some(files.values().map(Vec::len).sum())
+            }
+            (None, Some(d)) => {
+                obs_report.streams = demo_stream_counters(d, None);
+                None
+            }
+            (None, None) => None,
+        };
         if let Outcome::HardDesync(hd) = &mut outcome {
             // Diagnose the divergence: the demo's intended schedule vs
             // the ticks the trace actually saw (empty without tracing —
@@ -366,8 +376,10 @@ impl Execution {
             for s in &report.obs.streams {
                 reg.gauge(&format!("vos_stream_entries{{stream=\"{}\"}}", s.stream))
                     .set(s.entries);
-                reg.gauge(&format!("vos_stream_bytes{{stream=\"{}\"}}", s.stream))
-                    .set(s.bytes);
+                if report.demo_bytes.is_some() {
+                    reg.gauge(&format!("vos_stream_bytes{{stream=\"{}\"}}", s.stream))
+                        .set(s.bytes);
+                }
             }
         }
         (report, produced_demo)
@@ -375,10 +387,18 @@ impl Execution {
 }
 
 /// Per-stream entry and on-disk byte counters for a demo, keyed the way
-/// the demo directory is laid out; `files` is the demo's binary
-/// encoding, where an empty stream writes no file.
-fn demo_stream_counters(demo: &Demo, files: &BTreeMap<String, Vec<u8>>) -> Vec<StreamCounter> {
-    let bytes = |name: &str| files.get(name).map_or(0, |b| b.len() as u64);
+/// the demo directory is laid out; `files` is the binary encoding of a
+/// demo the run produced, where an empty stream writes no file. A
+/// consumed demo is not encoded (`None`), and its bytes read 0.
+fn demo_stream_counters(
+    demo: &Demo,
+    files: Option<&BTreeMap<String, Vec<u8>>>,
+) -> Vec<StreamCounter> {
+    let bytes = |name: &str| {
+        files
+            .and_then(|f| f.get(name))
+            .map_or(0, |b| b.len() as u64)
+    };
     let entry = |name: &str, entries: u64| StreamCounter {
         stream: name.to_owned(),
         entries,

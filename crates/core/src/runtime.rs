@@ -96,7 +96,20 @@ pub(crate) struct MemState {
 pub(crate) enum SysRec {
     Off,
     Record(Vec<SyscallRecord>),
-    Replay { recs: Vec<SyscallRecord>, at: usize },
+    /// A cursor over the demo's SYSCALL stream, shared with the demo.
+    Replay {
+        recs: Arc<Vec<SyscallRecord>>,
+        at: usize,
+    },
+}
+
+/// What replay enforces for one recorded syscall (§4.4): the result,
+/// and the output buffer the wrapper fills (the record's first; empty
+/// when it has none).
+pub(crate) struct ReplayedSyscall {
+    pub ret: i64,
+    pub errno: i32,
+    pub buf: Vec<u8>,
 }
 
 /// Everything shared by the threads of one execution.
@@ -421,7 +434,9 @@ impl Runtime {
     // Syscall record/replay (§4.4)
     // ------------------------------------------------------------------
 
-    pub fn set_record_mode(&self, mode: RecordMode, replay_recs: Vec<SyscallRecord>) {
+    /// Sets the syscall side of `mode`; `replay_recs` is the SYSCALL
+    /// stream a replay consumes (unused otherwise).
+    pub fn set_record_mode(&self, mode: RecordMode, replay_recs: Arc<Vec<SyscallRecord>>) {
         let mut r = self.sysrec.lock();
         *r = match mode {
             RecordMode::Off => SysRec::Off,
@@ -494,18 +509,19 @@ impl Runtime {
         }
     }
 
-    /// Pops the next recorded syscall (replay mode); hard-desynchronises
-    /// if the kind does not match.
+    /// Consumes the next recorded syscall (replay mode) and copies out
+    /// what the wrapper enforces; hard-desynchronises if the kind does
+    /// not match.
     ///
     /// # Panics
     ///
     /// Panics with [`SchedAbort`] on desynchronisation.
-    pub fn replay_syscall(&self, tid: Tid, kind: &str) -> Option<SyscallRecord> {
+    pub fn replay_syscall(&self, tid: Tid, kind: &str) -> Option<ReplayedSyscall> {
         enum Next {
             NotReplaying,
             Underrun(u64),
             Mismatch(String, u64),
-            Hit(SyscallRecord),
+            Hit(u64, ReplayedSyscall),
         }
         let next = {
             let mut r = self.sysrec.lock();
@@ -514,9 +530,15 @@ impl Runtime {
                     None => Next::Underrun(recs.len() as u64),
                     Some(rec) if rec.kind != kind => Next::Mismatch(rec.kind.clone(), *at as u64),
                     Some(rec) => {
-                        let rec = rec.clone();
                         *at += 1;
-                        Next::Hit(rec)
+                        Next::Hit(
+                            rec.seq,
+                            ReplayedSyscall {
+                                ret: rec.ret,
+                                errno: rec.errno,
+                                buf: rec.bufs.first().cloned().unwrap_or_default(),
+                            },
+                        )
                     }
                 },
                 _ => Next::NotReplaying,
@@ -524,7 +546,7 @@ impl Runtime {
         };
         match next {
             Next::NotReplaying => None,
-            Next::Hit(rec) => {
+            Next::Hit(seq, rec) => {
                 if let Some(obs) = &self.obs {
                     let tick = match self.config.mode {
                         Mode::Tsan11Rec(_) => self.sched().tick_value(),
@@ -535,7 +557,7 @@ impl Runtime {
                         tick,
                         EventKind::SyscallReplay {
                             kind: SysKind::from_name(kind),
-                            seq: rec.seq,
+                            seq,
                         },
                     );
                     obs.thread_event(
@@ -543,7 +565,7 @@ impl Runtime {
                         tick,
                         EventKind::StreamCursor {
                             stream: StreamId::Syscall,
-                            offset: rec.seq + 1,
+                            offset: seq + 1,
                         },
                     );
                 }
@@ -691,7 +713,7 @@ mod tests {
     #[test]
     fn sparse_decision_follows_kind_set_and_fd_class() {
         let rt = rt(Mode::Tsan11Rec(Strategy::Random));
-        rt.set_record_mode(RecordMode::Record, Vec::new());
+        rt.set_record_mode(RecordMode::Record, Arc::default());
         assert!(rt.should_record_syscall("recv", None));
         assert!(
             !rt.should_record_syscall("open", None),
@@ -720,7 +742,7 @@ mod tests {
             Arc::new(Vos::new(VosConfig::deterministic(1))),
             [1, 2],
         );
-        rt.set_record_mode(RecordMode::Record, Vec::new());
+        rt.set_record_mode(RecordMode::Record, Arc::default());
         assert!(!rt.should_record_syscall("ioctl", None));
     }
 
@@ -735,7 +757,7 @@ mod tests {
     #[test]
     fn syscall_record_and_replay_roundtrip() {
         let rt = rt(Mode::Tsan11Rec(Strategy::Random));
-        rt.set_record_mode(RecordMode::Record, Vec::new());
+        rt.set_record_mode(RecordMode::Record, Arc::default());
         // Recording needs a critical section for the tick value.
         rt.sched().wait(Tid::MAIN);
         rt.record_syscall(Tid::MAIN, "recv", 5, 0, vec![b"hello".to_vec()]);
@@ -745,10 +767,10 @@ mod tests {
         assert_eq!(recs[0].kind, "recv");
         assert_eq!(recs[0].tick, 1);
 
-        rt.set_record_mode(RecordMode::Replay, recs);
+        rt.set_record_mode(RecordMode::Replay, Arc::new(recs));
         let rec = rt.replay_syscall(Tid::MAIN, "recv").unwrap();
         assert_eq!(rec.ret, 5);
-        assert_eq!(rec.bufs[0], b"hello");
+        assert_eq!(rec.buf, b"hello");
         assert_eq!(rt.replay_leftover(), 0);
     }
 
@@ -764,7 +786,7 @@ mod tests {
             errno: 0,
             bufs: vec![],
         }];
-        rt.set_record_mode(RecordMode::Replay, recs);
+        rt.set_record_mode(RecordMode::Replay, Arc::new(recs));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.replay_syscall(Tid::MAIN, "send");
         }))
@@ -785,7 +807,7 @@ mod tests {
     #[test]
     fn replay_underrun_is_hard_desync() {
         let rt = rt(Mode::Tsan11Rec(Strategy::Random));
-        rt.set_record_mode(RecordMode::Replay, Vec::new());
+        rt.set_record_mode(RecordMode::Replay, Arc::default());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.replay_syscall(Tid::MAIN, "recv");
         }))

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 use srr_obs::{EventKind, Obs, ObsOp, StreamId};
-use srr_replay::{AsyncEvent, HardDesync, QueueStream, SignalEvent};
+use srr_replay::{AsyncEvent, HardDesync, QueueBuilder, QueueStream, SignalEvent};
 
 use crate::config::Strategy;
 use crate::ids::{CondId, MutexId, Tid};
@@ -136,15 +136,16 @@ struct ReplayState {
     signals: HashMap<(u32, u64), Vec<i32>>,
     /// tick → async events floated to the end of that tick.
     async_events: HashMap<u64, Vec<AsyncEvent>>,
-    first_tick: Vec<u64>,
-    next_ticks: Vec<u64>,
+    /// The demo's QUEUE stream, shared with the demo, read in place.
+    queue: Arc<QueueStream>,
 }
 
 /// Record buffers.
 #[derive(Debug, Default)]
 struct RecordState {
     active: bool,
-    queue_order: Vec<(u32, u64)>,
+    /// The QUEUE stream, written in place as critical sections close.
+    queue: QueueBuilder,
     signals: Vec<SignalEvent>,
     async_events: Vec<AsyncEvent>,
 }
@@ -299,10 +300,11 @@ impl Scheduler {
         self.state.lock().trace.take().unwrap_or_default()
     }
 
-    /// Switches on replay from the given streams.
+    /// Switches on replay from the given streams. The QUEUE stream is
+    /// shared with the caller, not copied.
     pub fn enable_replay(
         &self,
-        queue: &QueueStream,
+        queue: Arc<QueueStream>,
         signals: &[SignalEvent],
         async_events: &[AsyncEvent],
     ) {
@@ -319,11 +321,10 @@ impl Scheduler {
             active: true,
             signals: sig_map,
             async_events: async_map,
-            first_tick: queue.first_tick.clone(),
-            next_ticks: queue.next_ticks.clone(),
+            queue,
         };
         if g.strategy.needs_queue_stream() {
-            g.threads[0].next_due = g.replay.first_tick.first().copied().unwrap_or(0);
+            g.threads[0].next_due = g.replay.queue.first_tick.first().copied().unwrap_or(0);
             g.active = None;
         }
         // Signals recorded against tick 0 arrived before the thread's
@@ -438,7 +439,7 @@ impl Scheduler {
         }
 
         if g.record.active && g.strategy.needs_queue_stream() {
-            g.record.queue_order.push((tid.0, k));
+            g.record.queue.push(tid.0, k);
         }
         if g.trace.is_some() {
             let draws = g.prng.draws();
@@ -584,7 +585,13 @@ impl Scheduler {
             st.slice_left = quantum;
         }
         if g.replay.active && g.strategy.needs_queue_stream() {
-            st.next_due = g.replay.first_tick.get(tid.index()).copied().unwrap_or(0);
+            st.next_due = g
+                .replay
+                .queue
+                .first_tick
+                .get(tid.index())
+                .copied()
+                .unwrap_or(0);
         }
         if g.replay.active {
             if let Some(signos) = g.replay.signals.remove(&(tid.0, 0)) {
@@ -838,24 +845,15 @@ impl Scheduler {
     }
 
     /// Extracts the recorded scheduling streams: `(QUEUE, SIGNAL, ASYNC)`.
+    /// The QUEUE stream (§4.2) comes out trimmed to its length, its
+    /// first-tick table sized for every thread the run registered.
     pub fn take_recording(&self) -> (QueueStream, Vec<SignalEvent>, Vec<AsyncEvent>) {
         let mut g = self.state.lock();
-        let order = std::mem::take(&mut g.record.queue_order);
+        let queue = std::mem::take(&mut g.record.queue).finish(g.threads.len());
         let signals = std::mem::take(&mut g.record.signals);
         let async_events = std::mem::take(&mut g.record.async_events);
-        (
-            build_queue_stream(&order, g.threads.len()),
-            signals,
-            async_events,
-        )
+        (queue, signals, async_events)
     }
-}
-
-/// Builds the paper's QUEUE representation (§4.2) from the per-tick
-/// `(tid, tick)` log: the first tick per thread plus, for each critical
-/// section in order, the tick at which its thread runs next (0 = never).
-fn build_queue_stream(order: &[(u32, u64)], nthreads: usize) -> QueueStream {
-    QueueStream::from_order(order, nthreads)
 }
 
 impl SchedState {
@@ -896,7 +894,7 @@ impl SchedState {
         if self.replay.active && self.strategy.needs_queue_stream() {
             // Consume the next-tick entry for critical section k (§4.2).
             let idx = (k - 1) as usize;
-            match self.replay.next_ticks.get(idx) {
+            match self.replay.queue.next_ticks.get(idx) {
                 Some(&next) => {
                     self.threads[tid.index()].next_due = next;
                     if let Some(obs) = &self.obs {
@@ -1495,10 +1493,10 @@ mod tests {
     fn queue_replay_enforces_recorded_order() {
         let s = sched(Strategy::Queue);
         s.enable_replay(
-            &QueueStream {
+            Arc::new(QueueStream {
                 first_tick: vec![1],
                 next_ticks: vec![2, 0],
-            },
+            }),
             &[],
             &[],
         );
@@ -1514,10 +1512,10 @@ mod tests {
     fn queue_replay_underrun_is_hard_desync() {
         let s = sched(Strategy::Queue);
         s.enable_replay(
-            &QueueStream {
+            Arc::new(QueueStream {
                 first_tick: vec![1],
                 next_ticks: vec![2],
-            },
+            }),
             &[],
             &[],
         );
@@ -1535,7 +1533,7 @@ mod tests {
     fn replay_signal_raised_at_matching_tick() {
         let s = sched(Strategy::Random);
         s.enable_replay(
-            &QueueStream::default(),
+            Arc::default(),
             &[SignalEvent {
                 tid: 0,
                 tick: 2,
@@ -1555,7 +1553,7 @@ mod tests {
     fn replay_signal_against_tick_zero_pends_immediately() {
         let s = sched(Strategy::Random);
         s.enable_replay(
-            &QueueStream::default(),
+            Arc::default(),
             &[SignalEvent {
                 tid: 0,
                 tick: 0,
@@ -1570,7 +1568,7 @@ mod tests {
     fn replay_async_wakeup_enables_thread() {
         let s = sched(Strategy::Random);
         s.enable_replay(
-            &QueueStream::default(),
+            Arc::default(),
             &[],
             &[AsyncEvent::SignalWakeup { tid: 1, tick: 1 }],
         );

@@ -16,15 +16,14 @@
 use srr_vos::{Errno, Fd, PollFd, SysResult};
 
 use crate::ids::Tid;
-use crate::runtime::{current_rt, with_ctx, Runtime};
+use crate::runtime::{current_rt, with_ctx, ReplayedSyscall, Runtime};
 use srr_obs::ObsOp;
-use srr_replay::SyscallRecord;
 use std::sync::Arc;
 
 enum Plan {
     Passthrough,
     Record,
-    Replay(SyscallRecord),
+    Replay(ReplayedSyscall),
 }
 
 fn ctx(kind: &str) -> (Arc<Runtime>, Tid) {
@@ -77,9 +76,8 @@ fn bufferful_in(
             live_res
         }
         Plan::Replay(rec) => {
-            let data = rec.bufs.first().map(Vec::as_slice).unwrap_or(&[]);
-            let n = data.len().min(buf.len());
-            buf[..n].copy_from_slice(&data[..n]);
+            let n = rec.buf.len().min(buf.len());
+            buf[..n].copy_from_slice(&rec.buf[..n]);
             decode(rec.ret, rec.errno)
         }
     };
@@ -204,8 +202,7 @@ fn poll_like(kind: &'static str, fds: &mut [PollFd]) -> SysResult {
             live_res
         }
         Plan::Replay(rec) => {
-            let bits = rec.bufs.first().map(Vec::as_slice).unwrap_or(&[]);
-            for (p, &b) in fds.iter_mut().zip(bits) {
+            for (p, &b) in fds.iter_mut().zip(&rec.buf) {
                 p.revents = srr_vos::PollEvents::from_bits(b);
             }
             decode(rec.ret, rec.errno)
@@ -251,9 +248,8 @@ pub fn ioctl(fd: Fd, request: u64, arg: &mut [u8]) -> SysResult {
             live_res
         }
         Plan::Replay(rec) => {
-            let data = rec.bufs.first().map(Vec::as_slice).unwrap_or(&[]);
-            let n = data.len().min(arg.len());
-            arg[..n].copy_from_slice(&data[..n]);
+            let n = rec.buf.len().min(arg.len());
+            arg[..n].copy_from_slice(&rec.buf[..n]);
             decode(rec.ret, rec.errno)
         }
     };

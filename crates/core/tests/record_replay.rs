@@ -6,7 +6,7 @@ use std::sync::Arc;
 use tsan11rec::vos::{EchoPeer, Fd, PollFd, RequestSourcePeer, SignalTrigger, Vos, VosConfig};
 use tsan11rec::{
     soft_desync, Atomic, Config, Demo, Execution, MemOrder, Mode, Mutex, Outcome, SparseConfig,
-    Strategy,
+    Strategy, TraceEvent,
 };
 
 const SIGTERM: i32 = 15;
@@ -152,6 +152,30 @@ fn random_strategy_stores_no_queue_stream() {
         !demo_q.queue.next_ticks.is_empty(),
         "queue interleaving must be stored"
     );
+}
+
+#[test]
+fn recorded_queue_is_the_schedule_the_run_took() {
+    // The recorder writes QUEUE in place as critical sections close: the
+    // stream must walk back to exactly the sections the run closed, and
+    // `from_order` must rebuild it from that walk.
+    let (report, demo) = Execution::new(rec_config(Strategy::Queue).with_schedule_trace())
+        .setup(figure2_world)
+        .record(figure2_client);
+    assert!(report.outcome.is_ok(), "{:?}", report.outcome);
+    let closed: Vec<(u32, u64)> = report
+        .schedule_trace
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Tick { tid, tick, .. } => Some((tid, tick)),
+            TraceEvent::Wait { .. } => None,
+        })
+        .collect();
+    let order = demo.queue.schedule_order();
+    assert_eq!(order, closed);
+    assert_eq!(order.len() as u64, report.ticks);
+    let rebuilt = Demo::from_schedule(demo.header.clone(), &order, demo.queue.first_tick.len());
+    assert_eq!(rebuilt.queue, demo.queue);
 }
 
 #[test]

@@ -232,3 +232,42 @@ fn delay_strategy_runs_programs_end_to_end() {
     });
     assert!(report.outcome.is_ok(), "{:?}", report.outcome);
 }
+
+#[test]
+fn stream_counters_size_a_recording_and_count_a_replay() {
+    // A recording encodes its demo: counters carry entries and on-disk
+    // bytes, mirrored onto both gauges. A replay encodes nothing: the
+    // same entries, bytes 0, and no bytes gauge.
+    let program = || {
+        let (pr, pw) = tsan11rec::sys::pipe();
+        tsan11rec::sys::write(pw, b"ipc").expect("pipe write");
+        let mut buf = [0u8; 8];
+        tsan11rec::sys::read(pr, &mut buf).expect("pipe read");
+    };
+    let rec_metrics = Arc::new(tsan11rec::obs::MetricsRegistry::new());
+    let (recorded, demo) = Execution::new(
+        config(SparseConfig::paper_default()).with_metrics(Arc::clone(&rec_metrics)),
+    )
+    .record(program);
+    assert!(recorded.outcome.is_ok(), "{:?}", recorded.outcome);
+    let rep_metrics = Arc::new(tsan11rec::obs::MetricsRegistry::new());
+    let replayed = Execution::new(
+        config(SparseConfig::paper_default()).with_metrics(Arc::clone(&rep_metrics)),
+    )
+    .replay(&demo, program);
+    assert!(replayed.outcome.is_ok(), "{:?}", replayed.outcome);
+
+    let syscall = |r: &tsan11rec::ExecReport| r.obs.stream("SYSCALL").cloned().expect("counter");
+    assert_eq!(syscall(&recorded).entries, 2);
+    assert!(syscall(&recorded).bytes > 0);
+    assert_eq!(recorded.demo_bytes, Some(demo.size_bytes()));
+    assert_eq!(syscall(&replayed).entries, 2);
+    assert!(replayed.obs.streams.iter().all(|s| s.bytes == 0));
+    assert_eq!(replayed.demo_bytes, None);
+
+    let rec_text = rec_metrics.prometheus_text();
+    let rep_text = rep_metrics.prometheus_text();
+    assert!(rec_text.contains("vos_stream_bytes{stream=\"SYSCALL\"}"));
+    assert!(rep_text.contains("vos_stream_entries{stream=\"SYSCALL\"} 2\n"));
+    assert!(!rep_text.contains("vos_stream_bytes"), "{rep_text}");
+}

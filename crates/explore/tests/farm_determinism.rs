@@ -187,8 +187,9 @@ fn parallel_shards_with_identical_demos_share_store_blobs() {
     let spool_for_runner = spool.clone();
     let runner: Arc<ShardRunner> = Arc::new(move |task| {
         let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [3, 5]));
-        demo.queue.first_tick = vec![1, 2];
-        demo.queue.next_ticks = vec![3, 4, 0, 0];
+        let queue = Arc::make_mut(&mut demo.queue);
+        queue.first_tick = vec![1, 2];
+        queue.next_ticks = vec![3, 4, 0, 0];
         let dir = spool_for_runner.join(format!("t{}_s{}", task.id, task.seed_lo));
         demo.save_dir(&dir).expect("spool demo");
         let mut out = ShardOutput {

@@ -23,8 +23,10 @@ pub struct StreamCounter {
     pub stream: String,
     /// Number of recorded entries.
     pub entries: u64,
-    /// Size of the stream's file in the default (binary) demo format;
-    /// 0 when the stream is empty and so writes no file.
+    /// On a run that produced a demo, the size of the stream's file in
+    /// the default (binary) demo format, 0 when the stream is empty and
+    /// so writes no file. 0 on a replay, which encodes and writes
+    /// nothing.
     pub bytes: u64,
 }
 

@@ -248,6 +248,7 @@ mod tests {
     use super::*;
     use srr_analysis::SyncEvent;
     use srr_replay::{DemoHeader, QueueStream};
+    use std::sync::Arc;
 
     fn unordered_pair() -> (SyncTrace, Demo) {
         let trace = SyncTrace {
@@ -280,7 +281,7 @@ mod tests {
         };
         let order = [(0, 1), (0, 2), (1, 3), (2, 4), (1, 5), (2, 6), (0, 7)];
         let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [1, 2]));
-        demo.queue = QueueStream::from_order(&order, 3);
+        demo.queue = Arc::new(QueueStream::from_order(&order, 3));
         (trace, demo)
     }
 

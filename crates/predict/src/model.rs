@@ -159,7 +159,7 @@ impl TraceModel {
                 SyncEvent::CondWaitReturn { .. } | SyncEvent::PlainAccess { .. } => {}
             }
         }
-        for rec in &demo.syscalls {
+        for rec in demo.syscalls.iter() {
             push(rec.tick, TickOp::Syscall);
         }
 
@@ -263,10 +263,11 @@ impl TraceModel {
 mod tests {
     use super::*;
     use srr_replay::{DemoHeader, QueueStream};
+    use std::sync::Arc;
 
     fn demo_with(order: &[(u32, u64)], nthreads: usize) -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [1, 2]));
-        d.queue = QueueStream::from_order(order, nthreads);
+        d.queue = Arc::new(QueueStream::from_order(order, nthreads));
         d
     }
 

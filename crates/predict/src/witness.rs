@@ -24,6 +24,7 @@
 //! accesses are adjacent.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use srr_replay::{Demo, DemoHeader, QueueStream};
 
@@ -393,17 +394,18 @@ fn rebuild_demo(demo: &Demo, order: &[(u32, u64)], nthreads: usize) -> Demo {
         "queue",
         demo.header.seeds,
     ));
-    out.queue = QueueStream::from_order(&new_order, nthreads);
-    out.syscalls = demo.syscalls.clone();
-    for rec in &mut out.syscalls {
+    out.queue = Arc::new(QueueStream::from_order(&new_order, nthreads));
+    let mut syscalls = demo.syscalls.to_vec();
+    for rec in &mut syscalls {
         rec.tick = remap(rec.tick);
     }
     // Replay consumes syscalls through a single global cursor: the
     // records must follow the new tick order.
-    out.syscalls.sort_by_key(|r| r.tick);
-    for (i, rec) in out.syscalls.iter_mut().enumerate() {
+    syscalls.sort_by_key(|r| r.tick);
+    for (i, rec) in syscalls.iter_mut().enumerate() {
         rec.seq = i as u64;
     }
+    out.syscalls = Arc::new(syscalls);
     out.signals = demo.signals.clone();
     for s in &mut out.signals {
         s.tick = remap(s.tick);
@@ -417,7 +419,7 @@ fn rebuild_demo(demo: &Demo, order: &[(u32, u64)], nthreads: usize) -> Demo {
         }
     }
     out.async_events.sort_by_key(|e| e.tick());
-    out.alloc = demo.alloc.clone();
+    out.alloc = Arc::clone(&demo.alloc);
     out
 }
 
@@ -444,7 +446,7 @@ mod tests {
             (0, 12), // T0 finish
         ];
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [1, 2]));
-        d.queue = QueueStream::from_order(&order, 3);
+        d.queue = Arc::new(QueueStream::from_order(&order, 3));
         let trace = SyncTrace {
             loc_labels: vec!["x".into(), "pad".into()],
             events: vec![
@@ -558,7 +560,7 @@ mod tests {
         // before T2's opens: no overlap exists.
         let order = vec![(0, 1), (0, 2), (1, 3), (2, 4), (1, 5), (2, 6)];
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [1, 2]));
-        d.queue = QueueStream::from_order(&order, 3);
+        d.queue = Arc::new(QueueStream::from_order(&order, 3));
         let trace = SyncTrace {
             loc_labels: vec!["x".into(), "g".into()],
             events: vec![
@@ -607,8 +609,8 @@ mod tests {
     #[test]
     fn rebuild_remaps_syscall_cursor_order() {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
-        d.queue = QueueStream::from_order(&[(0, 1), (1, 2)], 2);
-        d.syscalls.push(srr_replay::SyscallRecord {
+        d.queue = Arc::new(QueueStream::from_order(&[(0, 1), (1, 2)], 2));
+        Arc::make_mut(&mut d.syscalls).push(srr_replay::SyscallRecord {
             seq: 0,
             tid: 0,
             tick: 1,
@@ -617,7 +619,7 @@ mod tests {
             errno: 0,
             bufs: vec![],
         });
-        d.syscalls.push(srr_replay::SyscallRecord {
+        Arc::make_mut(&mut d.syscalls).push(srr_replay::SyscallRecord {
             seq: 1,
             tid: 1,
             tick: 2,

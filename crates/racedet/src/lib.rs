@@ -299,8 +299,10 @@ impl RaceSink for CollectSink {
 pub struct RaceDetector {
     cells: Vec<ShadowCell>,
     labels: Vec<String>,
-    /// Dedup key: (location, unordered thread pair, current access kind).
-    seen: std::collections::HashSet<(u32, TidIndex, TidIndex, AccessKind)>,
+    /// Dedup key: (location, unordered thread pair, unordered access-kind
+    /// pair), normalised as [`RaceSignature`] does, so a race counts once
+    /// whichever of its two accesses ran first.
+    seen: std::collections::HashSet<(u32, TidIndex, TidIndex, (AccessKind, AccessKind))>,
     races: u64,
     suppressed: u64,
     reporting_enabled: bool,
@@ -378,7 +380,8 @@ impl RaceDetector {
                 self.target_hit = true;
             }
         }
-        let key = (loc.0, a, b, kind);
+        let kinds = (prior.kind.min(kind), prior.kind.max(kind));
+        let key = (loc.0, a, b, kinds);
         if !self.seen.insert(key) {
             self.suppressed += 1;
             return;
@@ -404,7 +407,7 @@ impl RaceDetector {
     }
 
     /// Number of race firings suppressed as duplicates of an
-    /// already-reported (location, thread-pair, access-kind) site.
+    /// already-reported (location, thread-pair, access-kind-pair) site.
     #[must_use]
     pub fn suppressed_count(&self) -> u64 {
         self.suppressed
@@ -598,7 +601,7 @@ mod tests {
         assert_eq!(
             det.race_count(),
             1,
-            "one per (location, thread-pair, access-kind) site"
+            "one per (location, thread-pair, access-kind-pair) site"
         );
         assert_eq!(
             det.suppressed_count(),
@@ -617,6 +620,36 @@ mod tests {
         det.on_access(loc, 1, &cs[1], AccessKind::Write);
         assert_eq!(det.race_count(), 2, "racy read and racy write both report");
         assert_eq!(det.suppressed_count(), 0);
+    }
+
+    #[test]
+    fn dedup_counts_a_read_write_pair_once_in_either_order() {
+        // W→R then R→W, and R→W then W→R, between threads 0 and 1 on one
+        // location: each is one race, whichever access ran first.
+        for write_first in [true, false] {
+            let mut det = RaceDetector::new();
+            let loc = det.register_location("x");
+            let mut t0 = VectorClock::new();
+            let mut t1 = VectorClock::new();
+            let mut access = |det: &mut RaceDetector, tid: TidIndex, kind| {
+                let clock = if tid == 0 { &mut t0 } else { &mut t1 };
+                clock.tick(tid);
+                det.on_access(loc, tid, clock, kind);
+            };
+            if write_first {
+                access(&mut det, 0, AccessKind::Write);
+                access(&mut det, 1, AccessKind::Read); // W→R
+                access(&mut det, 0, AccessKind::Write); // R→W
+            } else {
+                access(&mut det, 1, AccessKind::Read);
+                access(&mut det, 0, AccessKind::Write); // R→W
+                access(&mut det, 1, AccessKind::Read); // W→R
+            }
+            assert_eq!(det.race_count(), 1, "write first: {write_first}");
+            assert_eq!(det.suppressed_count(), 1, "write first: {write_first}");
+            let sig = det.reports()[0].signature();
+            assert_eq!(sig.kinds, (AccessKind::Read, AccessKind::Write));
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::codec::{self, CodecError, StreamId};
 use crate::rle;
@@ -128,21 +129,28 @@ impl DemoHeader {
 }
 
 /// A recorded execution: the constraints replay must satisfy.
+///
+/// The three streams that grow with the run (QUEUE per tick, SYSCALL
+/// per recorded call, ALLOC per allocation) sit behind [`Arc`]: a
+/// replay shares them with the scheduler, the syscall cursor and the
+/// scripted allocator instead of copying them, and cloning a demo
+/// copies none of them. Mutate one with [`Arc::make_mut`], which copies
+/// only a stream that is shared at that moment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Demo {
     /// Recording metadata.
     pub header: DemoHeader,
     /// Queue-strategy interleaving (empty for the random strategy, whose
     /// interleaving is fully captured by the seeds).
-    pub queue: QueueStream,
+    pub queue: Arc<QueueStream>,
     /// Asynchronous signals.
     pub signals: Vec<SignalEvent>,
     /// Recorded syscalls, in global order.
-    pub syscalls: Vec<SyscallRecord>,
+    pub syscalls: Arc<Vec<SyscallRecord>>,
     /// Asynchronous events (reschedules, signal wakeups).
     pub async_events: Vec<AsyncEvent>,
     /// Allocator address stream (comprehensive recorders only).
-    pub alloc: Vec<u64>,
+    pub alloc: Arc<Vec<u64>>,
 }
 
 impl Demo {
@@ -151,11 +159,11 @@ impl Demo {
     pub fn new(header: DemoHeader) -> Self {
         Demo {
             header,
-            queue: QueueStream::default(),
+            queue: Arc::default(),
             signals: Vec::new(),
-            syscalls: Vec::new(),
+            syscalls: Arc::default(),
             async_events: Vec::new(),
-            alloc: Vec::new(),
+            alloc: Arc::default(),
         }
     }
 
@@ -168,7 +176,7 @@ impl Demo {
     #[must_use]
     pub fn from_schedule(header: DemoHeader, order: &[(u32, u64)], nthreads: usize) -> Self {
         let mut demo = Demo::new(header);
-        demo.queue = QueueStream::from_order(order, nthreads);
+        demo.queue = Arc::new(QueueStream::from_order(order, nthreads));
         demo
     }
 
@@ -315,11 +323,11 @@ impl Demo {
         let header = header.ok_or(DemoLoadError::MissingHeader)?;
         Ok(Demo {
             header,
-            queue,
+            queue: Arc::new(queue),
             signals,
-            syscalls,
+            syscalls: Arc::new(syscalls),
             async_events,
-            alloc,
+            alloc: Arc::new(alloc),
         })
     }
 
@@ -576,16 +584,16 @@ mod tests {
 
     fn sample_demo() -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
-        d.queue = QueueStream {
+        d.queue = Arc::new(QueueStream {
             first_tick: vec![1, 2],
             next_ticks: vec![3, 4, 0, 0],
-        };
+        });
         d.signals.push(SignalEvent {
             tid: 2,
             tick: 5,
             signo: 15,
         });
-        d.syscalls.push(SyscallRecord {
+        Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
             seq: 0,
             tid: 1,
             tick: 3,
@@ -597,7 +605,7 @@ mod tests {
         d.async_events.push(AsyncEvent::Reschedule { tick: 2 });
         d.async_events
             .push(AsyncEvent::SignalWakeup { tid: 0, tick: 4 });
-        d.alloc = vec![4096, 8192, 12288];
+        d.alloc = Arc::new(vec![4096, 8192, 12288]);
         d
     }
 
@@ -791,7 +799,7 @@ mod tests {
         // Pad with a realistic syscall load so the comparison is not
         // dominated by the header.
         for i in 0..50 {
-            d.syscalls.push(SyscallRecord {
+            Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
                 seq: i + 1,
                 tid: 1,
                 tick: 10 + i,

@@ -56,4 +56,4 @@ pub use codec::{CodecError, StreamId};
 pub use demo::{Demo, DemoFormat, DemoHeader, DemoLoadError, DemoStats, FORMAT_VERSION};
 pub use desync::{DesyncKind, HardDesync, SoftDesync};
 pub use store::{DemoStore, StreamHash, StreamHashes};
-pub use streams::{AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
+pub use streams::{AsyncEvent, QueueBuilder, QueueStream, SignalEvent, SyscallRecord};

@@ -331,7 +331,8 @@ fn validate_id(id: &str) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::demo::DemoHeader;
-    use crate::streams::SyscallRecord;
+    use crate::streams::{QueueStream, SyscallRecord};
+    use std::sync::Arc;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("srr-store-{tag}-{}", std::process::id()));
@@ -341,9 +342,11 @@ mod tests {
 
     fn demo_with_syscall(strategy: &str, payload: &[u8]) -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", strategy, [7, 9]));
-        d.queue.first_tick = vec![1];
-        d.queue.next_ticks = vec![0];
-        d.syscalls.push(SyscallRecord {
+        d.queue = Arc::new(QueueStream {
+            first_tick: vec![1],
+            next_ticks: vec![0],
+        });
+        Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
             seq: 0,
             tid: 0,
             tick: 1,
@@ -386,8 +389,11 @@ mod tests {
         let mut store = DemoStore::open(&root).unwrap();
         let a = demo_with_syscall("queue", b"hello");
         let mut b = a.clone();
-        b.queue.next_ticks = vec![2, 0]; // only the QUEUE differs
-        b.queue.first_tick = vec![1, 2];
+        // Only the QUEUE differs.
+        b.queue = Arc::new(QueueStream {
+            first_tick: vec![1, 2],
+            next_ticks: vec![2, 0],
+        });
         let ha = store.insert("a", &a).unwrap();
         let hb = store.insert("b", &b).unwrap();
         assert_eq!(ha["HEADER"], hb["HEADER"]);
@@ -403,8 +409,10 @@ mod tests {
         let mut store = DemoStore::open(&root).unwrap();
         let a = demo_with_syscall("queue", b"hello");
         let mut b = a.clone();
-        b.queue.first_tick = vec![1, 2];
-        b.queue.next_ticks = vec![2, 0];
+        b.queue = Arc::new(QueueStream {
+            first_tick: vec![1, 2],
+            next_ticks: vec![2, 0],
+        });
         store.insert("a", &a).unwrap();
         store.insert("b", &b).unwrap();
         assert!(store.remove("a").unwrap());

@@ -1,7 +1,5 @@
 //! Typed events for the demo streams, with their line formats.
 
-use std::collections::HashMap;
-
 use crate::codec::MAX_KIND_LEN;
 use crate::demo::DemoLoadError;
 use crate::rle;
@@ -206,24 +204,11 @@ impl QueueStream {
     /// keep the 0 ("never") sentinel.
     #[must_use]
     pub fn from_order(order: &[(u32, u64)], nthreads: usize) -> Self {
-        let mut first_tick = vec![0u64; nthreads];
-        let mut last_cs_of_thread: HashMap<u32, usize> = HashMap::new();
-        let mut next_ticks = vec![0u64; order.len()];
-        for (idx, &(tid, tick)) in order.iter().enumerate() {
-            if let Some(slot) = first_tick.get_mut(tid as usize) {
-                if *slot == 0 {
-                    *slot = tick;
-                }
-            }
-            if let Some(&prev) = last_cs_of_thread.get(&tid) {
-                next_ticks[prev] = tick;
-            }
-            last_cs_of_thread.insert(tid, idx);
+        let mut builder = QueueBuilder::default();
+        for &(tid, tick) in order {
+            builder.push(tid, tick);
         }
-        QueueStream {
-            first_tick,
-            next_ticks,
-        }
+        builder.finish(nthreads)
     }
 
     /// Returns `true` if no scheduling information was recorded.
@@ -251,6 +236,44 @@ impl QueueStream {
             due[tid] = self.next_ticks[(k - 1) as usize];
         }
         out
+    }
+}
+
+/// Writes a [`QueueStream`] in place, one critical section at a time
+/// in tick order: each section appends a 0 ("never again") next-tick
+/// and patches its thread's previous section to point at it. The
+/// recorder feeds it as the run goes, so the QUEUE stream is the only
+/// per-tick record a recording keeps.
+#[derive(Clone, Debug, Default)]
+pub struct QueueBuilder {
+    stream: QueueStream,
+    /// Per thread id: 1 + the index of its latest section (0 = none).
+    last: Vec<usize>,
+}
+
+impl QueueBuilder {
+    /// Appends the critical section of `tick`, run by thread `tid`.
+    pub fn push(&mut self, tid: u32, tick: u64) {
+        let t = tid as usize;
+        if t >= self.last.len() {
+            self.last.resize(t + 1, 0);
+            self.stream.first_tick.resize(t + 1, 0);
+        }
+        match self.last[t] {
+            0 => self.stream.first_tick[t] = tick,
+            prev => self.stream.next_ticks[prev - 1] = tick,
+        }
+        self.stream.next_ticks.push(0);
+        self.last[t] = self.stream.next_ticks.len();
+    }
+
+    /// The finished stream: `first_tick` sized for `nthreads` threads,
+    /// and `next_ticks` trimmed to its length.
+    #[must_use]
+    pub fn finish(mut self, nthreads: usize) -> QueueStream {
+        self.stream.first_tick.resize(nthreads, 0);
+        self.stream.next_ticks.shrink_to_fit();
+        self.stream
     }
 }
 
@@ -440,6 +463,22 @@ mod tests {
         assert_eq!(q.first_tick, vec![1, 0, 2, 0]);
         assert_eq!(q.next_ticks, vec![0, 0]);
         assert_eq!(QueueStream::from_order(&[], 0), QueueStream::default());
+    }
+
+    #[test]
+    fn builder_patches_each_threads_previous_section() {
+        let mut b = QueueBuilder::default();
+        b.push(1, 1);
+        b.push(0, 2);
+        b.push(1, 3);
+        // T1's first section now points at tick 3; the newest of each
+        // thread says "never again" until it is patched.
+        assert_eq!(b.stream.next_ticks, vec![3, 0, 0]);
+        assert_eq!(b.stream.first_tick, vec![2, 1]);
+        let q = b.finish(3);
+        assert_eq!(q.first_tick, vec![2, 1, 0]);
+        assert_eq!(q.next_ticks.capacity(), q.next_ticks.len());
+        assert_eq!(q.schedule_order(), vec![(1, 1), (0, 2), (1, 3)]);
     }
 
     #[test]

@@ -2,13 +2,36 @@
 //! and the offline demo linter (`srr-analysis`) accepts exactly the
 //! well-formed serializations.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use srr_replay::codec::{fnv1a64, parse_frame, PACKED};
 use srr_replay::rle;
 use srr_replay::{
-    AsyncEvent, CodecError, Demo, DemoHeader, DemoLoadError, QueueStream, SignalEvent,
-    SyscallRecord,
+    AsyncEvent, CodecError, Demo, DemoHeader, DemoLoadError, QueueBuilder, QueueStream,
+    SignalEvent, SyscallRecord,
 };
+
+/// The QUEUE stream of a schedule (`order[k]` runs tick `k + 1`), built
+/// the plain way: link each thread's sections once the whole schedule
+/// is known. The reference the recorder's in-place builder must match.
+fn reference_queue(nthreads: usize, order: &[usize]) -> QueueStream {
+    let mut first = vec![0u64; nthreads];
+    let mut next = vec![0u64; order.len()];
+    let mut last_idx: Vec<Option<usize>> = vec![None; nthreads];
+    for (idx, &tid) in order.iter().enumerate() {
+        let tick = (idx + 1) as u64;
+        match last_idx[tid] {
+            None => first[tid] = tick,
+            Some(prev) => next[prev] = tick,
+        }
+        last_idx[tid] = Some(idx);
+    }
+    QueueStream {
+        first_tick: first,
+        next_ticks: next,
+    }
+}
 
 /// A demo whose streams are derived from an actual schedule — the QUEUE
 /// linked-list invariants (exact cover of ticks `1..=T`, forward-pointing
@@ -22,23 +45,8 @@ fn demo_from_schedule(
     asyncs: &[(bool, usize, u64)],
     alloc: Vec<u64>,
 ) -> Demo {
-    let mut first = vec![0u64; nthreads];
-    let mut next = vec![0u64; order.len()];
-    let mut last_idx: Vec<Option<usize>> = vec![None; nthreads];
-    for (idx, &tid) in order.iter().enumerate() {
-        let tick = (idx + 1) as u64;
-        match last_idx[tid] {
-            None => first[tid] = tick,
-            Some(prev) => next[prev] = tick,
-        }
-        last_idx[tid] = Some(idx);
-    }
-
     let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [5, 9]));
-    demo.queue = QueueStream {
-        first_tick: first,
-        next_ticks: next,
-    };
+    demo.queue = Arc::new(reference_queue(nthreads, order));
 
     // SIGNAL ticks need only be per-tid non-decreasing; sorting by
     // (tid, tick) models the per-thread recording order.
@@ -56,20 +64,22 @@ fn demo_from_schedule(
     // SYSCALL seq is the record index and ticks are globally monotone.
     let mut ticks: Vec<u64> = syscalls.iter().map(|&(_, t, _)| t).collect();
     ticks.sort_unstable();
-    demo.syscalls = syscalls
-        .iter()
-        .zip(ticks)
-        .enumerate()
-        .map(|(seq, (&(tid, _, ref bufs), tick))| SyscallRecord {
-            seq: seq as u64,
-            tid: tid as u32,
-            tick,
-            kind: "recvmsg".into(),
-            ret: bufs.first().map_or(-1, |b| b.len() as i64),
-            errno: 11,
-            bufs: bufs.clone(),
-        })
-        .collect();
+    demo.syscalls = Arc::new(
+        syscalls
+            .iter()
+            .zip(ticks)
+            .enumerate()
+            .map(|(seq, (&(tid, _, ref bufs), tick))| SyscallRecord {
+                seq: seq as u64,
+                tid: tid as u32,
+                tick,
+                kind: "recvmsg".into(),
+                ret: bufs.first().map_or(-1, |b| b.len() as i64),
+                errno: 11,
+                bufs: bufs.clone(),
+            })
+            .collect(),
+    );
 
     let mut aticks: Vec<u64> = asyncs.iter().map(|&(_, _, t)| t).collect();
     aticks.sort_unstable();
@@ -87,7 +97,7 @@ fn demo_from_schedule(
             }
         })
         .collect();
-    demo.alloc = alloc;
+    demo.alloc = Arc::new(alloc);
     demo
 }
 
@@ -169,17 +179,17 @@ proptest! {
         bufs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..4),
     ) {
         let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [seeds.0, seeds.1]));
-        demo.queue = QueueStream { first_tick: first, next_ticks: ticks };
+        demo.queue = Arc::new(QueueStream { first_tick: first, next_ticks: ticks });
         demo.signals = signals
             .into_iter()
             .map(|(tid, tick, signo)| SignalEvent { tid, tick, signo })
             .collect();
-        demo.alloc = alloc;
+        demo.alloc = Arc::new(alloc);
         demo.async_events = vec![
             AsyncEvent::Reschedule { tick: 3 },
             AsyncEvent::SignalWakeup { tid: 1, tick: 9 },
         ];
-        demo.syscalls = vec![SyscallRecord {
+        demo.syscalls = Arc::new(vec![SyscallRecord {
             seq: 0,
             tid: 2,
             tick: 17,
@@ -187,7 +197,7 @@ proptest! {
             ret: -1,
             errno: 11,
             bufs,
-        }];
+        }]);
         let map = demo.to_string_map();
         prop_assert_eq!(Demo::from_string_map(&map).unwrap(), demo);
     }
@@ -320,7 +330,7 @@ proptest! {
             nthreads,
         );
         prop_assert_eq!(
-            &demo.queue,
+            &*demo.queue,
             &QueueStream::from_order(&order, nthreads),
             "from_schedule must delegate to from_order"
         );
@@ -329,6 +339,31 @@ proptest! {
         // The replay cursor semantics ride on the QUEUE stream alone;
         // byte-level equality of the re-encoded stream pins it.
         prop_assert_eq!(back.queue, demo.queue);
+    }
+
+    /// The recorder's in-place builder, fed one critical section at a
+    /// time, writes the reference stream; `from_order` builds it from
+    /// its schedule too, so `from_order(s.schedule_order(), n) == s`.
+    #[test]
+    fn queue_builder_matches_reference(
+        nthreads in 1usize..8,
+        picks in proptest::collection::vec(any::<u32>(), 0..200),
+    ) {
+        let order: Vec<usize> = picks.iter().map(|&p| p as usize % nthreads).collect();
+        let reference = reference_queue(nthreads, &order);
+        let mut builder = QueueBuilder::default();
+        for (idx, &tid) in order.iter().enumerate() {
+            builder.push(tid as u32, (idx + 1) as u64);
+        }
+        prop_assert_eq!(&builder.finish(nthreads), &reference);
+        let schedule = reference.schedule_order();
+        let expected: Vec<(u32, u64)> = order
+            .iter()
+            .enumerate()
+            .map(|(idx, &tid)| (tid as u32, (idx + 1) as u64))
+            .collect();
+        prop_assert_eq!(&schedule, &expected);
+        prop_assert_eq!(&QueueStream::from_order(&schedule, nthreads), &reference);
     }
 }
 
@@ -385,15 +420,15 @@ fn any_demo() -> impl Strategy<Value = Demo> {
     )
         .prop_map(|(seeds, (first, next), signals, syscalls, asyncs, alloc)| {
             let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [seeds.0, seeds.1]));
-            demo.queue = QueueStream {
+            demo.queue = Arc::new(QueueStream {
                 first_tick: first,
                 next_ticks: next,
-            };
+            });
             demo.signals = signals
                 .into_iter()
                 .map(|(tid, tick, signo)| SignalEvent { tid, tick, signo })
                 .collect();
-            demo.syscalls = syscalls;
+            demo.syscalls = Arc::new(syscalls);
             demo.async_events = asyncs
                 .into_iter()
                 .map(|(resched, tid, tick)| {
@@ -404,7 +439,7 @@ fn any_demo() -> impl Strategy<Value = Demo> {
                     }
                 })
                 .collect();
-            demo.alloc = alloc;
+            demo.alloc = Arc::new(alloc);
             demo
         })
 }
@@ -418,11 +453,11 @@ fn cycled<T: Clone>(v: &[T], n: usize) -> Vec<T> {
 /// LZ77 pass packs its longer streams.
 fn repetitive_demo() -> impl Strategy<Value = Demo> {
     (any_demo(), 2usize..60).prop_map(|(mut demo, n)| {
-        demo.queue.next_ticks = cycled(&demo.queue.next_ticks, n);
+        Arc::make_mut(&mut demo.queue).next_ticks = cycled(&demo.queue.next_ticks, n);
         demo.signals = cycled(&demo.signals, n);
-        demo.syscalls = cycled(&demo.syscalls, n);
+        demo.syscalls = Arc::new(cycled(&demo.syscalls, n));
         demo.async_events = cycled(&demo.async_events, n);
-        demo.alloc = cycled(&demo.alloc, n);
+        demo.alloc = Arc::new(cycled(&demo.alloc, n));
         demo
     })
 }
@@ -451,11 +486,11 @@ fn extreme_sequences_roundtrip_and_pack() {
     // Non-monotone, wrapping sequences in every delta-coded field.
     let wild = [0, u64::MAX, 1, u64::MAX - 1, 0, 1 << 63, 5, 3, u64::MAX, 0];
     let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [0, u64::MAX]));
-    demo.queue = QueueStream {
+    demo.queue = Arc::new(QueueStream {
         first_tick: wild.to_vec(),
         next_ticks: wild.repeat(30),
-    };
-    demo.alloc = wild.repeat(30);
+    });
+    demo.alloc = Arc::new(wild.repeat(30));
     demo.signals = wild
         .iter()
         .map(|&tick| SignalEvent {
@@ -468,19 +503,20 @@ fn extreme_sequences_roundtrip_and_pack() {
         .iter()
         .map(|&tick| AsyncEvent::SignalWakeup { tid: 0, tick })
         .collect();
-    demo.syscalls = wild
-        .iter()
-        .zip(wild.iter().rev())
-        .map(|(&seq, &tick)| SyscallRecord {
-            seq,
-            tid: 7,
-            tick,
-            kind: "recv".into(),
-            ret: i64::MIN,
-            errno: i32::MAX,
-            bufs: vec![b"GET /item/7 HTTP/1.1\n".to_vec(); 3],
-        })
-        .collect();
+    demo.syscalls = Arc::new(
+        wild.iter()
+            .zip(wild.iter().rev())
+            .map(|(&seq, &tick)| SyscallRecord {
+                seq,
+                tid: 7,
+                tick,
+                kind: "recv".into(),
+                ret: i64::MIN,
+                errno: i32::MAX,
+                bufs: vec![b"GET /item/7 HTTP/1.1\n".to_vec(); 3],
+            })
+            .collect(),
+    );
     let map = demo.to_bytes_map();
     assert_eq!(Demo::from_bytes_map(&map).unwrap(), demo);
     for file in ["QUEUE", "ALLOC", "SYSCALL"] {

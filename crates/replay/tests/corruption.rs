@@ -18,6 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use srr_replay::codec::{
     fnv1a64, write_varint, CODEC_VERSION, MAX_EXPANSION, MAX_KIND_LEN, MAX_RAW_LEN, PACKED,
@@ -86,12 +87,12 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// (`full_demo_has_packed_and_plain_frames`).
 fn full_demo() -> Demo {
     let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 40398]));
-    demo.queue = QueueStream {
+    demo.queue = Arc::new(QueueStream {
         first_tick: vec![1, 2, 9],
         next_ticks: (0..200)
             .map(|i| if i % 7 == 0 { 0 } else { i + 3 })
             .collect(),
-    };
+    });
     demo.signals = (0..10)
         .map(|i| SignalEvent {
             tid: i % 3,
@@ -99,22 +100,24 @@ fn full_demo() -> Demo {
             signo: 10 + i as i32 % 3,
         })
         .collect();
-    demo.syscalls = (0..25)
-        .map(|i| SyscallRecord {
-            seq: i,
-            tid: (i % 4) as u32,
-            tick: i * 3 + 2,
-            kind: if i % 2 == 0 { "recvmsg" } else { "poll" }.to_owned(),
-            ret: if i % 5 == 0 { -1 } else { i as i64 },
-            errno: if i % 5 == 0 { 11 } else { 0 },
-            bufs: vec![vec![0xAB; 64], (0..64u8).collect()],
-        })
-        .collect();
+    demo.syscalls = Arc::new(
+        (0..25)
+            .map(|i| SyscallRecord {
+                seq: i,
+                tid: (i % 4) as u32,
+                tick: i * 3 + 2,
+                kind: if i % 2 == 0 { "recvmsg" } else { "poll" }.to_owned(),
+                ret: if i % 5 == 0 { -1 } else { i as i64 },
+                errno: if i % 5 == 0 { 11 } else { 0 },
+                bufs: vec![vec![0xAB; 64], (0..64u8).collect()],
+            })
+            .collect(),
+    );
     demo.async_events = vec![
         AsyncEvent::Reschedule { tick: 4 },
         AsyncEvent::SignalWakeup { tid: 2, tick: 19 },
     ];
-    demo.alloc = (0..64).map(|i| 0x1000 + i * 16).collect();
+    demo.alloc = Arc::new((0..64).map(|i| 0x1000 + i * 16).collect());
     demo
 }
 

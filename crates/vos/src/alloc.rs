@@ -14,6 +14,8 @@
 //! * [`AllocMode::Scripted`] — replays a previously recorded address
 //!   stream (what the rr baseline does).
 
+use std::sync::Arc;
+
 use crate::rng::EnvRng;
 
 /// Allocation address policy.
@@ -29,8 +31,9 @@ pub enum AllocMode {
     /// Replay a recorded address stream; falls back to deterministic
     /// when the stream runs out.
     Scripted {
-        /// The recorded addresses, consumed in order.
-        addresses: Vec<u64>,
+        /// The recorded addresses, consumed in order. Shared, not
+        /// copied, with the demo that holds them.
+        addresses: Arc<Vec<u64>>,
     },
 }
 
@@ -47,7 +50,7 @@ const ALIGN: u64 = 16;
 pub struct Allocator {
     next: u64,
     jitter: Option<EnvRng>,
-    scripted: Option<(Vec<u64>, usize)>,
+    scripted: Option<(Arc<Vec<u64>>, usize)>,
     /// Every address handed out, in order (the ALLOC stream for
     /// comprehensive recorders).
     log: Vec<u64>,
@@ -161,7 +164,7 @@ mod tests {
         let a2 = rec.alloc(8);
         let mut rep = Allocator::new(
             AllocMode::Scripted {
-                addresses: rec.log().to_vec(),
+                addresses: Arc::new(rec.log().to_vec()),
             },
             42,
         );
