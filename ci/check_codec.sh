@@ -2,10 +2,11 @@
 # CI codec smoke: lock the binary demo format down end to end.
 #
 #  1. Golden record→replay→diff suite: committed binary fixtures for
-#     httpd + every hazard workload must replay clean and (for the
-#     seed-deterministic workloads) match a fresh recording byte for
-#     byte. Regenerate after an intentional format change with
-#     UPDATE_GOLDEN=1 (see crates/apps/tests/demo_codec.rs).
+#     httpd, fluidanimate and every hazard workload must replay clean
+#     and (for the seed-deterministic workloads) match a fresh recording
+#     byte for byte. Regenerate after an intentional format change with
+#     UPDATE_GOLDEN=1 (see crates/apps/tests/demo_codec.rs). The
+#     fluidanimate fixture must fit its exact byte budget.
 #  2. Corruption battery: every truncation and single-bit flip of every
 #     stream is a typed load error, never a panic.
 #  3. Text-compat + conversion: pre-codec text fixtures still load
@@ -24,6 +25,14 @@ THRESHOLD="${1:-0.25}"
 
 section "golden record→replay→diff suite"
 cargo test -q -p srr-apps --test demo_codec
+
+section "fluidanimate fixture byte budget"
+# 0.0331 B per cell-step, codec v1's cost on this recording, times its
+# 6,400 cell-steps. Byte counts are exact, so the budget is too.
+FLUID_BYTES="$(cat crates/apps/tests/fixtures/codec/fluidanimate/* | wc -c)"
+[ "$FLUID_BYTES" -le 211 ] ||
+  fail "fluidanimate fixture takes $FLUID_BYTES B, over its 211 B budget"
+echo "fluidanimate fixture: $FLUID_BYTES B (budget 211)"
 
 section "corruption battery + codec properties"
 cargo test -q -p srr-replay --test corruption

@@ -568,10 +568,7 @@ mod tests {
     fn sample_demo() -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
         // Two threads: t0 runs ticks 1,2 then 4; t1 runs tick 3.
-        d.queue = Arc::new(QueueStream {
-            first_tick: vec![1, 3],
-            next_ticks: vec![2, 4, 0, 0],
-        });
+        d.queue = Arc::new(QueueStream::new(vec![1, 3], vec![2, 4, 0, 0]));
         d.signals.push(SignalEvent {
             tid: 1,
             tick: 3,
@@ -673,10 +670,7 @@ mod tests {
     fn queue_double_claim_and_hole_are_caught() {
         let mut d = sample_demo();
         // Both threads claim tick 1; tick 3 is claimed nowhere.
-        d.queue = Arc::new(QueueStream {
-            first_tick: vec![1, 1],
-            next_ticks: vec![2, 4, 0, 0],
-        });
+        d.queue = Arc::new(QueueStream::new(vec![1, 1], vec![2, 4, 0, 0]));
         let diags = lint(&d);
         assert!(
             diags
@@ -695,10 +689,7 @@ mod tests {
     fn queue_next_tick_must_be_in_the_future() {
         let mut d = sample_demo();
         // CS 2's next-tick entry names tick 2 (not strictly later).
-        d.queue = Arc::new(QueueStream {
-            first_tick: vec![1, 3],
-            next_ticks: vec![2, 2, 0, 0],
-        });
+        d.queue = Arc::new(QueueStream::new(vec![1, 3], vec![2, 2, 0, 0]));
         let diags = lint(&d);
         assert!(
             diags.iter().any(|d| d.message.contains("<= 2")),
@@ -709,10 +700,7 @@ mod tests {
     #[test]
     fn queue_out_of_range_tick_is_caught() {
         let mut d = sample_demo();
-        d.queue = Arc::new(QueueStream {
-            first_tick: vec![1, 9],
-            next_ticks: vec![2, 3, 4, 0],
-        });
+        d.queue = Arc::new(QueueStream::new(vec![1, 9], vec![2, 3, 4, 0]));
         let diags = lint(&d);
         assert!(
             diags.iter().any(|d| d.message.contains("> total 4")),

@@ -320,6 +320,15 @@ pub fn raw_spawn() -> impl FnOnce() + Send + 'static {
     }
 }
 
+/// The committed queue recording of [`hidden_handoff`] whose schedule
+/// hides the race (crates/apps/tests/predict.rs records it).
+#[cfg(test)]
+pub(crate) fn hidden_handoff_recording() -> tsan11rec::Demo {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/predict/hidden_handoff_queue");
+    tsan11rec::Demo::load_dir(&dir).expect("committed queue recording")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,11 +434,16 @@ mod tests {
 
     #[test]
     fn hidden_handoff_race_is_invisible_to_the_recorded_run() {
-        // The empty-lock handoff orders the two writes under the observed
-        // schedule: the run completes and FastTrack reports nothing. The
-        // predictive pass (crates/predict; exercised end-to-end in
-        // tests/predict.rs) is what finds it.
-        let report = analyzed(hidden_handoff());
+        // The empty-lock handoff orders the two writes under the
+        // recorded schedule: the run completes and FastTrack reports
+        // nothing. The predictive pass (crates/predict; exercised
+        // end-to-end in tests/predict.rs) is what finds it. A fresh queue
+        // recording follows the host's thread arrival order, and one
+        // where the second thread locks first does race, so the run is
+        // the replay of a committed queue recording with that schedule.
+        let demo = hidden_handoff_recording();
+        let config = Tool::Queue.config(demo.header.seeds).with_access_trace();
+        let report = Execution::new(config).replay(&demo, hidden_handoff());
         assert!(report.outcome.is_ok(), "{:?}", report.outcome);
         assert_eq!(report.races, 0, "{:?}", report.race_reports);
         assert!(

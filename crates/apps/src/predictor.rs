@@ -17,7 +17,8 @@ use crate::harness::Tool;
 
 /// The artifacts of one record→predict→confirm pipeline run.
 pub struct PredictionRun {
-    /// The recording run's report (its FastTrack pass saw the *observed*
+    /// The recording run's report, or the replay's for
+    /// [`replay_prediction`] (its FastTrack pass saw the *observed*
     /// schedule only).
     pub record: ExecReport,
     /// The recorded demo.
@@ -68,11 +69,68 @@ where
     F: Fn() -> P,
     P: FnOnce() + Send + 'static,
 {
-    let mut config = Tool::Queue.config(seeds).with_access_trace();
-    if let Some(plan) = plan {
-        config = config.with_access_plan(plan);
+    let (record, demo) = Execution::new(traced(seeds, plan))
+        .setup(setup)
+        .record(make());
+    confirm(record, demo, setup, &make, keep)
+}
+
+/// [`run_prediction`] from a queue demo recorded before: its replay,
+/// with the access trace on, stands in for the recording. A queue
+/// recording follows the host's thread arrival order, so this is how a
+/// prediction starts from one fixed schedule.
+pub fn replay_prediction<P, F>(demo: Demo, make: F) -> PredictionRun
+where
+    F: Fn() -> P,
+    P: FnOnce() + Send + 'static,
+{
+    fn no_setup(_: &Vos) {}
+    replay_prediction_with(demo, no_setup, make, None, |_| true)
+}
+
+/// [`replay_prediction`] with a world `setup`, an access `plan` armed
+/// on the replay and a `keep` filter, as [`run_prediction_in_world_with`]
+/// takes them.
+pub fn replay_prediction_with<P, F>(
+    demo: Demo,
+    setup: fn(&Vos),
+    make: F,
+    plan: Option<AccessPlan>,
+    keep: impl Fn(&str) -> bool,
+) -> PredictionRun
+where
+    F: Fn() -> P,
+    P: FnOnce() + Send + 'static,
+{
+    let record = Execution::new(traced(demo.header.seeds, plan))
+        .setup(setup)
+        .replay(&demo, make());
+    confirm(record, demo, setup, &make, keep)
+}
+
+/// The queue strategy with the access trace on, and `plan` armed.
+fn traced(seeds: [u64; 2], plan: Option<AccessPlan>) -> tsan11rec::Config {
+    let config = Tool::Queue.config(seeds).with_access_trace();
+    match plan {
+        Some(plan) => config.with_access_plan(plan),
+        None => config,
     }
-    let (record, demo) = Execution::new(config).setup(setup).record(make());
+}
+
+/// Predicts races over `record`'s trace of `demo`'s schedule, and
+/// replays each synthesized witness to confirm it.
+fn confirm<P, F>(
+    record: ExecReport,
+    demo: Demo,
+    setup: fn(&Vos),
+    make: &F,
+    keep: impl Fn(&str) -> bool,
+) -> PredictionRun
+where
+    F: Fn() -> P,
+    P: FnOnce() + Send + 'static,
+{
+    let seeds = demo.header.seeds;
     let mut predictions = predict_with(&record.sync_trace, &demo, keep);
     classify_with(&mut predictions, |race, witness| {
         let cfg =
@@ -95,12 +153,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hazards;
+    use crate::hazards::{self, hidden_handoff_recording};
     use srr_predict::Classification;
 
     #[test]
     fn hidden_handoff_is_predicted_and_confirmed() {
-        let run = run_prediction([7, 11], hazards::hidden_handoff);
+        let run = replay_prediction(hidden_handoff_recording(), hazards::hidden_handoff);
         assert_eq!(
             run.record.races, 0,
             "the recorded schedule itself must not race: {:?}",
@@ -140,7 +198,9 @@ mod tests {
             v.sort_by(|a, b| a.0.cmp(&b.0));
             v
         }
-        fn check<P, F>(name: &str, make: F)
+        /// Both predictions start from `demo`'s one schedule: plan
+        /// filtering must not change a verdict, whichever schedule that is.
+        fn check<P, F>(name: &str, demo: Demo, make: F)
         where
             F: Fn() -> P,
             P: FnOnce() + Send + 'static,
@@ -150,11 +210,10 @@ mod tests {
                 .expect("hazards.rs is readable");
             let proven = report.proven_labels();
             let plan = AccessPlan::new(report.recorded_labels(), report.known_labels());
-            let base = run_prediction([7, 11], &make);
-            let planned =
-                run_prediction_in_world_with([7, 11], no_setup, &make, Some(plan), |label| {
-                    !proven.contains(label)
-                });
+            let base = replay_prediction(demo.clone(), &make);
+            let planned = replay_prediction_with(demo, no_setup, &make, Some(plan), |label| {
+                !proven.contains(label)
+            });
             assert_eq!(
                 grades(&base),
                 grades(&planned),
@@ -166,9 +225,25 @@ mod tests {
                 planned.record.plan.unplanned
             );
         }
-        check("hidden_handoff", hazards::hidden_handoff);
-        check("atomic_guard", hazards::atomic_guard);
-        check("mixed_counter", hazards::mixed_counter);
+        fn recorded<P: FnOnce() + Send + 'static>(program: P) -> Demo {
+            let config = Tool::Queue.config([7, 11]).with_access_trace();
+            Execution::new(config).record(program).1
+        }
+        check(
+            "hidden_handoff",
+            hidden_handoff_recording(),
+            hazards::hidden_handoff,
+        );
+        check(
+            "atomic_guard",
+            recorded(hazards::atomic_guard()),
+            hazards::atomic_guard,
+        );
+        check(
+            "mixed_counter",
+            recorded(hazards::mixed_counter()),
+            hazards::mixed_counter,
+        );
     }
 
     #[test]

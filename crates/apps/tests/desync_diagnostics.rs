@@ -7,7 +7,16 @@ mod common;
 use std::sync::Arc;
 
 use common::{bounded_buffer, config, fixture_dir};
+use srr_replay::QueueStream;
 use tsan11rec::{Demo, Execution, Strategy, TraceSpec};
+
+/// `queue` cut to the next ticks of its first `keep` sections.
+fn truncated(queue: &QueueStream, keep: usize) -> Arc<QueueStream> {
+    Arc::new(QueueStream::new(
+        queue.first_tick.clone(),
+        queue.next_ticks().take(keep),
+    ))
+}
 
 /// Truncates the fixture's QUEUE stream to `keep` entries, round-trips
 /// the corrupted demo through the on-disk format, and replays it.
@@ -20,7 +29,7 @@ fn corrupt_and_replay(keep: usize) -> (tsan11rec::ExecReport, Demo, Vec<(u32, u6
         keep < full_order.len(),
         "fixture too short to truncate at {keep}"
     );
-    Arc::make_mut(&mut demo.queue).next_ticks.truncate(keep);
+    demo.queue = truncated(&demo.queue, keep);
 
     // Round-trip through serialization so the corruption exercises the
     // same loader path a hand-edited demo directory would.
@@ -28,7 +37,7 @@ fn corrupt_and_replay(keep: usize) -> (tsan11rec::ExecReport, Demo, Vec<(u32, u6
     demo.save_dir(&tmp).expect("save corrupted demo");
     let corrupted = Demo::load_dir(&tmp).expect("reload corrupted demo");
     std::fs::remove_dir_all(&tmp).ok();
-    assert_eq!(corrupted.queue.next_ticks.len(), keep);
+    assert_eq!(corrupted.queue.ticks(), keep as u64);
 
     let cfg =
         config(Strategy::Queue, [11, 13]).with_trace(TraceSpec::new().with_ring_capacity(4096));
@@ -102,7 +111,7 @@ fn diagnostics_skip_divergence_when_tracing_off() {
     const M: usize = 10;
     let dir = fixture_dir("queue");
     let mut demo = Demo::load_dir(&dir).expect("fixture");
-    Arc::make_mut(&mut demo.queue).next_ticks.truncate(M);
+    demo.queue = truncated(&demo.queue, M);
     let rep = Execution::new(config(Strategy::Queue, [11, 13])).replay(&demo, bounded_buffer);
     let hd = rep.desync().expect("hard desync");
     assert_eq!((hd.tick, hd.offset), (M as u64 + 1, M as u64));

@@ -3,7 +3,9 @@
 //!
 //! * golden classifications over the hazard suite — the schedule-hidden
 //!   handoff race is CONFIRMED (the recorded run's own FastTrack pass
-//!   reports nothing), the value-guarded pair is INFEASIBLE;
+//!   reports nothing; it starts from a committed queue recording, since
+//!   a fresh one follows the host's thread arrival order), the
+//!   value-guarded pair is INFEASIBLE;
 //! * the committed witness-demo fixture replays and the targeted race
 //!   fires at the predicted pair;
 //! * synthesized witnesses round-trip through the demo linter and the
@@ -17,7 +19,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use srr_apps::harness::Tool;
 use srr_apps::hazards;
-use srr_apps::predictor::run_prediction;
+use srr_apps::predictor::{replay_prediction, run_prediction};
 use srr_predict::Classification;
 use tsan11rec::{Demo, Execution, Outcome};
 
@@ -25,9 +27,31 @@ fn witness_fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/predict/hidden_handoff_witness")
 }
 
+/// A queue recording of `hidden_handoff` at seeds `[7, 11]` whose
+/// schedule hides the race: the first thread releases the handoff lock
+/// before the second takes it. A fresh queue recording follows the
+/// host's thread arrival order, and one where the second thread locks
+/// first races plainly, so the golden tests start from this committed
+/// one. `UPDATE_GOLDEN=1` records it again, until a recording hides
+/// the race.
+fn hidden_handoff_recording() -> Demo {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/predict/hidden_handoff_queue");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let config = || Tool::Queue.config([7, 11]).with_access_trace();
+        let demo = (0..100)
+            .map(|_| Execution::new(config()).record(hazards::hidden_handoff()))
+            .find_map(|(report, demo)| (report.races == 0).then_some(demo))
+            .expect("a queue recording that hides the race");
+        let _ = std::fs::remove_dir_all(&dir);
+        demo.save_dir(&dir).expect("writing the fixture");
+    }
+    Demo::load_dir(&dir).unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", dir.display()))
+}
+
 #[test]
 fn hidden_handoff_classification_is_golden() {
-    let run = run_prediction([7, 11], hazards::hidden_handoff);
+    let run = replay_prediction(hidden_handoff_recording(), hazards::hidden_handoff);
     assert_eq!(
         run.record.races, 0,
         "plain FastTrack over the recorded schedule must miss the race"

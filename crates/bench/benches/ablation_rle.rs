@@ -19,9 +19,12 @@ fn naive_size(demo: &Demo) -> usize {
                                                 // HEADER unchanged.
     total += demo.to_string_map()["HEADER"].len();
     // QUEUE: one decimal literal per tick value.
-    let naive_u64s =
-        |vals: &[u64]| -> usize { vals.iter().map(|v| v.to_string().len() + 1).sum::<usize>() };
-    total += naive_u64s(&demo.queue.first_tick) + naive_u64s(&demo.queue.next_ticks) + 12;
+    let naive_u64s = |vals: &mut dyn Iterator<Item = u64>| -> usize {
+        vals.map(|v| v.to_string().len() + 1).sum::<usize>()
+    };
+    total += naive_u64s(&mut demo.queue.first_tick.iter().copied())
+        + naive_u64s(&mut demo.queue.next_ticks())
+        + 12;
     // SIGNAL/ASYNC unchanged (already minimal).
     total += demo.to_string_map()["SIGNAL"].len() + demo.to_string_map()["ASYNC"].len();
     // SYSCALL: plain hex for every buffer byte.
@@ -32,7 +35,7 @@ fn naive_size(demo: &Demo) -> usize {
         }
     }
     // ALLOC: literals.
-    total += naive_u64s(&demo.alloc);
+    total += naive_u64s(&mut demo.alloc.iter().copied());
     total
 }
 

@@ -12,10 +12,10 @@
 //!   deduplicating store.
 //!
 //! The byte-count rows are deterministic (recordings at a fixed seed
-//! are byte-reproducible, and the committed httpd fixture re-encodes to
-//! its own bytes — the codec golden suite pins both), so the CI
-//! baseline gates them; the timing rows are machine-dependent and stay
-//! out of the baseline.
+//! are byte-reproducible, and the committed httpd and fluidanimate
+//! fixtures re-encode to their own bytes — the codec golden suite pins
+//! both), so the CI baseline gates them; the timing rows are
+//! machine-dependent and stay out of the baseline.
 
 use std::path::Path;
 use std::time::Instant;
@@ -132,20 +132,25 @@ fn main() {
         "binary load must be ≥ 1.5× text, measured {speedup:.2}×"
     );
 
-    // --- Stored size of the committed httpd golden fixture: a fresh
-    // queue recording follows OS arrival order, the fixture does not.
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../apps/tests/fixtures/codec/httpd");
-    let stored = Demo::load_dir(&fixture)
-        .expect("the httpd codec fixture loads")
-        .size_bytes();
-    table.row(&["httpd", "fixture", "-", &stored.to_string()]);
-    report.push(BenchRow::from_stats(
-        "httpd",
-        "fixture",
-        "stored_bytes",
-        false,
-        &Stats::of(&[stored as f64]),
-    ));
+    // --- Stored size of the committed httpd and fluidanimate golden
+    // fixtures: a fresh queue recording follows OS arrival order, the
+    // fixture does not.
+    for workload in ["httpd", "fluidanimate"] {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../apps/tests/fixtures/codec")
+            .join(workload);
+        let stored = Demo::load_dir(&fixture)
+            .unwrap_or_else(|e| panic!("the {workload} codec fixture loads: {e}"))
+            .size_bytes();
+        table.row(&[workload, "fixture", "-", &stored.to_string()]);
+        report.push(BenchRow::from_stats(
+            workload,
+            "fixture",
+            "stored_bytes",
+            false,
+            &Stats::of(&[stored as f64]),
+        ));
+    }
 
     // --- Corpus footprint: the hazard set at several seeds, the shape
     // an explore corpus takes (many reproductions, much shared

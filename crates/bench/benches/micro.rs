@@ -28,7 +28,7 @@ fn rle_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("rle");
     let ticks: Vec<u64> = (1..2_000).collect();
     group.bench_function("encode_u64_run_2k", |bench| {
-        bench.iter(|| rle::encode_u64s(black_box(&ticks)));
+        bench.iter(|| rle::encode_u64s(black_box(&ticks).iter().copied()));
     });
     let payload: Vec<u8> = (0..4096)
         .map(|i| if i % 7 == 0 { 0 } else { b'x' })

@@ -321,8 +321,13 @@ impl Execution {
         if let Outcome::HardDesync(hd) = &mut outcome {
             // Diagnose the divergence: the demo's intended schedule vs
             // the ticks the trace actually saw (empty without tracing —
-            // the report still pinpoints the failing stream entry).
-            let recorded = demo.map(|d| d.queue.schedule_order()).unwrap_or_default();
+            // the report still pinpoints the failing stream entry). The
+            // run saw at most `ran` ticks, so the diff needs no more of
+            // the demo's schedule than one past them.
+            let ran = rt.sched.as_ref().map_or(0, |s| s.total_ticks()) as usize;
+            let recorded: Vec<(u32, u64)> = demo
+                .map(|d| d.queue.schedule().take(ran + 1).collect())
+                .unwrap_or_default();
             let diag = DesyncDiagnostics::build(
                 hd.tick,
                 &hd.constraint,
@@ -408,7 +413,7 @@ fn demo_stream_counters(
         entry("HEADER", 1),
         entry(
             "QUEUE",
-            (demo.queue.first_tick.len() + demo.queue.next_ticks.len()) as u64,
+            demo.queue.first_tick.len() as u64 + demo.queue.ticks(),
         ),
         entry("SIGNAL", demo.signals.len() as u64),
         entry("SYSCALL", demo.syscalls.len() as u64),

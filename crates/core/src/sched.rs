@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 use srr_obs::{EventKind, Obs, ObsOp, StreamId};
-use srr_replay::{AsyncEvent, HardDesync, QueueBuilder, QueueStream, SignalEvent};
+use srr_replay::{AsyncEvent, HardDesync, QueueBuilder, QueueCursor, QueueStream, SignalEvent};
 
 use crate::config::Strategy;
 use crate::ids::{CondId, MutexId, Tid};
@@ -138,6 +138,8 @@ struct ReplayState {
     async_events: HashMap<u64, Vec<AsyncEvent>>,
     /// The demo's QUEUE stream, shared with the demo, read in place.
     queue: Arc<QueueStream>,
+    /// Where replay is in `queue`'s runs.
+    cursor: QueueCursor,
 }
 
 /// Record buffers.
@@ -322,6 +324,7 @@ impl Scheduler {
             signals: sig_map,
             async_events: async_map,
             queue,
+            cursor: QueueCursor::default(),
         };
         if g.strategy.needs_queue_stream() {
             g.threads[0].next_due = g.replay.queue.first_tick.first().copied().unwrap_or(0);
@@ -892,10 +895,11 @@ impl SchedState {
 
     fn choose_next(&mut self, tid: Tid, k: u64) {
         if self.replay.active && self.strategy.needs_queue_stream() {
-            // Consume the next-tick entry for critical section k (§4.2).
-            let idx = (k - 1) as usize;
-            match self.replay.queue.next_ticks.get(idx) {
-                Some(&next) => {
+            // Consume the next tick of critical section k (§4.2).
+            let idx = k - 1;
+            let ReplayState { queue, cursor, .. } = &mut self.replay;
+            match cursor.next_tick(queue, k) {
+                Some(next) => {
                     self.threads[tid.index()].next_due = next;
                     if let Some(obs) = &self.obs {
                         obs.sched_event(
@@ -903,7 +907,7 @@ impl SchedState {
                             k,
                             EventKind::StreamCursor {
                                 stream: StreamId::Queue,
-                                offset: idx as u64,
+                                offset: idx,
                             },
                         );
                     }
@@ -919,7 +923,7 @@ impl SchedState {
                             "a next-tick entry",
                             &format!("QUEUE stream exhausted at critical section {k}"),
                         )
-                        .with_stream("QUEUE", idx as u64)
+                        .with_stream("QUEUE", idx)
                         .with_context(vec![format!("failing thread: T{}", tid.0)]),
                     ));
                 }
@@ -1486,20 +1490,13 @@ mod tests {
         }
         let (q, _, _) = s.take_recording();
         assert_eq!(q.first_tick, vec![1]);
-        assert_eq!(q.next_ticks, vec![2, 3, 0]);
+        assert_eq!(q.next_ticks().collect::<Vec<_>>(), vec![2, 3, 0]);
     }
 
     #[test]
     fn queue_replay_enforces_recorded_order() {
         let s = sched(Strategy::Queue);
-        s.enable_replay(
-            Arc::new(QueueStream {
-                first_tick: vec![1],
-                next_ticks: vec![2, 0],
-            }),
-            &[],
-            &[],
-        );
+        s.enable_replay(Arc::new(QueueStream::new(vec![1], vec![2, 0])), &[], &[]);
         assert!(s.is_replaying());
         s.wait(Tid::MAIN);
         s.tick(Tid::MAIN);
@@ -1511,14 +1508,7 @@ mod tests {
     #[test]
     fn queue_replay_underrun_is_hard_desync() {
         let s = sched(Strategy::Queue);
-        s.enable_replay(
-            Arc::new(QueueStream {
-                first_tick: vec![1],
-                next_ticks: vec![2],
-            }),
-            &[],
-            &[],
-        );
+        s.enable_replay(Arc::new(QueueStream::new(vec![1], vec![2])), &[], &[]);
         s.wait(Tid::MAIN);
         s.tick(Tid::MAIN);
         s.wait(Tid::MAIN);

@@ -439,10 +439,7 @@ mod tests {
 
         // Two shards record byte-identical demos into separate spools.
         let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [3, 5]));
-        demo.queue = Arc::new(QueueStream {
-            first_tick: vec![1, 2],
-            next_ticks: vec![3, 4, 0, 0],
-        });
+        demo.queue = Arc::new(QueueStream::new(vec![1, 2], vec![3, 4, 0, 0]));
         let spool_a = root.join("t0_s3");
         let spool_b = root.join("t1_s3");
         demo.save_dir(&spool_a).unwrap();

@@ -17,13 +17,17 @@
 //! damaged stream as a shorter or different one (the corruption battery
 //! in `tests/corruption.rs` proves this bit by bit).
 //!
-//! Payloads (codec version 2) are plain LEB128 varints:
+//! Payloads (codec version 3) are plain LEB128 varints:
 //!
-//! * `seq`, every `tick`, each QUEUE next-tick (taken against its own
-//!   tick + 1, so a thread that runs again at once costs a zero byte)
-//!   and each ALLOC address are written as wrapping zigzag deltas, so
-//!   any `u64` sequence round-trips and near-monotone ones cost a byte
-//!   per value;
+//! * QUEUE is its first-tick table, then its runs (see
+//!   [`QueueStream`]): a count, then each run's step and length. A run
+//!   of a thread that runs again at once has step 1 and "never again"
+//!   step 0, so a run is two bytes until its length passes 127. Runs
+//!   are canonical: a zero length, or two adjacent runs of one step, do
+//!   not decode;
+//! * `seq`, every other `tick` and each ALLOC address are written as
+//!   wrapping zigzag deltas, so any `u64` sequence round-trips and
+//!   near-monotone ones cost a byte per value;
 //! * SYSCALL records are laid out field by field (all `seq`s, then all
 //!   `tid`s, ...), so like values sit together; output buffers are
 //!   stored raw, length-prefixed;
@@ -38,14 +42,17 @@
 //! length read from a payload is checked before anything is allocated
 //! for it: against the bytes left, at the smallest encoding of its
 //! elements (seven bytes for a syscall record, three for a signal, two
-//! for an async event, one for anything else). A packed payload's raw
-//! length is checked against [`MAX_RAW_LEN`] and [`MAX_EXPANSION`]
-//! times its packed bytes. Syscall kind names are at most
-//! [`MAX_KIND_LEN`] bytes, since every record decodes to its own copy
-//! of one. So a payload of `n` raw bytes decodes with at most `24·n`
-//! bytes of allocation besides the payload itself. The worst case is an
-//! empty syscall buffer, a 24-byte `Vec` for one length byte. A packed
-//! frame therefore costs at most `25 × 255` bytes per frame byte.
+//! for an async event or a QUEUE run, one for anything else). A packed
+//! payload's raw length is checked against [`MAX_RAW_LEN`] and
+//! [`MAX_EXPANSION`] times its packed bytes. A QUEUE stream decodes to
+//! its runs, never to a tick each, and the sum of its run lengths is
+//! checked against [`MAX_QUEUE_TICKS`] as it is read. Syscall kind
+//! names are at most [`MAX_KIND_LEN`] bytes, since every record decodes
+//! to its own copy of one. So a payload of `n` raw bytes decodes with at
+//! most `24·n` bytes of allocation besides the payload itself. The worst
+//! case is an empty syscall buffer, a 24-byte `Vec` for one length byte.
+//! A packed frame therefore costs at most `25 × 255` bytes per frame
+//! byte.
 //!
 //! The layout is mmap-able: frames are length-prefixed and contain no
 //! internal pointers. A plain payload decodes by walking a borrowed
@@ -59,16 +66,16 @@ use std::fmt;
 use crate::demo::{DemoHeader, FORMAT_VERSION};
 use crate::lz;
 pub use crate::lz::{MAX_EXPANSION, MAX_RAW_LEN};
-use crate::streams::{AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
+use crate::streams::{AsyncEvent, QueueRun, QueueStream, SignalEvent, SyscallRecord};
 
 /// The four magic bytes opening every binary stream file.
 pub const MAGIC: [u8; 4] = *b"SRRB";
 
 /// Binary codec version understood by this crate (independent of the
 /// demo [`FORMAT_VERSION`], which describes the logical stream model).
-/// Frames of any other version, v1 included, fail with
+/// Frames of any other version, v1 and v2 included, fail with
 /// [`CodecError::UnsupportedVersion`].
-pub const CODEC_VERSION: u64 = 2;
+pub const CODEC_VERSION: u64 = 3;
 
 /// Top bit of the stream-id byte: the payload is stored LZ77-packed.
 pub const PACKED: u8 = 0x80;
@@ -77,6 +84,12 @@ pub const PACKED: u8 = 0x80;
 /// syscall name has 23). Both the binary and the text decoder reject
 /// longer ones.
 pub const MAX_KIND_LEN: usize = 64;
+
+/// Most critical sections a binary QUEUE stream may schedule (4 Gi, hours
+/// of recording). Its runs cost a few bytes however many sections they
+/// stand for, so this, not the payload size, bounds what a reader that
+/// walks the stream a tick at a time may be asked to do.
+pub const MAX_QUEUE_TICKS: u64 = 1 << 32;
 
 /// The streams a demo serializes, with their on-disk file names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -605,16 +618,15 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<DemoHeader, CodecError> {
 }
 
 pub(crate) fn encode_queue(q: &QueueStream) -> Vec<u8> {
-    let mut out = Vec::with_capacity(q.first_tick.len() + q.next_ticks.len() + 8);
+    let mut out = Vec::with_capacity(q.first_tick.len() + 2 * q.runs().len() + 8);
     write_varint(&mut out, q.first_tick.len() as u64);
     for &t in &q.first_tick {
         write_varint(&mut out, t);
     }
-    write_varint(&mut out, q.next_ticks.len() as u64);
-    // `next_ticks[k]` is consumed leaving tick k + 1, so it is written
-    // against k + 2: a thread that runs again at once costs a zero.
-    for (k, &t) in (2u64..).zip(&q.next_ticks) {
-        write_delta(&mut out, k, t);
+    write_varint(&mut out, q.runs().len() as u64);
+    for run in q.runs() {
+        write_varint(&mut out, run.step);
+        write_varint(&mut out, run.count);
     }
     out
 }
@@ -626,16 +638,42 @@ pub(crate) fn decode_queue(payload: &[u8]) -> Result<QueueStream, CodecError> {
     for _ in 0..n {
         first_tick.push(cur.read_varint("QUEUE first tick")?);
     }
-    let n = cur.read_count(1, "QUEUE next-tick count")?;
-    let mut next_ticks = Vec::with_capacity(n);
-    for k in (2u64..).take(n) {
-        next_ticks.push(cur.read_delta(k, "QUEUE next tick")?);
+    // A step and a count: a byte each at least.
+    let n = cur.read_count(2, "QUEUE run count")?;
+    let mut runs: Vec<QueueRun> = Vec::with_capacity(n);
+    let mut ticks = 0u64;
+    for _ in 0..n {
+        let at = cur.pos();
+        let step = cur.read_varint("QUEUE run step")?;
+        let count_at = cur.pos();
+        let count = cur.read_varint("QUEUE run length")?;
+        if count == 0 {
+            return Err(CodecError::Invalid {
+                what: "QUEUE run of no sections".into(),
+                offset: count_at,
+            });
+        }
+        if runs.last().is_some_and(|prev| prev.step == step) {
+            return Err(CodecError::Invalid {
+                what: format!("QUEUE run repeats the step {step} of the run before it"),
+                offset: at,
+            });
+        }
+        ticks = match ticks.checked_add(count) {
+            Some(sum) if sum <= MAX_QUEUE_TICKS => sum,
+            sum => {
+                return Err(CodecError::TooLarge {
+                    what: "QUEUE tick total",
+                    declared: sum.unwrap_or(u64::MAX),
+                    limit: MAX_QUEUE_TICKS,
+                    offset: count_at,
+                })
+            }
+        };
+        runs.push(QueueRun { step, count });
     }
     expect_end(&cur)?;
-    Ok(QueueStream {
-        first_tick,
-        next_ticks,
-    })
+    Ok(QueueStream::from_canonical_runs(first_tick, runs, ticks))
 }
 
 pub(crate) fn encode_signals(events: &[SignalEvent]) -> Vec<u8> {

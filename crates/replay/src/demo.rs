@@ -201,7 +201,10 @@ impl Demo {
                 .map(|e| e.to_line() + "\n")
                 .collect(),
         );
-        map.insert("ALLOC".to_owned(), rle::encode_u64s(&self.alloc) + "\n");
+        map.insert(
+            "ALLOC".to_owned(),
+            rle::encode_u64s(self.alloc.iter().copied()) + "\n",
+        );
         map
     }
 
@@ -447,7 +450,7 @@ impl Demo {
         let files = self.to_bytes_map();
         DemoStats {
             strategy: self.header.strategy.clone(),
-            queue_entries: self.queue.next_ticks.len(),
+            queue_entries: usize::try_from(self.queue.ticks()).unwrap_or(usize::MAX),
             signals: self.signals.len(),
             syscalls: self.syscalls.len(),
             async_events: self.async_events.len(),
@@ -464,7 +467,8 @@ impl Demo {
 pub struct DemoStats {
     /// Recording strategy.
     pub strategy: String,
-    /// QUEUE next-tick entries (0 for the random strategy).
+    /// Critical sections the QUEUE stream schedules, one next tick each
+    /// (0 for the random strategy).
     pub queue_entries: usize,
     /// SIGNAL events.
     pub signals: usize,
@@ -584,10 +588,7 @@ mod tests {
 
     fn sample_demo() -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
-        d.queue = Arc::new(QueueStream {
-            first_tick: vec![1, 2],
-            next_ticks: vec![3, 4, 0, 0],
-        });
+        d.queue = Arc::new(QueueStream::new(vec![1, 2], vec![3, 4, 0, 0]));
         d.signals.push(SignalEvent {
             tid: 2,
             tick: 5,

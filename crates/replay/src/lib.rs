@@ -7,7 +7,7 @@
 //! | File      | Contents |
 //! |-----------|----------|
 //! | `HEADER`  | tool, strategy, PRNG seeds, format version |
-//! | `QUEUE`   | queue-strategy interleaving: first tick per thread + next-tick list |
+//! | `QUEUE`   | queue-strategy interleaving: first tick per thread + next-tick runs |
 //! | `SIGNAL`  | `tid tick signo` per asynchronous signal |
 //! | `SYSCALL` | per recorded syscall: kind, return value, errno, output buffers |
 //! | `ASYNC`   | reschedule / signal-wakeup events floated to their tick |
@@ -56,4 +56,6 @@ pub use codec::{CodecError, StreamId};
 pub use demo::{Demo, DemoFormat, DemoHeader, DemoLoadError, DemoStats, FORMAT_VERSION};
 pub use desync::{DesyncKind, HardDesync, SoftDesync};
 pub use store::{DemoStore, StreamHash, StreamHashes};
-pub use streams::{AsyncEvent, QueueBuilder, QueueStream, SignalEvent, SyscallRecord};
+pub use streams::{
+    AsyncEvent, QueueBuilder, QueueCursor, QueueRun, QueueStream, SignalEvent, SyscallRecord,
+};

@@ -26,32 +26,39 @@ pub const MAX_DECODED_VALUES: usize = 1 << 24;
 
 /// Encodes an integer sequence into the token text form. At each value
 /// it takes the longest arithmetic(+1) run, else the longest constant
-/// run, else a literal.
+/// run, else a literal. The two kinds of run part at their second value,
+/// so one pass with no lookahead finds them, holding nothing per value.
 #[must_use]
-pub fn encode_u64s(values: &[u64]) -> String {
-    let mut out = String::new();
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i];
-        let inc = values[i..]
-            .iter()
-            .zip(0u64..)
-            .take_while(|&(&x, d)| Some(x) == v.checked_add(d))
-            .count();
-        let rep = values[i..].iter().take_while(|&&x| x == v).count();
+pub fn encode_u64s(values: impl IntoIterator<Item = u64>) -> String {
+    /// The token being built: its first value, its length, and whether
+    /// it counts up (`N+K`) rather than repeats (`N*K`).
+    type Token = (u64, u64, bool);
+    fn push(out: &mut String, (base, len, inc): Token) {
         if !out.is_empty() {
             out.push(' ');
         }
-        if inc >= rep && inc > 1 {
-            let _ = write!(out, "{v}+{}", inc - 1);
-            i += inc;
-        } else if rep > 1 {
-            let _ = write!(out, "{v}*{rep}");
-            i += rep;
-        } else {
-            let _ = write!(out, "{v}");
-            i += 1;
-        }
+        let _ = match (len, inc) {
+            (1, _) => write!(out, "{base}"),
+            (_, true) => write!(out, "{base}+{}", len - 1),
+            (_, false) => write!(out, "{base}*{len}"),
+        };
+    }
+    let mut out = String::new();
+    let mut token: Option<Token> = None;
+    for v in values {
+        token = Some(match token {
+            Some((base, 1, _)) if Some(v) == base.checked_add(1) => (base, 2, true),
+            Some((base, len, false)) if v == base => (base, len + 1, false),
+            Some((base, len, true)) if Some(v) == base.checked_add(len) => (base, len + 1, true),
+            Some(done) => {
+                push(&mut out, done);
+                (v, 1, false)
+            }
+            None => (v, 1, false),
+        });
+    }
+    if let Some(done) = token {
+        push(&mut out, done);
     }
     out
 }
@@ -222,14 +229,14 @@ mod tests {
 
     #[test]
     fn u64_roundtrip_empty() {
-        assert_eq!(encode_u64s(&[]), "");
+        assert_eq!(encode_u64s([]), "");
         assert_eq!(decode_u64s("").unwrap(), Vec::<u64>::new());
     }
 
     #[test]
     fn u64_arithmetic_run_compresses() {
         let vals: Vec<u64> = (10..30).collect();
-        let enc = encode_u64s(&vals);
+        let enc = encode_u64s(vals.iter().copied());
         assert_eq!(enc, "10+19");
         assert_eq!(decode_u64s(&enc).unwrap(), vals);
     }
@@ -237,7 +244,7 @@ mod tests {
     #[test]
     fn u64_constant_run_compresses() {
         let vals = vec![0; 7];
-        let enc = encode_u64s(&vals);
+        let enc = encode_u64s(vals.iter().copied());
         assert_eq!(enc, "0*7");
         assert_eq!(decode_u64s(&enc).unwrap(), vals);
     }
@@ -245,7 +252,7 @@ mod tests {
     #[test]
     fn u64_mixed_sequence_roundtrips() {
         let vals = vec![5, 6, 7, 3, 3, 3, 9, 100, 101, 0];
-        let enc = encode_u64s(&vals);
+        let enc = encode_u64s(vals.iter().copied());
         assert_eq!(decode_u64s(&enc).unwrap(), vals);
         assert_eq!(enc, "5+2 3*3 9 100+1 0");
     }
@@ -260,8 +267,8 @@ mod tests {
     #[test]
     fn u64_runs_end_at_the_top_of_the_range() {
         let top = u64::MAX;
-        assert_eq!(encode_u64s(&[top - 1, top]), format!("{}+1", top - 1));
-        assert_eq!(encode_u64s(&[top, 0]), format!("{top} 0"));
+        assert_eq!(encode_u64s([top - 1, top]), format!("{}+1", top - 1));
+        assert_eq!(encode_u64s([top, 0]), format!("{top} 0"));
         assert_eq!(
             decode_u64s(&format!("{}+1", top - 1)).unwrap(),
             [top - 1, top]

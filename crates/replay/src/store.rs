@@ -342,10 +342,7 @@ mod tests {
 
     fn demo_with_syscall(strategy: &str, payload: &[u8]) -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", strategy, [7, 9]));
-        d.queue = Arc::new(QueueStream {
-            first_tick: vec![1],
-            next_ticks: vec![0],
-        });
+        d.queue = Arc::new(QueueStream::new(vec![1], vec![0]));
         Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
             seq: 0,
             tid: 0,
@@ -390,10 +387,7 @@ mod tests {
         let a = demo_with_syscall("queue", b"hello");
         let mut b = a.clone();
         // Only the QUEUE differs.
-        b.queue = Arc::new(QueueStream {
-            first_tick: vec![1, 2],
-            next_ticks: vec![2, 0],
-        });
+        b.queue = Arc::new(QueueStream::new(vec![1, 2], vec![2, 0]));
         let ha = store.insert("a", &a).unwrap();
         let hb = store.insert("b", &b).unwrap();
         assert_eq!(ha["HEADER"], hb["HEADER"]);
@@ -409,10 +403,7 @@ mod tests {
         let mut store = DemoStore::open(&root).unwrap();
         let a = demo_with_syscall("queue", b"hello");
         let mut b = a.clone();
-        b.queue = Arc::new(QueueStream {
-            first_tick: vec![1, 2],
-            next_ticks: vec![2, 0],
-        });
+        b.queue = Arc::new(QueueStream::new(vec![1, 2], vec![2, 0]));
         store.insert("a", &a).unwrap();
         store.insert("b", &b).unwrap();
         assert!(store.remove("a").unwrap());

@@ -27,10 +27,7 @@ fn reference_queue(nthreads: usize, order: &[usize]) -> QueueStream {
         }
         last_idx[tid] = Some(idx);
     }
-    QueueStream {
-        first_tick: first,
-        next_ticks: next,
-    }
+    QueueStream::new(first, next)
 }
 
 /// A demo whose streams are derived from an actual schedule — the QUEUE
@@ -133,13 +130,13 @@ fn valid_demo() -> impl Strategy<Value = Demo> {
 proptest! {
     #[test]
     fn u64_codec_roundtrips(values in proptest::collection::vec(0u64..10_000, 0..200)) {
-        let enc = rle::encode_u64s(&values);
+        let enc = rle::encode_u64s(values.iter().copied());
         prop_assert_eq!(rle::decode_u64s(&enc).unwrap(), values);
     }
 
     #[test]
     fn u64_codec_roundtrips_extremes(values in proptest::collection::vec(0u64..=u64::MAX / 2, 0..50)) {
-        let enc = rle::encode_u64s(&values);
+        let enc = rle::encode_u64s(values.iter().copied());
         prop_assert_eq!(rle::decode_u64s(&enc).unwrap(), values);
     }
 
@@ -179,7 +176,7 @@ proptest! {
         bufs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..4),
     ) {
         let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [seeds.0, seeds.1]));
-        demo.queue = Arc::new(QueueStream { first_tick: first, next_ticks: ticks });
+        demo.queue = Arc::new(QueueStream::new(first, ticks));
         demo.signals = signals
             .into_iter()
             .map(|(tid, tick, signo)| SignalEvent { tid, tick, signo })
@@ -420,10 +417,7 @@ fn any_demo() -> impl Strategy<Value = Demo> {
     )
         .prop_map(|(seeds, (first, next), signals, syscalls, asyncs, alloc)| {
             let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [seeds.0, seeds.1]));
-            demo.queue = Arc::new(QueueStream {
-                first_tick: first,
-                next_ticks: next,
-            });
+            demo.queue = Arc::new(QueueStream::new(first, next));
             demo.signals = signals
                 .into_iter()
                 .map(|(tid, tick, signo)| SignalEvent { tid, tick, signo })
@@ -453,7 +447,11 @@ fn cycled<T: Clone>(v: &[T], n: usize) -> Vec<T> {
 /// LZ77 pass packs its longer streams.
 fn repetitive_demo() -> impl Strategy<Value = Demo> {
     (any_demo(), 2usize..60).prop_map(|(mut demo, n)| {
-        Arc::make_mut(&mut demo.queue).next_ticks = cycled(&demo.queue.next_ticks, n);
+        let next: Vec<u64> = demo.queue.next_ticks().collect();
+        demo.queue = Arc::new(QueueStream::new(
+            demo.queue.first_tick.clone(),
+            cycled(&next, n),
+        ));
         demo.signals = cycled(&demo.signals, n);
         demo.syscalls = Arc::new(cycled(&demo.syscalls, n));
         demo.async_events = cycled(&demo.async_events, n);
@@ -465,7 +463,7 @@ fn repetitive_demo() -> impl Strategy<Value = Demo> {
 proptest! {
     /// Arbitrary demos — any values, in any order — round-trip.
     #[test]
-    fn v2_roundtrips_arbitrary_demos(demo in any_demo()) {
+    fn v3_roundtrips_arbitrary_demos(demo in any_demo()) {
         let map = demo.to_bytes_map();
         prop_assert_eq!(Demo::from_bytes_map(&map).unwrap(), demo);
     }
@@ -473,7 +471,7 @@ proptest! {
     /// Repetitive demos round-trip through their packed frames, and the
     /// binary encoding is canonical: re-encoding reproduces the bytes.
     #[test]
-    fn v2_roundtrips_packed_frames(demo in repetitive_demo()) {
+    fn v3_roundtrips_packed_frames(demo in repetitive_demo()) {
         let map = demo.to_bytes_map();
         let back = Demo::from_bytes_map(&map).unwrap();
         prop_assert_eq!(&back, &demo);
@@ -486,10 +484,7 @@ fn extreme_sequences_roundtrip_and_pack() {
     // Non-monotone, wrapping sequences in every delta-coded field.
     let wild = [0, u64::MAX, 1, u64::MAX - 1, 0, 1 << 63, 5, 3, u64::MAX, 0];
     let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [0, u64::MAX]));
-    demo.queue = Arc::new(QueueStream {
-        first_tick: wild.to_vec(),
-        next_ticks: wild.repeat(30),
-    });
+    demo.queue = Arc::new(QueueStream::new(wild.to_vec(), wild.repeat(30)));
     demo.alloc = Arc::new(wild.repeat(30));
     demo.signals = wild
         .iter()

@@ -21,7 +21,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use srr_replay::codec::{
-    fnv1a64, write_varint, CODEC_VERSION, MAX_EXPANSION, MAX_KIND_LEN, MAX_RAW_LEN, PACKED,
+    fnv1a64, write_varint, CODEC_VERSION, MAX_EXPANSION, MAX_KIND_LEN, MAX_QUEUE_TICKS,
+    MAX_RAW_LEN, PACKED,
 };
 use srr_replay::{
     AsyncEvent, CodecError, Demo, DemoHeader, DemoLoadError, QueueStream, SignalEvent, StreamId,
@@ -87,12 +88,10 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// (`full_demo_has_packed_and_plain_frames`).
 fn full_demo() -> Demo {
     let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 40398]));
-    demo.queue = Arc::new(QueueStream {
-        first_tick: vec![1, 2, 9],
-        next_ticks: (0..200)
-            .map(|i| if i % 7 == 0 { 0 } else { i + 3 })
-            .collect(),
-    });
+    demo.queue = Arc::new(QueueStream::new(
+        vec![1, 2, 9],
+        (0..200).map(|i| if i % 7 == 0 { 0 } else { i + 3 }),
+    ));
     demo.signals = (0..10)
         .map(|i| SignalEvent {
             tid: i % 3,
@@ -437,7 +436,7 @@ fn element_counts_above_the_bytes_left_are_typed() {
     buffers.extend([100; 8]);
     buffers.resize(buffers.len() + 100, 0);
     let cases = [
-        // QUEUE: no first ticks, then 2^40 next ticks in 8 bytes.
+        // QUEUE: no first ticks, then 2^40 runs in 8 bytes.
         ("QUEUE", StreamId::Queue, count(&[0], huge, 8), huge),
         ("ALLOC", StreamId::Alloc, count(&[], huge, 8), huge),
         ("SIGNAL", StreamId::Signal, count(&[], huge, 8), huge),
@@ -506,7 +505,7 @@ fn syscall_kind_names_above_the_cap_are_typed() {
 }
 
 #[test]
-fn v1_frames_are_refused_unread() {
+fn v1_and_v2_frames_are_refused_unread() {
     // The v1 token layer let this 23-byte QUEUE frame, checksum valid,
     // decode to 2^27 next ticks (1 GiB): no first ticks, then one
     // repeat token of the value 0, 2^27 times.
@@ -515,22 +514,112 @@ fn v1_frames_are_refused_unread() {
     let bomb = frame(1, QUEUE, &payload);
     assert_eq!(bomb.len(), 23);
     assert_eq!(codec_err("QUEUE", bomb), CodecError::UnsupportedVersion(1));
+    // v2 coded a next tick a byte: no first ticks, three zero deltas.
+    let v2 = frame(2, QUEUE, &[0, 3, 0, 0, 0]);
+    assert_eq!(codec_err("QUEUE", v2), CodecError::UnsupportedVersion(2));
+}
+
+#[test]
+fn hostile_queue_runs_are_typed() {
+    // No first ticks, then `runs` as (step, length) pairs.
+    let queue = |runs: &[(u64, u64)]| {
+        let mut p = vec![0];
+        write_varint(&mut p, runs.len() as u64);
+        for &(step, len) in runs {
+            write_varint(&mut p, step);
+            write_varint(&mut p, len);
+        }
+        p
+    };
+    let max = MAX_QUEUE_TICKS;
+    // The tick limit itself loads, from a few bytes and with no
+    // allocation per tick.
+    let mut map = full_demo().to_bytes_map();
+    map.remove("QUEUE");
+    let (_, baseline) = allocated_by(|| load(&map));
+    let [bytes, _] = plain_and_packed(StreamId::Queue, &queue(&[(1, max - 1), (0, 1)]));
+    map.insert("QUEUE".to_owned(), bytes);
+    let (demo, used) = allocated_by(|| load(&map));
+    assert_eq!(demo.unwrap().queue.ticks(), max);
+    assert!(
+        used <= baseline + 4096,
+        "{used} bytes (baseline {baseline})"
+    );
+
+    let at_third_varint = 3;
+    for (runs, want) in [
+        // Lengths summing past the limit, or past u64::MAX.
+        (
+            vec![(1, max), (2, 1)],
+            CodecError::TooLarge {
+                what: "QUEUE tick total",
+                declared: max + 1,
+                limit: max,
+                offset: 9,
+            },
+        ),
+        (
+            vec![(1, 1), (2, u64::MAX)],
+            CodecError::TooLarge {
+                what: "QUEUE tick total",
+                declared: u64::MAX,
+                limit: max,
+                offset: 5,
+            },
+        ),
+        // A run of no sections.
+        (
+            vec![(1, 0)],
+            CodecError::Invalid {
+                what: "QUEUE run of no sections".into(),
+                offset: at_third_varint,
+            },
+        ),
+        // Two adjacent runs of one step: one run, written twice.
+        (
+            vec![(1, 5), (3, 1), (3, 2)],
+            CodecError::Invalid {
+                what: "QUEUE run repeats the step 3 of the run before it".into(),
+                offset: 6,
+            },
+        ),
+    ] {
+        for bytes in plain_and_packed(StreamId::Queue, &queue(&runs)) {
+            assert_eq!(codec_err("QUEUE", bytes), want, "{runs:?}");
+        }
+    }
+    // A run count above what the bytes left can hold, at two bytes a
+    // run, is refused before anything is reserved for it.
+    let mut payload = vec![0];
+    write_varint(&mut payload, 1 << 40);
+    payload.extend([1, 1, 2, 1]);
+    for bytes in plain_and_packed(StreamId::Queue, &payload) {
+        assert_eq!(
+            codec_err("QUEUE", bytes),
+            CodecError::TooLarge {
+                what: "QUEUE run count",
+                declared: 1 << 40,
+                limit: 2,
+                offset: 1,
+            }
+        );
+    }
 }
 
 /// A packed frame for stream `id` whose raw payload is `head` and then
-/// `zeros` zero bytes, written as the head and the first zero as
-/// literals and one distance-1 match whose length extension is all
-/// 255s: as close to 255 raw bytes per packed byte as a frame gets.
-/// Returns the frame and its raw length.
-fn zero_run_frame(id: StreamId, head: &[u8], zeros: usize) -> (Vec<u8>, usize) {
-    let literals = head.len() + 1;
+/// `unit` repeated to `len` bytes, written as the head and one `unit` as
+/// literals and one match at distance `unit.len()` whose length
+/// extension is all 255s: as close to 255 raw bytes per packed byte as
+/// a frame gets. Returns the frame and its raw length.
+fn repeat_frame(id: StreamId, head: &[u8], unit: &[u8], len: usize) -> (Vec<u8>, usize) {
+    let literals = head.len() + unit.len();
     let mut seq = vec![(literals.min(15) as u8) << 4 | 0x0F];
     push_len_ext(&mut seq, literals);
     seq.extend_from_slice(head);
-    seq.push(0);
-    seq.push(1); // distance 1: repeat the zero
-    push_len_ext(&mut seq, zeros - 1 - 4);
-    let raw_len = head.len() + zeros;
+    seq.extend_from_slice(unit);
+    write_varint(&mut seq, unit.len() as u64); // distance: repeat the unit
+    push_len_ext(&mut seq, len - unit.len() - 4);
+    let raw_len = head.len() + len;
     let bytes = frame(
         CODEC_VERSION,
         id as u8 | PACKED,
@@ -543,7 +632,7 @@ fn zero_run_frame(id: StreamId, head: &[u8], zeros: usize) -> (Vec<u8>, usize) {
 /// counts as one).
 fn elements(demo: &Demo, file: &str) -> usize {
     match file {
-        "QUEUE" => demo.queue.first_tick.len() + demo.queue.next_ticks.len(),
+        "QUEUE" => demo.queue.first_tick.len() + demo.queue.runs().len(),
         "ALLOC" => demo.alloc.len(),
         "SIGNAL" => demo.signals.len(),
         "ASYNC" => demo.async_events.len(),
@@ -555,12 +644,14 @@ fn elements(demo: &Demo, file: &str) -> usize {
 #[test]
 fn packed_frames_decode_within_25_bytes_per_raw_byte() {
     // The costliest stream each packed payload of ~255 KB can hold, all
-    // zeros after a short head: a zero is a repeated next tick or
-    // address, a signal or async event at the same tick, a syscall
-    // record of the one kind, or an empty syscall buffer. Each loads;
-    // what it costs must stay within the codec's stated bound of 24
-    // bytes of allocation per raw payload byte besides the inflated
-    // payload itself, so 25 x 255 per frame byte.
+    // zeros after a short head: a zero is a repeated address, a signal
+    // or async event at the same tick, a syscall record of the one
+    // kind, or an empty syscall buffer. QUEUE runs cannot repeat (no
+    // zero length, no two adjacent runs of one step), so its payload
+    // alternates runs of steps 1 and 2. Each loads; what it costs must
+    // stay within the codec's stated bound of 24 bytes of allocation per
+    // raw payload byte besides the inflated payload itself, so 25 x 255
+    // per frame byte.
     let n = 255 * 1000;
     let varint = |v: usize| {
         let mut p = Vec::new();
@@ -577,17 +668,33 @@ fn packed_frames_decode_within_25_bytes_per_raw_byte() {
         (
             "QUEUE",
             StreamId::Queue,
-            [vec![0], varint(n)].concat(),
+            [vec![0], varint(n / 2)].concat(),
+            &[1, 1, 2, 1][..],
             n,
-            n,
+            n / 2,
         ),
-        ("ALLOC", StreamId::Alloc, varint(n), n, n),
-        ("SIGNAL", StreamId::Signal, varint(n / 3), n / 3 * 3, n / 3),
-        ("ASYNC", StreamId::Async, varint(n / 2), n / 2 * 2, n / 2),
+        ("ALLOC", StreamId::Alloc, varint(n), &[0], n, n),
+        (
+            "SIGNAL",
+            StreamId::Signal,
+            varint(n / 3),
+            &[0],
+            n / 3 * 3,
+            n / 3,
+        ),
+        (
+            "ASYNC",
+            StreamId::Async,
+            varint(n / 2),
+            &[0],
+            n / 2 * 2,
+            n / 2,
+        ),
         (
             "SYSCALL",
             StreamId::Syscall,
             [kind_table, varint(n / 7)].concat(),
+            &[0],
             n / 7 * 7,
             n / 7,
         ),
@@ -595,12 +702,13 @@ fn packed_frames_decode_within_25_bytes_per_raw_byte() {
             "SYSCALL",
             StreamId::Syscall,
             one_record_of_empty_buffers,
+            &[0],
             n,
             1 + n,
         ),
     ];
-    for (file, id, head, zeros, want) in cases {
-        let (bytes, raw_len) = zero_run_frame(id, &head, zeros);
+    for (file, id, head, unit, len, want) in cases {
+        let (bytes, raw_len) = repeat_frame(id, &head, unit, len);
         assert!(raw_len >= 200 * bytes.len(), "{file}: {raw_len} raw bytes");
         let mut map = full_demo().to_bytes_map();
         map.remove(file);

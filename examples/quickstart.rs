@@ -25,7 +25,7 @@ fn main() {
         "captured: {} syscalls, {} signals, {} scheduling entries, {} bytes total",
         demo.syscalls.len(),
         demo.signals.len(),
-        demo.queue.next_ticks.len(),
+        demo.queue.ticks(),
         demo.size_bytes()
     );
 

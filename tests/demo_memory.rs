@@ -1,12 +1,15 @@
 //! Heap held per tick by recording and by replay, counted by a global
 //! allocator.
 //!
-//! A demo's QUEUE stream has one 8-byte next-tick entry per critical
-//! section, so it dominates the heap of a long run. The recorder writes
-//! that stream in place, in one vector whose doubling growth reaches at
-//! most twice its length: 16 bytes per tick. A replay reads the caller's
-//! demo through shared streams and cursors, so it adds no per-tick heap
-//! of its own; a copied QUEUE alone would add 8 bytes per tick.
+//! A demo's QUEUE stream names a next tick for every critical section,
+//! so held a tick at a time it would dominate the heap of a long run: 8
+//! bytes per tick, 16 while a doubling vector grows. The recorder holds
+//! it as runs instead, and closes each section through a per-thread
+//! index, so a recording holds a few bytes per run, plus its SYSCALL
+//! records. A thread parked in `join` leaves its section open for the
+//! whole run; the second program checks that this costs the builder one
+//! entry, not the whole run. A replay reads the caller's demo through
+//! shared streams and cursors, so it adds no per-tick heap of its own.
 //!
 //! The whole file is one test: the counters are process-wide, and a
 //! second test running beside it would count into them.
@@ -89,8 +92,8 @@ fn peak_above_start<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 /// Visible operations of the main thread and of its worker, and how
 /// often each issues a recorded syscall instead. The run's ticks land
-/// just past 2^17, where the recorder's QUEUE vector has just doubled:
-/// the worst case for the record bound.
+/// just past 2^17, where a QUEUE held a tick each would just have
+/// doubled: the worst case for such a stream, and a fair size for runs.
 const MAIN_OPS: u64 = 130_000;
 const WORKER_OPS: u64 = 1_200;
 const CALL_EVERY: [u64; 2] = [500, 40];
@@ -107,40 +110,54 @@ fn work(counter: &Atomic<u64>, ops: u64, call_every: u64) {
 
 /// The main thread and one worker, both doing visible operations with
 /// recorded syscalls among them.
-fn program() -> impl FnOnce() + Send + 'static {
-    || {
+fn interleaved() -> Box<dyn FnOnce() + Send> {
+    Box::new(|| {
         let counter = Arc::new(Atomic::new(0u64));
         let other = Arc::clone(&counter);
         let worker = thread::spawn(move || work(&other, WORKER_OPS, CALL_EVERY[1]));
         work(&counter, MAIN_OPS, CALL_EVERY[0]);
         worker.join();
-    }
+    })
 }
 
-#[test]
-fn record_and_replay_heap_per_tick() {
+/// The main thread spawns a worker that does all the work, and stays
+/// parked in `join` for the whole run: its section before the join is
+/// open, its next tick unknown, until the run's last tick.
+fn parked_main() -> Box<dyn FnOnce() + Send> {
+    Box::new(|| {
+        let counter = Arc::new(Atomic::new(0u64));
+        let other = Arc::clone(&counter);
+        let worker = thread::spawn(move || work(&other, MAIN_OPS + WORKER_OPS, CALL_EVERY[0]));
+        worker.join();
+    })
+}
+
+/// Records and replays `program`, and checks the heap each held per tick.
+fn check(name: &str, program: fn() -> Box<dyn FnOnce() + Send>) {
     let tool = Tool::QueueRec;
     let ((recorded, demo), record_peak) =
         peak_above_start(|| Execution::new(tool.config([3, 5])).record(program()));
-    assert!(recorded.outcome.is_ok(), "{:?}", recorded.outcome);
+    assert!(recorded.outcome.is_ok(), "{name}: {:?}", recorded.outcome);
     let ticks = recorded.ticks as usize;
-    assert!(ticks > 1 << 17, "{ticks} ticks");
-    assert_eq!(demo.queue.next_ticks.len(), ticks);
+    assert!(ticks > 1 << 17, "{name}: {ticks} ticks");
+    assert_eq!(demo.queue.ticks(), recorded.ticks, "{name}");
     assert!(
         demo.syscalls.len() >= 250,
-        "{} syscalls",
+        "{name}: {} syscalls",
         demo.syscalls.len()
     );
 
     let (replayed, replay_peak) =
         peak_above_start(|| Execution::new(tool.config([3, 5])).replay(&demo, program()));
-    assert!(replayed.outcome.is_ok(), "{:?}", replayed.outcome);
-    assert_eq!(replayed.ticks, recorded.ticks);
-    assert_eq!(replayed.replay_leftover_syscalls, 0);
+    assert!(replayed.outcome.is_ok(), "{name}: {:?}", replayed.outcome);
+    assert_eq!(replayed.ticks, recorded.ticks, "{name}");
+    assert_eq!(replayed.replay_leftover_syscalls, 0, "{name}");
 
     let per_tick = |bytes: usize| bytes as f64 / ticks as f64;
     println!(
-        "{ticks} ticks, {} syscalls: record peak {} B ({:.2} B/tick), replay peak {} B ({:.2} B/tick)",
+        "{name}: {ticks} ticks in {} QUEUE runs, {} syscalls: record peak {} B ({:.2} B/tick), \
+         replay peak {} B ({:.2} B/tick)",
+        demo.queue.runs().len(),
         demo.syscalls.len(),
         record_peak,
         per_tick(record_peak),
@@ -148,11 +165,17 @@ fn record_and_replay_heap_per_tick() {
         per_tick(replay_peak)
     );
     assert!(
-        per_tick(record_peak) <= 17.0,
-        "recording held {record_peak} B over {ticks} ticks"
+        per_tick(record_peak) <= 2.0,
+        "{name}: recording held {record_peak} B over {ticks} ticks"
     );
     assert!(
         per_tick(replay_peak) < 1.0,
-        "replay held {replay_peak} B beyond the demo over {ticks} ticks"
+        "{name}: replay held {replay_peak} B beyond the demo over {ticks} ticks"
     );
+}
+
+#[test]
+fn record_and_replay_heap_per_tick() {
+    check("interleaved", interleaved);
+    check("parked main", parked_main);
 }
