@@ -7,7 +7,7 @@
 //! point: §3.2's controlled scheduler *preserves* deadlocks that happen,
 //! and this pass predicts the ones that merely could have.
 //!
-//! Edges come from [`SyncEvent::MutexRequest`] (blocking `lock()` entry),
+//! Edges come from [`EventKind::MutexRequest`] (blocking `lock()` entry),
 //! not from successful acquisitions: a failed `try_lock` cannot block, so
 //! it cannot close a deadlock cycle — and because requests are emitted
 //! before the acquisition succeeds, a run that actually deadlocked still
@@ -15,7 +15,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::events::{SyncEvent, SyncTrace};
+use srr_obs::{EventKind, SyncTrace};
+
 use crate::findings::{Finding, FindingKind};
 
 /// One thread's contribution to a lock-order edge.
@@ -42,9 +43,10 @@ pub fn predict_deadlocks(trace: &SyncTrace) -> Vec<Finding> {
     let mut held: HashMap<u32, Vec<(u32, u64)>> = HashMap::new();
     let mut edges: BTreeMap<(u32, u32), Vec<EdgeWitness>> = BTreeMap::new();
     let mut self_relocks: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for ev in &trace.events {
-        match *ev {
-            SyncEvent::MutexRequest { tid, mutex, tick } => {
+    for ev in trace.sync_events() {
+        let (tid, tick) = (ev.tid, ev.tick);
+        match ev.kind {
+            EventKind::MutexRequest { mutex } => {
                 for &(h, held_tick) in held.get(&tid).into_iter().flatten() {
                     if h == mutex {
                         // Re-locking a held (non-reentrant) mutex: a
@@ -75,10 +77,10 @@ pub fn predict_deadlocks(trace: &SyncTrace) -> Vec<Finding> {
                     }
                 }
             }
-            SyncEvent::MutexAcquire { tid, mutex, tick } => {
+            EventKind::MutexAcquire { mutex } => {
                 held.entry(tid).or_default().push((mutex, tick));
             }
-            SyncEvent::MutexRelease { tid, mutex, .. } => {
+            EventKind::MutexRelease { mutex } => {
                 if let Some(locks) = held.get_mut(&tid) {
                     if let Some(pos) = locks.iter().rposition(|&(m, _)| m == mutex) {
                         locks.remove(pos);
@@ -204,27 +206,45 @@ fn assign_distinct(witness_sets: &[&[EdgeWitness]], chosen: &mut Vec<EdgeWitness
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::SyncTraceBuilder;
+    use srr_obs::ObsEvent;
 
-    fn acq(tid: u32, mutex: u32, tick: u64) -> [SyncEvent; 2] {
+    fn req(tid: u32, mutex: u32, tick: u64) -> ObsEvent {
+        ObsEvent {
+            tid,
+            tick,
+            kind: EventKind::MutexRequest { mutex },
+        }
+    }
+
+    fn acq(tid: u32, mutex: u32, tick: u64) -> [ObsEvent; 2] {
         [
-            SyncEvent::MutexRequest { tid, mutex, tick },
-            SyncEvent::MutexAcquire { tid, mutex, tick },
+            req(tid, mutex, tick),
+            ObsEvent {
+                tid,
+                tick,
+                kind: EventKind::MutexAcquire { mutex },
+            },
         ]
     }
 
-    fn rel(tid: u32, mutex: u32, tick: u64) -> SyncEvent {
-        SyncEvent::MutexRelease { tid, mutex, tick }
+    fn rel(tid: u32, mutex: u32, tick: u64) -> ObsEvent {
+        ObsEvent {
+            tid,
+            tick,
+            kind: EventKind::MutexRelease { mutex },
+        }
     }
 
-    fn trace_of(events: impl IntoIterator<Item = SyncEvent>) -> SyncTrace {
-        let mut b = SyncTraceBuilder::new();
-        b.set_mutex_label(0, Some("A".into()));
-        b.set_mutex_label(1, Some("B".into()));
-        for e in events {
-            b.push(e);
+    fn labelled(events: Vec<ObsEvent>, labels: &[&str]) -> SyncTrace {
+        SyncTrace {
+            events,
+            mutex_labels: labels.iter().map(|l| Some((*l).to_owned())).collect(),
+            ..SyncTrace::default()
         }
-        b.finish()
+    }
+
+    fn trace_of(events: Vec<ObsEvent>) -> SyncTrace {
+        labelled(events, &["A", "B"])
     }
 
     #[test]
@@ -263,16 +283,8 @@ mod tests {
         let mut evs = Vec::new();
         evs.extend(acq(1, 0, 1));
         evs.extend(acq(2, 1, 2));
-        evs.push(SyncEvent::MutexRequest {
-            tid: 1,
-            mutex: 1,
-            tick: 3,
-        });
-        evs.push(SyncEvent::MutexRequest {
-            tid: 2,
-            mutex: 0,
-            tick: 4,
-        });
+        evs.push(req(1, 1, 3));
+        evs.push(req(2, 0, 4));
         let findings = predict_deadlocks(&trace_of(evs));
         assert_eq!(findings.len(), 1, "{findings:?}");
     }
@@ -309,11 +321,7 @@ mod tests {
     fn relock_of_held_mutex_is_reported() {
         let mut evs = Vec::new();
         evs.extend(acq(1, 0, 1));
-        evs.push(SyncEvent::MutexRequest {
-            tid: 1,
-            mutex: 0,
-            tick: 2,
-        });
+        evs.push(req(1, 0, 2));
         let findings = predict_deadlocks(&trace_of(evs));
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("self-deadlock"));
@@ -322,24 +330,13 @@ mod tests {
 
     #[test]
     fn three_lock_cycle_is_found() {
-        let mut b = SyncTraceBuilder::new();
-        for (i, label) in ["A", "B", "C"].iter().enumerate() {
-            b.set_mutex_label(i as u32, Some((*label).to_owned()));
-        }
         let mut evs = Vec::new();
         // t1: A→B, t2: B→C, t3: C→A.
         for (tid, (h, m)) in [(1u32, (0u32, 1u32)), (2, (1, 2)), (3, (2, 0))] {
             evs.extend(acq(tid, h, u64::from(tid) * 10));
-            evs.push(SyncEvent::MutexRequest {
-                tid,
-                mutex: m,
-                tick: u64::from(tid) * 10 + 1,
-            });
+            evs.push(req(tid, m, u64::from(tid) * 10 + 1));
         }
-        for e in evs {
-            b.push(e);
-        }
-        let findings = predict_deadlocks(&b.finish());
+        let findings = predict_deadlocks(&labelled(evs, &["A", "B", "C"]));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].labels.len(), 3);
     }

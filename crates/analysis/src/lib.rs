@@ -2,10 +2,11 @@
 //!
 //! The runtime can record two things this crate consumes after the run:
 //!
-//! * a **structured sync-event trace** ([`SyncTrace`], recorded behind
-//!   `Config::with_sync_trace`) — every mutex request/acquire/release,
-//!   condvar wait/notify, atomic access (with the observed writer) and
-//!   instrumented plain access, stamped with the scheduler tick; and
+//! * the run's **event log** ([`SyncTrace`], from `srr-obs`, recorded
+//!   behind `Config::with_trace`) — whose sync and access classes hold
+//!   every mutex request/acquire/release, condvar wait/notify, atomic
+//!   access (with the observed writer) and instrumented plain access,
+//!   stamped with the scheduler tick; and
 //! * a **demo directory** (§4's `HEADER`/`QUEUE`/`SIGNAL`/`SYSCALL`/
 //!   `ASYNC`/`ALLOC` stream files).
 //!
@@ -30,15 +31,14 @@
 
 mod deadlock;
 mod demo_lint;
-mod events;
 mod findings;
 mod lints;
 
 pub use deadlock::predict_deadlocks;
 pub use demo_lint::{lint_demo_dir, lint_demo_map, DemoDiagnostic};
-pub use events::{SyncEvent, SyncTrace, SyncTraceBuilder};
 pub use findings::{Finding, FindingKind, Severity, SourceSpan};
 pub use lints::{condvar_no_recheck, misuse_lints, mixed_atomic_plain, relaxed_load_decision};
+pub use srr_obs::SyncTrace;
 
 /// Runs every trace-based analysis pass: deadlock prediction first, then
 /// the misuse lints. Findings keep pass order.
@@ -55,41 +55,29 @@ mod tests {
 
     #[test]
     fn analyze_runs_all_passes() {
-        let mut b = SyncTraceBuilder::new();
-        b.set_mutex_label(0, Some("A".into()));
-        b.set_mutex_label(1, Some("B".into()));
-        let loc = b.loc_id("flag");
+        use srr_obs::{EventKind, ObsEvent};
+        let ev = |tid, tick, kind| ObsEvent { tid, tick, kind };
+        let mut events = Vec::new();
         for (tid, (h, m)) in [(1u32, (0u32, 1u32)), (2, (1, 0))] {
             let t = u64::from(tid) * 10;
-            b.push(SyncEvent::MutexRequest {
-                tid,
-                mutex: h,
-                tick: t,
-            });
-            b.push(SyncEvent::MutexAcquire {
-                tid,
-                mutex: h,
-                tick: t,
-            });
-            b.push(SyncEvent::MutexRequest {
-                tid,
-                mutex: m,
-                tick: t + 1,
-            });
+            events.push(ev(tid, t, EventKind::MutexRequest { mutex: h }));
+            events.push(ev(tid, t, EventKind::MutexAcquire { mutex: h }));
+            events.push(ev(tid, t + 1, EventKind::MutexRequest { mutex: m }));
         }
-        b.push(SyncEvent::AtomicStore {
-            tid: 1,
-            loc,
-            tick: 30,
-            rmw: false,
+        events.push(ev(1, 30, EventKind::AtomicStore { loc: 0, rmw: false }));
+        events.push(ev(
+            2,
+            31,
+            EventKind::PlainAccess {
+                loc: 0,
+                write: false,
+            },
+        ));
+        let findings = analyze(&SyncTrace {
+            events,
+            mutex_labels: vec![Some("A".into()), Some("B".into())],
+            loc_labels: vec!["flag".into()],
         });
-        b.push(SyncEvent::PlainAccess {
-            tid: 2,
-            loc,
-            tick: 31,
-            write: false,
-        });
-        let findings = analyze(&b.finish());
         assert!(findings
             .iter()
             .any(|f| f.kind == FindingKind::PotentialDeadlock));

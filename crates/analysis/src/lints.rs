@@ -18,12 +18,20 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::events::{SyncEvent, SyncTrace};
+use srr_obs::{EventClass, EventKind, ObsEvent, SyncTrace};
+
 use crate::findings::{Finding, FindingKind};
 
 /// How many same-thread trace events after a relaxed load may separate
 /// it from the visible operation it is assumed to guard.
 const DECISION_WINDOW: usize = 3;
+
+/// `tid`'s sync and access events after position `i` of the log.
+fn later_of(trace: &SyncTrace, i: usize, tid: u32) -> impl Iterator<Item = &ObsEvent> {
+    trace.events[i + 1..]
+        .iter()
+        .filter(move |e| e.tid == tid && e.kind.class() != EventClass::Schedule)
+}
 
 /// Runs every misuse lint.
 #[must_use]
@@ -40,14 +48,13 @@ pub fn mixed_atomic_plain(trace: &SyncTrace) -> Vec<Finding> {
     // loc -> (first atomic (tid, tick), first plain (tid, tick))
     let mut first_atomic: BTreeMap<u32, (u32, u64)> = BTreeMap::new();
     let mut first_plain: BTreeMap<u32, (u32, u64)> = BTreeMap::new();
-    for ev in &trace.events {
-        match *ev {
-            SyncEvent::AtomicLoad { tid, loc, tick, .. }
-            | SyncEvent::AtomicStore { tid, loc, tick, .. } => {
-                first_atomic.entry(loc).or_insert((tid, tick));
+    for ev in trace.sync_events() {
+        match ev.kind {
+            EventKind::AtomicLoad { loc, .. } | EventKind::AtomicStore { loc, .. } => {
+                first_atomic.entry(loc).or_insert((ev.tid, ev.tick));
             }
-            SyncEvent::PlainAccess { tid, loc, tick, .. } => {
-                first_plain.entry(loc).or_insert((tid, tick));
+            EventKind::PlainAccess { loc, .. } => {
+                first_plain.entry(loc).or_insert((ev.tid, ev.tick));
             }
             _ => {}
         }
@@ -79,31 +86,30 @@ pub fn condvar_no_recheck(trace: &SyncTrace) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut reported: BTreeSet<(u32, u32)> = BTreeSet::new(); // (tid, cond)
     for (i, ev) in trace.events.iter().enumerate() {
-        let SyncEvent::CondWaitReturn {
-            tid,
+        let EventKind::CondWaitReturn {
             cond,
             mutex,
-            tick,
             signaled,
-        } = *ev
+        } = ev.kind
         else {
             continue;
         };
+        let (tid, tick) = (ev.tid, ev.tick);
         // Scan this thread's subsequent events until it releases the
         // reacquired guard mutex. Any read (atomic or plain) or a
         // re-wait on the same condvar counts as re-checking state.
         let mut rechecked = false;
-        for later in trace.events[i + 1..].iter().filter(|e| e.tid() == tid) {
-            match *later {
-                SyncEvent::CondWaitBegin { cond: c, .. } if c == cond => {
+        for later in later_of(trace, i, tid) {
+            match later.kind {
+                EventKind::CondWaitBegin { cond: c, .. } if c == cond => {
                     rechecked = true; // while-loop shape: waited again
                     break;
                 }
-                SyncEvent::AtomicLoad { .. } | SyncEvent::PlainAccess { write: false, .. } => {
+                EventKind::AtomicLoad { .. } | EventKind::PlainAccess { write: false, .. } => {
                     rechecked = true;
                     break;
                 }
-                SyncEvent::MutexRelease { mutex: m, .. } if m == mutex => break,
+                EventKind::MutexRelease { mutex: m } if m == mutex => break,
                 _ => {}
             }
         }
@@ -135,29 +141,26 @@ pub fn relaxed_load_decision(trace: &SyncTrace) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut reported: BTreeSet<u32> = BTreeSet::new(); // one finding per loc
     for (i, ev) in trace.events.iter().enumerate() {
-        let SyncEvent::AtomicLoad {
-            tid,
+        let EventKind::AtomicLoad {
             loc,
-            tick,
             relaxed,
             writer,
-        } = *ev
+        } = ev.kind
         else {
             continue;
         };
+        let (tid, tick) = (ev.tid, ev.tick);
         if !relaxed || writer == tid || reported.contains(&loc) {
             continue;
         }
         // Does a visible synchronisation operation follow closely in the
         // loading thread? If so, treat the load as decision-feeding.
-        let decision = trace.events[i + 1..]
-            .iter()
-            .filter(|e| e.tid() == tid)
+        let decision = later_of(trace, i, tid)
             .take(DECISION_WINDOW)
-            .find_map(|e| match *e {
-                SyncEvent::MutexRequest { tick, .. } => Some(("a mutex lock", tick)),
-                SyncEvent::CondWaitBegin { tick, .. } => Some(("a condvar wait", tick)),
-                SyncEvent::CondNotify { tick, .. } => Some(("a condvar notify", tick)),
+            .find_map(|e| match e.kind {
+                EventKind::MutexRequest { .. } => Some(("a mutex lock", e.tick)),
+                EventKind::CondWaitBegin { .. } => Some(("a condvar wait", e.tick)),
+                EventKind::CondNotify { .. } => Some(("a condvar notify", e.tick)),
                 _ => None,
             });
         if let Some((what, dtick)) = decision {
@@ -183,17 +186,17 @@ pub fn relaxed_load_decision(trace: &SyncTrace) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::SyncTraceBuilder;
 
-    fn trace_with_locs(labels: &[&str], events: Vec<SyncEvent>) -> SyncTrace {
-        let mut b = SyncTraceBuilder::new();
-        for l in labels {
-            b.loc_id(l);
+    fn ev(tid: u32, tick: u64, kind: EventKind) -> ObsEvent {
+        ObsEvent { tid, tick, kind }
+    }
+
+    fn trace_with_locs(labels: &[&str], events: Vec<ObsEvent>) -> SyncTrace {
+        SyncTrace {
+            events,
+            loc_labels: labels.iter().map(|l| (*l).to_owned()).collect(),
+            ..SyncTrace::default()
         }
-        for e in events {
-            b.push(e);
-        }
-        b.finish()
     }
 
     #[test]
@@ -201,24 +204,23 @@ mod tests {
         let t = trace_with_locs(
             &["flag"],
             vec![
-                SyncEvent::AtomicStore {
-                    tid: 1,
-                    loc: 0,
-                    tick: 1,
-                    rmw: false,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 2,
-                    loc: 0,
-                    tick: 2,
-                    write: true,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 2,
-                    loc: 0,
-                    tick: 3,
-                    write: false,
-                },
+                ev(1, 1, EventKind::AtomicStore { loc: 0, rmw: false }),
+                ev(
+                    2,
+                    2,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: true,
+                    },
+                ),
+                ev(
+                    2,
+                    3,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: false,
+                    },
+                ),
             ],
         );
         let f = mixed_atomic_plain(&t);
@@ -233,19 +235,23 @@ mod tests {
         let t = trace_with_locs(
             &["a", "p"],
             vec![
-                SyncEvent::AtomicLoad {
-                    tid: 1,
-                    loc: 0,
-                    tick: 1,
-                    relaxed: false,
-                    writer: 1,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 1,
-                    loc: 1,
-                    tick: 2,
-                    write: true,
-                },
+                ev(
+                    1,
+                    1,
+                    EventKind::AtomicLoad {
+                        loc: 0,
+                        relaxed: false,
+                        writer: 1,
+                    },
+                ),
+                ev(
+                    1,
+                    2,
+                    EventKind::PlainAccess {
+                        loc: 1,
+                        write: true,
+                    },
+                ),
             ],
         );
         assert!(mixed_atomic_plain(&t).is_empty());
@@ -256,18 +262,16 @@ mod tests {
         let t = trace_with_locs(
             &[],
             vec![
-                SyncEvent::CondWaitReturn {
-                    tid: 1,
-                    cond: 0,
-                    mutex: 0,
-                    tick: 5,
-                    signaled: true,
-                },
-                SyncEvent::MutexRelease {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 6,
-                },
+                ev(
+                    1,
+                    5,
+                    EventKind::CondWaitReturn {
+                        cond: 0,
+                        mutex: 0,
+                        signaled: true,
+                    },
+                ),
+                ev(1, 6, EventKind::MutexRelease { mutex: 0 }),
             ],
         );
         let f = condvar_no_recheck(&t);
@@ -279,46 +283,39 @@ mod tests {
     fn wait_followed_by_read_or_rewait_is_clean() {
         // Predicate read before the release.
         let read_then_release = vec![
-            SyncEvent::CondWaitReturn {
-                tid: 1,
-                cond: 0,
-                mutex: 0,
-                tick: 5,
-                signaled: true,
-            },
-            SyncEvent::PlainAccess {
-                tid: 1,
-                loc: 0,
-                tick: 5,
-                write: false,
-            },
-            SyncEvent::MutexRelease {
-                tid: 1,
-                mutex: 0,
-                tick: 6,
-            },
+            ev(
+                1,
+                5,
+                EventKind::CondWaitReturn {
+                    cond: 0,
+                    mutex: 0,
+                    signaled: true,
+                },
+            ),
+            ev(
+                1,
+                5,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: false,
+                },
+            ),
+            ev(1, 6, EventKind::MutexRelease { mutex: 0 }),
         ];
         assert!(condvar_no_recheck(&trace_with_locs(&["p"], read_then_release)).is_empty());
         // While-loop shape: the wait releases the guard and waits again.
         let rewait = vec![
-            SyncEvent::CondWaitReturn {
-                tid: 1,
-                cond: 0,
-                mutex: 0,
-                tick: 5,
-                signaled: false,
-            },
-            SyncEvent::CondWaitBegin {
-                tid: 1,
-                cond: 0,
-                mutex: 0,
-                tick: 6,
-            },
-            SyncEvent::MutexRelease {
-                tid: 1,
-                mutex: 0,
-                tick: 6,
-            },
+            ev(
+                1,
+                5,
+                EventKind::CondWaitReturn {
+                    cond: 0,
+                    mutex: 0,
+                    signaled: false,
+                },
+            ),
+            ev(1, 6, EventKind::CondWaitBegin { cond: 0, mutex: 0 }),
+            ev(1, 6, EventKind::MutexRelease { mutex: 0 }),
         ];
         assert!(condvar_no_recheck(&trace_with_locs(&[], rewait)).is_empty());
     }
@@ -328,24 +325,24 @@ mod tests {
         let t = trace_with_locs(
             &["p"],
             vec![
-                SyncEvent::CondWaitReturn {
-                    tid: 1,
-                    cond: 0,
-                    mutex: 0,
-                    tick: 5,
-                    signaled: true,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 2,
-                    loc: 0,
-                    tick: 5,
-                    write: false,
-                },
-                SyncEvent::MutexRelease {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 6,
-                },
+                ev(
+                    1,
+                    5,
+                    EventKind::CondWaitReturn {
+                        cond: 0,
+                        mutex: 0,
+                        signaled: true,
+                    },
+                ),
+                ev(
+                    2,
+                    5,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: false,
+                    },
+                ),
+                ev(1, 6, EventKind::MutexRelease { mutex: 0 }),
             ],
         );
         assert_eq!(condvar_no_recheck(&t).len(), 1);
@@ -356,18 +353,16 @@ mod tests {
         let t = trace_with_locs(
             &["ready"],
             vec![
-                SyncEvent::AtomicLoad {
-                    tid: 1,
-                    loc: 0,
-                    tick: 3,
-                    relaxed: true,
-                    writer: 2,
-                },
-                SyncEvent::MutexRequest {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 4,
-                },
+                ev(
+                    1,
+                    3,
+                    EventKind::AtomicLoad {
+                        loc: 0,
+                        relaxed: true,
+                        writer: 2,
+                    },
+                ),
+                ev(1, 4, EventKind::MutexRequest { mutex: 0 }),
             ],
         );
         let f = relaxed_load_decision(&t);
@@ -383,31 +378,27 @@ mod tests {
             &["x"],
             vec![
                 // Acquire load: synchronises, not the §6 hazard.
-                SyncEvent::AtomicLoad {
-                    tid: 1,
-                    loc: 0,
-                    tick: 1,
-                    relaxed: false,
-                    writer: 2,
-                },
-                SyncEvent::MutexRequest {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 2,
-                },
+                ev(
+                    1,
+                    1,
+                    EventKind::AtomicLoad {
+                        loc: 0,
+                        relaxed: false,
+                        writer: 2,
+                    },
+                ),
+                ev(1, 2, EventKind::MutexRequest { mutex: 0 }),
                 // Relaxed load of the thread's own store: no divergence.
-                SyncEvent::AtomicLoad {
-                    tid: 2,
-                    loc: 0,
-                    tick: 3,
-                    relaxed: true,
-                    writer: 2,
-                },
-                SyncEvent::MutexRequest {
-                    tid: 2,
-                    mutex: 0,
-                    tick: 4,
-                },
+                ev(
+                    2,
+                    3,
+                    EventKind::AtomicLoad {
+                        loc: 0,
+                        relaxed: true,
+                        writer: 2,
+                    },
+                ),
+                ev(2, 4, EventKind::MutexRequest { mutex: 0 }),
             ],
         );
         assert!(relaxed_load_decision(&t).is_empty());
@@ -417,13 +408,15 @@ mod tests {
     fn relaxed_load_without_nearby_visible_op_is_clean() {
         let t = trace_with_locs(
             &["stat"],
-            vec![SyncEvent::AtomicLoad {
-                tid: 1,
-                loc: 0,
-                tick: 1,
-                relaxed: true,
-                writer: 2,
-            }],
+            vec![ev(
+                1,
+                1,
+                EventKind::AtomicLoad {
+                    loc: 0,
+                    relaxed: true,
+                    writer: 2,
+                },
+            )],
         );
         assert!(relaxed_load_decision(&t).is_empty());
     }

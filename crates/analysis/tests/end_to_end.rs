@@ -1,11 +1,18 @@
 //! End-to-end tests: the analysis passes driven through the full runtime
-//! stack (sync-event trace collection in `tsan11rec`, workloads from
+//! stack (event-log collection in `tsan11rec`, workloads from
 //! `srr-apps`), and the demo linter over genuinely recorded demos.
 
 use srr_apps::harness::Tool;
 use srr_apps::hazards::{self, AbBaParams};
 use srr_apps::{client, httpd};
-use tsan11rec::{Execution, FindingKind, Outcome};
+use tsan11rec::{Execution, FindingKind, Outcome, TraceSpec};
+
+/// The sync class alone: what the deadlock and misuse passes read.
+const SYNC: TraceSpec = TraceSpec {
+    schedule: false,
+    sync: true,
+    access: false,
+};
 
 fn deadlock_findings(report: &tsan11rec::ExecReport) -> Vec<&tsan11rec::Finding> {
     report
@@ -19,7 +26,7 @@ fn deadlock_findings(report: &tsan11rec::ExecReport) -> Vec<&tsan11rec::Finding>
 /// reported even though this particular schedule never deadlocked.
 #[test]
 fn completed_abba_run_is_flagged_as_potential_deadlock() {
-    let report = Execution::new(Tool::Queue.config([7, 11]).with_sync_trace())
+    let report = Execution::new(Tool::Queue.config([7, 11]).with_trace(SYNC))
         .run(hazards::ab_ba_locks(AbBaParams::default()));
     assert_eq!(report.outcome, Outcome::Completed);
     let dl = deadlock_findings(&report);
@@ -39,9 +46,9 @@ fn completed_abba_run_is_flagged_as_potential_deadlock() {
 /// though the acquire never happened.
 #[test]
 fn deadlocked_abba_run_reports_the_same_cycle() {
-    let completed = Execution::new(Tool::Queue.config([7, 11]).with_sync_trace())
+    let completed = Execution::new(Tool::Queue.config([7, 11]).with_trace(SYNC))
         .run(hazards::ab_ba_locks(AbBaParams::default()));
-    let wedged = Execution::new(Tool::Queue.config([7, 11]).with_sync_trace()).run(
+    let wedged = Execution::new(Tool::Queue.config([7, 11]).with_trace(SYNC)).run(
         hazards::ab_ba_locks(AbBaParams {
             force_deadlock: true,
         }),
@@ -64,7 +71,7 @@ fn deadlocked_abba_run_reports_the_same_cycle() {
 #[test]
 fn well_ordered_workloads_produce_no_deadlock_findings() {
     let params = httpd::HttpdParams::default();
-    let report = Execution::new(Tool::Queue.config([3, 5]).with_sync_trace())
+    let report = Execution::new(Tool::Queue.config([3, 5]).with_trace(SYNC))
         .setup(move |vos| (httpd::world(params))(vos))
         .run(httpd::server(params));
     assert!(report.outcome.is_ok(), "{:?}", report.outcome);
@@ -143,7 +150,7 @@ fn recorded_demos_lint_clean_and_truncation_is_line_precise() {
 
 /// The misuse lints ride the same end-to-end path. The mixed-access
 /// lint needs the plain-access stream, which is opt-in via
-/// `with_access_trace()` (it implies the sync trace).
+/// `with_access_trace()` (it keeps the sync class too).
 #[test]
 fn misuse_lints_fire_through_the_full_stack() {
     let mixed = Execution::new(Tool::Queue.config([7, 11]).with_access_trace())
@@ -153,7 +160,7 @@ fn misuse_lints_fire_through_the_full_stack() {
         .iter()
         .any(|f| f.kind == FindingKind::MixedAtomicPlain));
 
-    let cond = Execution::new(Tool::Queue.config([7, 11]).with_sync_trace())
+    let cond = Execution::new(Tool::Queue.config([7, 11]).with_trace(SYNC))
         .run(hazards::cond_no_recheck());
     assert!(cond
         .analysis
@@ -161,7 +168,7 @@ fn misuse_lints_fire_through_the_full_stack() {
         .any(|f| f.kind == FindingKind::CondvarNoRecheck));
 
     let relaxed =
-        Execution::new(Tool::Queue.config([7, 11]).with_sync_trace()).run(hazards::relaxed_guard());
+        Execution::new(Tool::Queue.config([7, 11]).with_trace(SYNC)).run(hazards::relaxed_guard());
     assert!(relaxed
         .analysis
         .iter()

@@ -519,7 +519,7 @@ fn usage() -> String {
         "  srr vet       <path>... [--allow FILE|none] [--json] [--out FILE]",
         "  srr plan      <path>... [--allow FILE|none] [--json] [--out FILE]",
         "  srr trace     <workload> [--demo DIR] [--ring N] [-o FILE]",
-        "  srr profile   <workload> --demo DIR [--ring N] [--json] [-o FILE] [--folded FILE]",
+        "  srr profile   <workload> --demo DIR [--json] [-o FILE] [--folded FILE]",
         "  srr stats     <report.json> [--vet FILE] [-o FILE]",
         "",
         "tools: native, tsan11, rr, tsan11+rr, rnd, queue, pct, delay",
@@ -531,8 +531,12 @@ fn usage() -> String {
         "it), and with --predict feeds `srr predict` candidates back as directed",
         "search targets. Exit 2 when distinct signatures were found.",
         "",
+        "trace runs or replays with the schedule traced and writes a Chrome trace;",
+        "--ring N keeps the last N events of each track (default 256), cut at",
+        "export.",
+        "",
         "profile replays a recorded demo and walks the critical path backwards",
-        "through the sync trace, attributing every logical tick to a bucket: lock",
+        "through the sync events, attributing every logical tick to a bucket: lock",
         "wait/held time per lock site, condvar waits, join stalls, per-thread",
         "on-CPU time. Bucket totals sum exactly to the replay's tick count and",
         "`--json` output is byte-identical across runs of the same demo.",
@@ -945,7 +949,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
             }
             let (setup, program) = (w.setup, w.program);
             // Under `--plan` the recording runs sparse (statically
-            // proven plain sites never hit the trace ring) and the
+            // proven plain sites never reach the event log) and the
             // proven labels are pruned before witness synthesis.
             let run = match &plan_report {
                 Some(p) => {
@@ -1292,7 +1296,8 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
         "trace" => {
             let name = args.positional.first().ok_or("trace needs a workload")?;
             let w = find_workload(name)?;
-            let spec = TraceSpec::new().with_ring_capacity(args.ring.unwrap_or(256));
+            // The last N events per track, cut at export.
+            let ring = Some(args.ring.unwrap_or(256));
             let setup = w.setup;
             let report = if let Some(dir) = &args.demo {
                 let demo = Demo::load_dir(dir).map_err(|e| format!("loading demo: {e}"))?;
@@ -1302,7 +1307,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                     config = config.with_sparse(parse_sparse(sp)?);
                 }
                 println!("tracing `{}` replaying {}", w.name, dir.display());
-                Execution::new(config.with_trace(spec).with_schedule_trace())
+                Execution::new(config.with_trace(TraceSpec::SCHEDULE))
                     .setup(setup)
                     .replay(&demo, w.program)
             } else {
@@ -1313,7 +1318,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                     ));
                 }
                 println!("tracing `{}` under {tool}", w.name);
-                Execution::new(config.with_trace(spec).with_schedule_trace())
+                Execution::new(config.with_trace(TraceSpec::SCHEDULE))
                     .setup(setup)
                     .run(w.program)
             };
@@ -1321,7 +1326,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                 .out
                 .clone()
                 .unwrap_or_else(|| PathBuf::from(format!("trace_{name}.json")));
-            let mut trace = chrome_trace(&report.obs);
+            let mut trace = chrome_trace(&report.sync_trace, ring);
             // Embed the desync diagnostics so `srr stats --vet` can join
             // the diverged stream against a static escape map offline.
             if let (Some(diag), Json::Obj(fields)) = (&report.obs.desync, &mut trace) {
@@ -1331,7 +1336,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
             println!("outcome:      {:?}", report.outcome);
             println!("tick latency: {}", report.obs.tick_latency.summary());
             println!("run lengths:  {}", report.obs.run_lengths.summary());
-            let timeline = text_timeline(&report.obs);
+            let timeline = text_timeline(&report.sync_trace, &report.obs, ring);
             let lines: Vec<&str> = timeline.lines().collect();
             let tail = 20usize;
             if lines.len() > tail {
@@ -1366,14 +1371,11 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
             if let Some(sp) = &args.sparse {
                 config = config.with_sparse(parse_sparse(sp)?);
             }
-            let spec = TraceSpec::new().with_ring_capacity(args.ring.unwrap_or(256));
             let setup = w.setup;
-            let report = Execution::new(
-                config
-                    .with_trace(spec)
-                    .with_schedule_trace()
-                    .with_sync_trace(),
-            )
+            let report = Execution::new(config.with_trace(TraceSpec {
+                sync: true,
+                ..TraceSpec::SCHEDULE
+            }))
             .setup(setup)
             .replay(&demo, w.program);
             if let Some(diag) = &report.obs.desync {
@@ -1382,7 +1384,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                     diag.render()
                 );
             }
-            let prof = srr_obs::profile(&report.profile_input());
+            let prof = srr_obs::profile(&report.sync_trace);
             if let Some(folded) = &args.folded {
                 write_output(folded, &prof.folded_stacks())?;
                 eprintln!("folded stacks: {}", folded.display());
@@ -2277,12 +2279,11 @@ mod tests {
         let report = Execution::new(
             Tool::QueueRec
                 .config(demo.header.seeds)
-                .with_trace(TraceSpec::new().with_ring_capacity(128))
-                .with_schedule_trace(),
+                .with_trace(TraceSpec::SCHEDULE),
         )
         .with_vos(ptrmap::aslr_world(999))
         .replay(&demo, ptrmap::ptrmap(ptrmap::PtrMapParams::default()));
-        let mut trace = chrome_trace(&report.obs);
+        let mut trace = chrome_trace(&report.sync_trace, Some(128));
         if let (Some(diag), Json::Obj(fields)) = (&report.obs.desync, &mut trace) {
             fields.push(("desync".to_owned(), diag.to_json()));
         }

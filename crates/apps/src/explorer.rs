@@ -226,20 +226,32 @@ mod tests {
         assert!(out.findings.iter().all(|f| f.demo_path.is_none()));
     }
 
+    /// Two sibling threads write one `Shared` with nothing ordering the
+    /// writes, and main joins them only after spawning both: the run
+    /// races on every schedule, whatever order the threads arrive in.
+    fn sibling_writes() {
+        let cell = std::sync::Arc::new(tsan11rec::Shared::new("cell", 0u64));
+        let writers: Vec<_> = (1..=2u64)
+            .map(|v| {
+                let cell = std::sync::Arc::clone(&cell);
+                tsan11rec::thread::spawn(move || cell.write(v))
+            })
+            .collect();
+        for w in writers {
+            w.join();
+        }
+    }
+
     #[test]
     fn recording_strategies_spool_demos() {
         let spool = std::env::temp_dir().join(format!("srr-explorer-spool-{}", std::process::id()));
         std::fs::create_dir_all(&spool).unwrap();
-        let out =
-            run_shard(&task("queue", 0, 6), |_| {}, barrier(), Some(&spool)).expect("shard runs");
-        let spooled: Vec<&Finding> = out
-            .findings
-            .iter()
-            .filter(|f| f.demo_path.is_some())
-            .collect();
-        assert!(!spooled.is_empty(), "queue spools demos for findings");
-        for f in &spooled {
-            let dir = std::path::PathBuf::from(f.demo_path.clone().unwrap());
+        let out = run_shard(&task("queue", 0, 6), |_| {}, sibling_writes, Some(&spool))
+            .expect("shard runs");
+        assert_eq!(out.races, 6, "every schedule races");
+        assert!(!out.findings.is_empty());
+        for f in &out.findings {
+            let dir = std::path::PathBuf::from(f.demo_path.clone().expect("queue spools a demo"));
             assert!(dir.join("HEADER").exists(), "saved demo at {dir:?}");
         }
         let _ = std::fs::remove_dir_all(&spool);

@@ -451,7 +451,7 @@ mod tests {
                 .sync_trace
                 .events
                 .iter()
-                .any(|e| matches!(e, srr_analysis::SyncEvent::PlainAccess { .. })),
+                .any(|e| matches!(e.kind, tsan11rec::obs::EventKind::PlainAccess { .. })),
             "access trace must record the plain writes"
         );
     }
@@ -467,7 +467,7 @@ mod tests {
         r.sync_trace
             .events
             .iter()
-            .filter(|e| matches!(e, srr_analysis::SyncEvent::PlainAccess { .. }))
+            .filter(|e| matches!(e.kind, tsan11rec::obs::EventKind::PlainAccess { .. }))
             .count()
     }
 

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tsan11rec::{Condvar, Config, ExecReport, Execution, Mode, Mutex, Strategy};
+use tsan11rec::{Condvar, Config, ExecReport, Execution, Mode, Mutex, Strategy, TraceSpec};
 
 /// A mutex+condvar-heavy workload: `PRODUCERS` producers push into a
 /// bounded buffer, `CONSUMERS` consumers drain it, everyone blocks on
@@ -113,7 +113,7 @@ pub fn config(strategy: Strategy, seeds: [u64; 2]) -> Config {
     Config::new(Mode::Tsan11Rec(strategy))
         .with_seeds(seeds)
         .without_liveness()
-        .with_schedule_trace()
+        .with_trace(TraceSpec::SCHEDULE)
 }
 
 pub fn run_once(strategy: Strategy, seeds: [u64; 2]) -> ExecReport {

@@ -50,7 +50,7 @@ use srr_apps::harness::Tool;
 use srr_apps::parsec::{fluidanimate, ParsecParams};
 use srr_apps::{hazards, httpd};
 use tsan11rec::vos::Vos;
-use tsan11rec::{soft_desync, Config, Demo, ExecReport, Execution};
+use tsan11rec::{soft_desync, Config, Demo, ExecReport, Execution, TraceSpec};
 
 /// Pinned golden seed, derived exactly like the CLI derives `--seed 7`.
 const SEED: u64 = 7;
@@ -70,7 +70,7 @@ fn config_for(tool: Tool) -> Config {
     // byte-identity, exactly as the sched determinism suite does.
     tool.config(seeds())
         .without_liveness()
-        .with_schedule_trace()
+        .with_trace(TraceSpec::SCHEDULE)
 }
 
 fn no_setup(_: &Vos) {}
@@ -193,7 +193,7 @@ fn replay_fixture(case: &Case, demo: &Demo) -> ExecReport {
         .tool
         .config(demo.header.seeds)
         .without_liveness()
-        .with_schedule_trace();
+        .with_trace(TraceSpec::SCHEDULE);
     Execution::new(cfg)
         .setup(case.setup)
         .replay(demo, case.program)

@@ -4,10 +4,14 @@
 
 mod common;
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use common::{bounded_buffer, config, fixture_dir};
+use srr_apps::harness::Tool;
+use srr_apps::httpd::{self, HttpdParams};
 use srr_replay::QueueStream;
+use tsan11rec::obs::TickDiff;
 use tsan11rec::{Demo, Execution, Strategy, TraceSpec};
 
 /// `queue` cut to the next ticks of its first `keep` sections.
@@ -39,8 +43,7 @@ fn corrupt_and_replay(keep: usize) -> (tsan11rec::ExecReport, Demo, Vec<(u32, u6
     std::fs::remove_dir_all(&tmp).ok();
     assert_eq!(corrupted.queue.ticks(), keep as u64);
 
-    let cfg =
-        config(Strategy::Queue, [11, 13]).with_trace(TraceSpec::new().with_ring_capacity(4096));
+    let cfg = config(Strategy::Queue, [11, 13]).with_trace(TraceSpec::SCHEDULE);
     let rep = Execution::new(cfg).replay(&corrupted, bounded_buffer);
     (rep, corrupted, full_order)
 }
@@ -112,10 +115,51 @@ fn diagnostics_skip_divergence_when_tracing_off() {
     let dir = fixture_dir("queue");
     let mut demo = Demo::load_dir(&dir).expect("fixture");
     demo.queue = truncated(&demo.queue, M);
-    let rep = Execution::new(config(Strategy::Queue, [11, 13])).replay(&demo, bounded_buffer);
+    let mut cfg = config(Strategy::Queue, [11, 13]);
+    cfg.trace = None;
+    let rep = Execution::new(cfg).replay(&demo, bounded_buffer);
     let hd = rep.desync().expect("hard desync");
     assert_eq!((hd.tick, hd.offset), (M as u64 + 1, M as u64));
     let diag = rep.obs.desync.as_ref().expect("diagnostics built");
     assert_eq!(diag.first_divergence, None, "no replayed schedule to diff");
     assert_eq!(diag.thread, None);
+}
+
+#[test]
+fn long_replay_diffs_the_whole_schedule() {
+    // The committed httpd profile fixture (1,356 ticks) with QUEUE cut
+    // at 1,000, traced as `srr trace --demo` traces it. The recording
+    // ends at position 1,000, where replay ran the owner of tick 1,001:
+    // the diff must read the run's whole schedule to say so, and the
+    // report keeps no more than the last eight events of each track.
+    const CUT: usize = 1000;
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/profile/httpd_demo");
+    let mut demo = Demo::load_dir(&dir).expect("httpd fixture");
+    let full_order = demo.queue.schedule_order();
+    assert_eq!(full_order.len(), 1356);
+    assert_eq!(
+        full_order[CUT].1,
+        CUT as u64 + 1,
+        "order entry CUT is tick CUT+1"
+    );
+    demo.queue = truncated(&demo.queue, CUT);
+
+    let cfg = Tool::QueueRec
+        .config(demo.header.seeds)
+        .with_trace(TraceSpec::SCHEDULE);
+    let rep = Execution::new(cfg)
+        .setup(|vos| (httpd::world(HttpdParams::default()))(vos))
+        .replay(&demo, httpd::server(HttpdParams::default()));
+    let diag = rep.obs.desync.as_ref().expect("a cut QUEUE hard-desyncs");
+    assert_eq!(
+        diag.first_divergence,
+        Some(TickDiff {
+            index: CUT,
+            recorded: None,
+            replayed: Some(full_order[CUT].0),
+        }),
+        "{}",
+        diag.render()
+    );
+    assert!(diag.last_events.iter().all(|t| t.events.len() <= 8));
 }

@@ -2,13 +2,13 @@
 
 use srr_apps::client::{client, world, ClientParams};
 use srr_apps::harness::Tool;
-use tsan11rec::Execution;
+use tsan11rec::{Execution, TraceSpec};
 
 #[test]
 fn queue_client_record_replay_traces_match() {
     let params = ClientParams::default();
     let mut config = Tool::QueueRec.config([4, 8]);
-    config = config.with_schedule_trace();
+    config = config.with_trace(TraceSpec::SCHEDULE);
     let (rec_report, demo) = Execution::new(config.clone())
         .setup(world(params))
         .record(client(params));

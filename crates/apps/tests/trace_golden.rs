@@ -1,28 +1,46 @@
 //! Golden test for the Chrome trace exporter: replaying the committed
-//! queue fixture twice with tracing on must produce byte-identical
+//! queue fixture with the schedule traced must export exactly the
+//! committed golden, so every replay exports byte-identical
 //! `trace_event` JSON, and that JSON must round-trip through the parser.
 
 mod common;
+
+use std::path::PathBuf;
 
 use common::{bounded_buffer, config, fixture_dir};
 use tsan11rec::obs::Json;
 use tsan11rec::{chrome_trace, Demo, Execution, Strategy, TraceSpec};
 
-// The ring must be large enough that no events are evicted: wakeup
-// events (timing-dependent, excluded from the export) share the
-// scheduler ring with decision/cursor events (deterministic, exported),
-// so under wraparound the eviction point itself would vary between runs.
+// The export keeps every track whole (no `--ring` cut): wakeup events
+// are timing-dependent and never exported, and with nothing cut they
+// cannot move which deterministic events survive either.
 fn traced_replay(demo: &Demo) -> String {
-    let cfg =
-        config(Strategy::Queue, [11, 13]).with_trace(TraceSpec::new().with_ring_capacity(4096));
+    let cfg = config(Strategy::Queue, [11, 13]).with_trace(TraceSpec::SCHEDULE);
     let rep = Execution::new(cfg).replay(demo, bounded_buffer);
     assert!(
         rep.desync().is_none(),
         "fixture replay must stay in sync: {:?}",
         rep.outcome
     );
-    assert!(rep.obs.enabled, "tracing was requested");
-    chrome_trace(&rep.obs).to_pretty()
+    assert!(!rep.sync_trace.is_empty(), "tracing was requested");
+    chrome_trace(&rep.sync_trace, None).to_pretty()
+}
+
+#[test]
+fn chrome_trace_matches_the_golden() {
+    // The golden holds the export one record per line; it parses to the
+    // same document the exporter builds.
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/trace/queue_chrome.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("golden {} unreadable: {e}", path.display()));
+    let golden = Json::parse(&text).expect("golden is valid JSON");
+    let demo = Demo::load_dir(&fixture_dir("queue")).expect("fixture");
+    assert!(
+        traced_replay(&demo) == golden.to_pretty(),
+        "the Chrome export of the queue fixture's replay drifted from {}",
+        path.display()
+    );
 }
 
 #[test]

@@ -23,7 +23,7 @@ fn plain_events(r: &ExecReport) -> usize {
     r.sync_trace
         .events
         .iter()
-        .filter(|e| matches!(e, srr_analysis::SyncEvent::PlainAccess { .. }))
+        .filter(|e| matches!(e.kind, srr_obs::EventKind::PlainAccess { .. }))
         .count()
 }
 

@@ -6,9 +6,9 @@
 //!
 //! * **plain replay** — the demo replayed with every trace plane off
 //!   (the baseline `srr replay` path);
-//! * **profiled replay** — the same demo under
-//!   `with_trace + with_schedule_trace + with_sync_trace` plus the
-//!   critical-path walk itself (the full `srr profile` path). The gate
+//! * **profiled replay** — the same demo with the schedule and sync
+//!   classes traced, plus the critical-path walk itself (the full
+//!   `srr profile` path). The gate
 //!   bounds profiled/plain: profiling is a diagnostic replay, not a tax
 //!   on recording;
 //! * **metrics on/off** — a normal controlled run with and without
@@ -53,19 +53,20 @@ fn replay_plain(demo: &Demo) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// One fully profiled replay (trace rings + schedule + sync trace + the
+/// One fully profiled replay (schedule and sync classes traced, plus the
 /// critical-path walk); returns elapsed ms.
 fn replay_profiled(demo: &Demo) -> f64 {
     let config = Tool::QueueRec
         .config(demo.header.seeds)
-        .with_trace(TraceSpec::new().with_ring_capacity(256))
-        .with_schedule_trace()
-        .with_sync_trace();
+        .with_trace(TraceSpec {
+            sync: true,
+            ..TraceSpec::SCHEDULE
+        });
     let t = Instant::now();
     let report = Execution::new(config)
         .setup(httpd_setup)
         .replay(demo, httpd_program);
-    let prof = srr_obs::profile(&report.profile_input());
+    let prof = srr_obs::profile(&report.sync_trace);
     let ms = t.elapsed().as_secs_f64() * 1e3;
     assert!(report.outcome.is_ok(), "{:?}", report.outcome);
     assert_eq!(

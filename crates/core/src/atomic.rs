@@ -9,8 +9,8 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering as StdOrd};
 
-use srr_analysis::SyncEvent;
 use srr_memmodel::MemOrder;
+use srr_obs::EventKind;
 
 use crate::ids::AtomicId;
 use crate::runtime::{current_rt, with_ctx};
@@ -160,13 +160,14 @@ impl<T: Scalar> Atomic<T> {
         })
         .expect("context present");
         if let Some(loc) = self.trace_loc {
-            rt.sync_event(|tick| SyncEvent::AtomicLoad {
-                tid: tid.0,
-                loc,
-                tick,
-                relaxed: order == MemOrder::Relaxed,
-                writer: writer as u32,
-            });
+            rt.sync_event(
+                tid,
+                EventKind::AtomicLoad {
+                    loc,
+                    relaxed: order == MemOrder::Relaxed,
+                    writer: writer as u32,
+                },
+            );
         }
         rt.exit(tid);
         T::from_bits(bits)
@@ -185,12 +186,7 @@ impl<T: Scalar> Atomic<T> {
             ctx.view.tick(); // after publication (FastTrack discipline)
         });
         if let Some(loc) = self.trace_loc {
-            rt.sync_event(|tick| SyncEvent::AtomicStore {
-                tid: tid.0,
-                loc,
-                tick,
-                rmw: false,
-            });
+            rt.sync_event(tid, EventKind::AtomicStore { loc, rmw: false });
         }
         self.native.store(value.to_bits(), StdOrd::Relaxed);
         rt.exit(tid);
@@ -229,12 +225,7 @@ impl<T: Scalar> Atomic<T> {
         })
         .expect("context present");
         if let Some(loc) = self.trace_loc {
-            rt.sync_event(|tick| SyncEvent::AtomicStore {
-                tid: tid.0,
-                loc,
-                tick,
-                rmw: true,
-            });
+            rt.sync_event(tid, EventKind::AtomicStore { loc, rmw: true });
         }
         self.native
             .store(f(T::from_bits(old)).to_bits(), StdOrd::Relaxed);
@@ -296,12 +287,7 @@ impl<T: Scalar> Atomic<T> {
         .expect("context present");
         if res.is_ok() {
             if let Some(loc) = self.trace_loc {
-                rt.sync_event(|tick| SyncEvent::AtomicStore {
-                    tid: tid.0,
-                    loc,
-                    tick,
-                    rmw: true,
-                });
+                rt.sync_event(tid, EventKind::AtomicStore { loc, rmw: true });
             }
             self.native.store(new.to_bits(), StdOrd::Relaxed);
         }

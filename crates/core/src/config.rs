@@ -215,7 +215,7 @@ pub enum PlanDecision {
     /// A statically proven `Conflict` site (or no plan armed): record.
     Record,
     /// Statically proven `Local`/`Guarded`: the access still feeds the
-    /// race detector but is filtered out of the trace ring.
+    /// race detector but is filtered out of the event log.
     Filtered,
     /// The plan has never heard of this label — the plan is stale or
     /// the label is built at runtime. Fail open: record, and flag it.
@@ -228,7 +228,7 @@ pub enum PlanDecision {
 /// the CLI/harness; srr-core stays independent of the analysis crate.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AccessPlan {
-    /// Labels whose accesses stay in the trace ring.
+    /// Labels whose accesses stay in the event log.
     record: BTreeSet<String>,
     /// Every label the plan classified (recorded or filtered).
     known: BTreeSet<String>,
@@ -311,26 +311,18 @@ pub struct Config {
     /// Record the allocator's address stream (comprehensive, rr-style
     /// recorders only — sparse tsan11rec deliberately does not, §5.5).
     pub record_alloc: bool,
-    /// Collect the full `(tid, tick)` schedule trace into the report
-    /// (diagnostics; off by default).
-    pub trace_schedule: bool,
-    /// Collect the structured synchronisation-event trace and run the
-    /// offline analysis passes (`srr-analysis`) over it at the end of the
-    /// run. Controlled modes only; off by default.
-    pub trace_sync: bool,
     /// Run the race detector and weak memory model. Disabled by the
     /// plain-rr baseline, which sequentializes and records but performs
     /// no analysis (§5's "rr" rows, as opposed to "tsan11 + rr").
     pub detect_races: bool,
-    /// Structured observability tracing (`srr-obs`): per-thread event
-    /// rings, latency histograms and exporters. `None` (the default)
-    /// means no collector is even constructed, so the hot path pays only
-    /// an `Option` check.
+    /// The event log (`srr-obs`) and the classes it keeps: the schedule
+    /// (ticks, decisions, wakeups, signals, syscall and cursor markers,
+    /// desyncs), sync operations, and plain accesses. With the sync class
+    /// kept, the offline analysis passes (`srr-analysis`) run over the
+    /// log at the end of the run. Sync and access events need a
+    /// controlled mode. `None` (the default) means no collector is even
+    /// constructed, so every emit site pays only an `Option` check.
     pub trace: Option<TraceSpec>,
-    /// Also emit plain `Shared` accesses into the sync-event trace
-    /// (needed by predictive race detection; off by default because
-    /// plain accesses dominate trace volume). Requires `trace_sync`.
-    pub trace_access: bool,
     /// Pair-targeted race checking: `(location label, tid A, tid B)`.
     /// When the detector fires on that location between those threads,
     /// `ExecReport::race_target_hit` is set — how witness replays confirm
@@ -340,8 +332,8 @@ pub struct Config {
     /// scheduler, the vOS and the demo-stream accounting publish named
     /// counters here; `None` (the default) skips registration entirely.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Static sparsification plan (`srr plan`): when set (implies
-    /// `trace_access`), only `Conflict`-classified labels emit
+    /// Static sparsification plan (`srr plan`): when set (implies the
+    /// access class), only `Conflict`-classified labels emit
     /// `PlainAccess` trace events — sparse by proof. Unplanned labels
     /// fail open (recorded + counted as plan staleness). Race
     /// detection itself is unaffected; the plan filters the *trace*.
@@ -361,11 +353,8 @@ impl Config {
             history_cap: srr_memmodel::DEFAULT_HISTORY_CAP,
             signal_target: 0,
             record_alloc: false,
-            trace_schedule: false,
-            trace_sync: false,
             detect_races: true,
             trace: None,
-            trace_access: false,
             race_target: None,
             metrics: None,
             access_plan: None,
@@ -414,20 +403,6 @@ impl Config {
         self
     }
 
-    /// Enables schedule tracing (diagnostics).
-    #[must_use]
-    pub fn with_schedule_trace(mut self) -> Self {
-        self.trace_schedule = true;
-        self
-    }
-
-    /// Enables sync-event tracing and post-run analysis.
-    #[must_use]
-    pub fn with_sync_trace(mut self) -> Self {
-        self.trace_sync = true;
-        self
-    }
-
     /// Disables race detection and the weak memory model entirely
     /// (visible operations remain scheduling points). The plain-rr
     /// baseline configuration.
@@ -437,22 +412,24 @@ impl Config {
         self
     }
 
-    /// Enables structured observability tracing (event rings, histograms,
-    /// exporters) with the given spec.
+    /// Keeps the event classes `spec` names in the run's event log, on
+    /// top of any already configured.
     #[must_use]
     pub fn with_trace(mut self, spec: TraceSpec) -> Self {
-        self.trace = Some(spec);
+        self.trace = Some(self.trace.unwrap_or_default().union(spec));
         self
     }
 
-    /// Also records plain `Shared` accesses into the sync-event trace
-    /// (implies [`Config::with_sync_trace`]). Predictive race detection
-    /// needs the access stream; the misuse lints benefit from it too.
+    /// Keeps the sync and access classes: the input of the analysis
+    /// passes and of predictive race detection, which needs the plain
+    /// accesses.
     #[must_use]
-    pub fn with_access_trace(mut self) -> Self {
-        self.trace_sync = true;
-        self.trace_access = true;
-        self
+    pub fn with_access_trace(self) -> Self {
+        self.with_trace(TraceSpec {
+            sync: true,
+            access: true,
+            ..TraceSpec::default()
+        })
     }
 
     /// Attaches the unified metrics plane: scheduler wakeup/stall
@@ -478,10 +455,8 @@ impl Config {
     /// has never seen fail open (recorded, flagged as plan staleness).
     #[must_use]
     pub fn with_access_plan(mut self, plan: AccessPlan) -> Self {
-        self.trace_sync = true;
-        self.trace_access = true;
         self.access_plan = Some(Arc::new(plan));
-        self
+        self.with_access_trace()
     }
 }
 
@@ -584,8 +559,8 @@ mod tests {
     fn with_access_plan_implies_access_trace() {
         let c = Config::new(Mode::Tsan11Rec(Strategy::Queue))
             .with_access_plan(AccessPlan::new(["cell".to_owned()], []));
-        assert!(c.trace_sync);
-        assert!(c.trace_access);
+        let spec = c.trace.expect("tracing on");
+        assert!(spec.sync && spec.access);
         let plan = c.access_plan.as_ref().expect("plan armed");
         assert_eq!(plan.decide("cell"), PlanDecision::Record);
     }
@@ -602,21 +577,32 @@ mod tests {
         assert!(c.liveness.is_none());
         assert_eq!(c.signal_target, 2);
         assert!(c.trace.is_none(), "tracing is off by default");
-        let traced = c.with_trace(TraceSpec::new().with_ring_capacity(64));
-        assert_eq!(traced.trace.unwrap().ring_capacity, 64);
+        let schedule = TraceSpec {
+            schedule: true,
+            ..TraceSpec::default()
+        };
+        let traced = c.with_trace(schedule);
+        assert_eq!(traced.trace, Some(schedule));
     }
 
     #[test]
-    fn access_trace_implies_sync_trace() {
+    fn access_trace_keeps_sync_and_access_and_merges() {
         let c = Config::new(Mode::Tsan11Rec(Strategy::Queue)).with_access_trace();
-        assert!(c.trace_sync);
-        assert!(c.trace_access);
-        assert!(
-            !Config::new(Mode::Tsan11Rec(Strategy::Queue))
-                .with_sync_trace()
-                .trace_access,
-            "sync trace alone leaves plain accesses out"
+        assert_eq!(
+            c.trace,
+            Some(TraceSpec {
+                schedule: false,
+                sync: true,
+                access: true,
+            }),
+            "the preset leaves the schedule class out"
         );
+        let c = c.with_trace(TraceSpec {
+            schedule: true,
+            ..TraceSpec::default()
+        });
+        let spec = c.trace.unwrap();
+        assert!(spec.schedule && spec.sync && spec.access, "classes add up");
         let t = c.with_race_target("x", 2, 1);
         assert_eq!(t.race_target, Some(("x".to_owned(), 2, 1)));
     }

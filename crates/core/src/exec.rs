@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use srr_memmodel::ThreadView;
-use srr_obs::{DesyncDiagnostics, StreamCounter};
+use srr_obs::{DesyncDiagnostics, EventClass, ObsReport, StreamCounter};
 use srr_replay::{Demo, DemoHeader};
 use srr_vos::{AllocMode, Vos, VosConfig};
 
@@ -169,8 +169,6 @@ impl Execution {
 
         let strategy = config.mode.strategy();
         let liveness = config.liveness;
-        let trace_schedule = config.trace_schedule;
-        let trace_sync = config.trace_sync;
         let race_target = config.race_target.clone();
         let metrics = config.metrics.clone();
         let rt = Runtime::new(config, Arc::clone(&vos), seeds);
@@ -178,12 +176,6 @@ impl Execution {
             rt.racedet
                 .lock()
                 .set_target(label.clone(), *a as usize, *b as usize);
-        }
-        if trace_schedule && rt.mode().is_controlled() {
-            rt.sched().enable_trace();
-        }
-        if trace_sync && rt.mode().is_controlled() {
-            rt.enable_sync_trace();
         }
         if let Some(reg) = &metrics {
             if rt.mode().is_controlled() {
@@ -293,14 +285,15 @@ impl Execution {
             None
         };
 
-        let sync_trace = rt.take_sync_trace().unwrap_or_default();
-        let analysis = if sync_trace.events.is_empty() {
-            Vec::new()
-        } else {
+        let sync_trace = rt.obs.as_ref().map(|o| o.finish()).unwrap_or_default();
+        let analysis = if sync_trace.sync_events().next().is_some() {
             srr_analysis::analyze(&sync_trace)
+        } else {
+            Vec::new()
         };
+        let schedule_traced = rt.keeps(EventClass::Schedule);
 
-        let mut obs_report = rt.obs.as_ref().map(|o| o.finish()).unwrap_or_default();
+        let mut obs_report = ObsReport::of(&sync_trace);
         // Stream counters describe the demo the run produced or consumed,
         // and are reported even with the event trace off. Only a demo the
         // run produced is encoded: one binary encode sizes its streams and
@@ -320,7 +313,7 @@ impl Execution {
         };
         if let Outcome::HardDesync(hd) = &mut outcome {
             // Diagnose the divergence: the demo's intended schedule vs
-            // the ticks the trace actually saw (empty without tracing —
+            // the ticks the log saw (none without the schedule class —
             // the report still pinpoints the failing stream entry). The
             // run saw at most `ran` ticks, so the diff needs no more of
             // the demo's schedule than one past them.
@@ -334,7 +327,7 @@ impl Execution {
                 &hd.stream,
                 hd.offset,
                 &recorded,
-                &obs_report,
+                schedule_traced.then_some(&sync_trace),
             );
             hd.context.extend(diag.summary_lines());
             obs_report.desync = Some(diag);
@@ -353,11 +346,6 @@ impl Execution {
             console: vos.console(),
             demo_bytes,
             replay_leftover_syscalls: rt.replay_leftover(),
-            schedule_trace: rt
-                .sched
-                .as_ref()
-                .map(|s| s.take_trace())
-                .unwrap_or_default(),
             strace: vos.take_strace(),
             sync_trace,
             analysis,

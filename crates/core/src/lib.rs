@@ -68,7 +68,7 @@ pub use exec::Execution;
 pub use ids::{AtomicId, CondId, MutexId, Tid};
 pub use prng::Prng;
 pub use report::{
-    soft_desync, soft_desync_report, ExecReport, Outcome, PlanCounters, SchedCounters, TraceEvent,
+    soft_desync, soft_desync_report, ExecReport, Outcome, PlanCounters, SchedCounters,
 };
 pub use rwlock::{Barrier, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub use shared::{Shared, SharedArray};
@@ -76,7 +76,7 @@ pub use sync::{Condvar, Mutex, MutexGuard};
 
 // The memory orders and vOS types appear throughout program code; re-export
 // them so workloads depend on one crate.
-pub use srr_analysis::{Finding, FindingKind, SyncEvent, SyncTrace};
+pub use srr_analysis::{Finding, FindingKind, SyncTrace};
 pub use srr_memmodel::MemOrder;
 pub use srr_obs as obs;
 pub use srr_obs::{chrome_trace, text_timeline, DesyncDiagnostics, ObsOp, ObsReport, TraceSpec};

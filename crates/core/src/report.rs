@@ -7,64 +7,6 @@ use srr_obs::ObsReport;
 use srr_racedet::RaceReport;
 use srr_replay::{HardDesync, SoftDesync};
 
-/// One entry of the schedule trace: a scheduler transition observed at a
-/// `Wait()` success or a completed `Tick()` (§3.1), with the cumulative
-/// PRNG draw count for replay diffing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A `Wait()` success: `tid` was granted the critical section that
-    /// became tick `tick`.
-    Wait {
-        /// Thread granted the critical section.
-        tid: u32,
-        /// Tick assigned to the critical section.
-        tick: u64,
-        /// Cumulative PRNG draws at this point.
-        draws: u64,
-    },
-    /// A completed `Tick()`: `tid` closed critical section `tick`.
-    Tick {
-        /// Thread closing its critical section.
-        tid: u32,
-        /// Tick of the closed critical section.
-        tick: u64,
-        /// Cumulative PRNG draws at this point.
-        draws: u64,
-    },
-}
-
-impl TraceEvent {
-    /// The thread the event belongs to.
-    #[must_use]
-    pub fn tid(&self) -> u32 {
-        match *self {
-            TraceEvent::Wait { tid, .. } | TraceEvent::Tick { tid, .. } => tid,
-        }
-    }
-
-    /// The critical-section tick the event belongs to.
-    #[must_use]
-    pub fn tick(&self) -> u64 {
-        match *self {
-            TraceEvent::Wait { tick, .. } | TraceEvent::Tick { tick, .. } => tick,
-        }
-    }
-
-    /// Cumulative PRNG draws when the event was traced.
-    #[must_use]
-    pub fn draws(&self) -> u64 {
-        match *self {
-            TraceEvent::Wait { draws, .. } | TraceEvent::Tick { draws, .. } => draws,
-        }
-    }
-
-    /// Whether this is a `Wait()`-success marker.
-    #[must_use]
-    pub fn is_wait(&self) -> bool {
-        matches!(self, TraceEvent::Wait { .. })
-    }
-}
-
 /// Scheduler wakeup accounting (§3.1's `Wait()`/`Tick()` protocol).
 ///
 /// The counters make the cost of the wakeup mechanism observable: a
@@ -141,23 +83,20 @@ pub struct ExecReport {
     /// Replay-only: SYSCALL entries left unconsumed at exit (a nonzero
     /// value usually accompanies soft desynchronisation).
     pub replay_leftover_syscalls: usize,
-    /// Full schedule trace (only when `Config::with_schedule_trace` was
-    /// set). See [`ExecReport::tick_trace`] for the completed-`Tick()`
-    /// projection.
-    pub schedule_trace: Vec<TraceEvent>,
     /// vOS strace log (only when the vOS was configured with strace).
     pub strace: Vec<String>,
-    /// Structured synchronisation-event trace (only when
-    /// `Config::with_sync_trace` was set).
+    /// The run's event log: every event of the classes
+    /// `Config::with_trace` kept, once, in emission order (empty when
+    /// tracing was off). [`ExecReport::tick_trace`] is its schedule.
     pub sync_trace: SyncTrace,
     /// Findings from the offline analysis passes (`srr-analysis`), run
-    /// over `sync_trace` when `Config::with_sync_trace` was set.
+    /// over `sync_trace` when it kept sync or access events.
     pub analysis: Vec<Finding>,
     /// Scheduler wakeup counters (zeroed in uncontrolled modes).
     pub sched: SchedCounters,
-    /// Observability report: per-thread event traces and histograms when
-    /// `Config::with_trace` was set, stream counters whenever the run
-    /// recorded or replayed a demo.
+    /// Observability report: tick histograms from the schedule class of
+    /// `sync_trace`, stream counters whenever the run recorded or
+    /// replayed a demo, and desync diagnostics.
     pub obs: ObsReport,
     /// Access-plan accounting (`Config::with_access_plan`); all-zero when
     /// no plan was armed.
@@ -169,7 +108,7 @@ pub struct ExecReport {
 pub struct PlanCounters {
     /// Plain-access locations that consulted the plan at construction.
     pub sites: u64,
-    /// `PlainAccess` events suppressed from the trace ring.
+    /// `PlainAccess` events suppressed from the event log.
     pub filtered_events: u64,
     /// Labels the plan had never seen (recorded fail-open, sorted).
     /// Nonempty means the plan is stale relative to the workload.
@@ -191,82 +130,12 @@ impl ExecReport {
         String::from_utf8_lossy(&self.console).into_owned()
     }
 
-    /// The completed-`Tick()` entries of the schedule trace as
-    /// `(tid, tick)` pairs, with `Wait()`-success markers filtered out.
+    /// The schedule: `(tid, tick)` of every completed `Tick()`, in tick
+    /// order, from the event log (empty unless the schedule class was
+    /// traced).
     #[must_use]
     pub fn tick_trace(&self) -> Vec<(u32, u64)> {
-        self.schedule_trace
-            .iter()
-            .filter(|ev| !ev.is_wait())
-            .map(|ev| (ev.tid(), ev.tick()))
-            .collect()
-    }
-
-    /// The profiler's view of this run: the completed-tick schedule
-    /// (from the schedule trace) plus the critical-section-stamped sync
-    /// events, in logical time only. Feed to [`srr_obs::profile`].
-    /// Requires the run to have used `with_schedule_trace` and
-    /// `with_sync_trace`; with either off the input (and the resulting
-    /// profile) is empty.
-    #[must_use]
-    pub fn profile_input(&self) -> srr_obs::ProfileInput {
-        use srr_analysis::SyncEvent;
-        use srr_obs::ProfileEvent;
-        let mut events = Vec::with_capacity(self.sync_trace.events.len());
-        let mut mutexes = std::collections::BTreeSet::new();
-        for ev in &self.sync_trace.events {
-            match *ev {
-                SyncEvent::MutexRequest { tid, mutex, tick } => {
-                    mutexes.insert(mutex);
-                    events.push(ProfileEvent::MutexRequest { tid, mutex, tick });
-                }
-                SyncEvent::MutexAcquire { tid, mutex, tick } => {
-                    mutexes.insert(mutex);
-                    events.push(ProfileEvent::MutexAcquire { tid, mutex, tick });
-                }
-                SyncEvent::MutexRelease { tid, mutex, tick } => {
-                    mutexes.insert(mutex);
-                    events.push(ProfileEvent::MutexRelease { tid, mutex, tick });
-                }
-                SyncEvent::CondWaitBegin {
-                    tid, cond, tick, ..
-                } => events.push(ProfileEvent::CondWaitBegin { tid, cond, tick }),
-                SyncEvent::CondNotify { cond, tick, .. } => {
-                    events.push(ProfileEvent::CondNotify { cond, tick });
-                }
-                SyncEvent::ThreadSpawn { child, tick, .. } => {
-                    events.push(ProfileEvent::ThreadSpawn { child, tick });
-                }
-                SyncEvent::ThreadJoined {
-                    tid,
-                    target,
-                    tick,
-                    done,
-                } => events.push(ProfileEvent::ThreadJoin {
-                    tid,
-                    target,
-                    tick,
-                    done,
-                }),
-                // CondWaitReturn is stamped outside the critical section
-                // (its tick can vary between replays); atomics and plain
-                // accesses carry no blocking information. Neither feeds
-                // the tick arithmetic.
-                _ => {}
-            }
-        }
-        srr_obs::ProfileInput {
-            schedule: self
-                .tick_trace()
-                .into_iter()
-                .map(|(tid, tick)| (tick, tid))
-                .collect(),
-            events,
-            mutex_labels: mutexes
-                .into_iter()
-                .map(|m| (m, self.sync_trace.mutex_label(m)))
-                .collect(),
-        }
+        self.sync_trace.tick_order()
     }
 
     /// Whether any data race was detected.
@@ -344,7 +213,6 @@ mod tests {
             console: console.to_vec(),
             demo_bytes: None,
             replay_leftover_syscalls: 0,
-            schedule_trace: Vec::new(),
             strace: Vec::new(),
             sync_trace: SyncTrace::default(),
             analysis: Vec::new(),
@@ -372,34 +240,22 @@ mod tests {
     }
 
     #[test]
-    fn tick_trace_filters_wait_markers() {
+    fn tick_trace_reads_the_tick_ends() {
+        use srr_obs::{EventKind, ObsEvent, ObsOp};
         let mut r = report(Outcome::Completed, b"");
-        r.schedule_trace = vec![
-            TraceEvent::Wait {
-                tid: 0,
-                tick: 1,
-                draws: 0,
-            },
-            TraceEvent::Tick {
-                tid: 0,
-                tick: 1,
-                draws: 2,
-            },
-            TraceEvent::Wait {
-                tid: 1,
-                tick: 2,
-                draws: 2,
-            },
-            TraceEvent::Tick {
-                tid: 1,
-                tick: 2,
-                draws: 3,
-            },
+        let ev = |tid, tick, kind| ObsEvent { tid, tick, kind };
+        let end = EventKind::TickEnd {
+            dur_nanos: 0,
+            op: ObsOp::Other,
+        };
+        r.sync_trace.events = vec![
+            ev(0, 1, EventKind::TickBegin),
+            ev(0, 1, end),
+            ev(1, 2, EventKind::TickBegin),
+            ev(1, 2, EventKind::MutexAcquire { mutex: 0 }),
+            ev(1, 2, end),
         ];
         assert_eq!(r.tick_trace(), vec![(0, 1), (1, 2)]);
-        assert!(r.schedule_trace[0].is_wait());
-        assert_eq!(r.schedule_trace[0].tid(), 0);
-        assert_eq!(r.schedule_trace[3].draws(), 3);
     }
 
     #[test]

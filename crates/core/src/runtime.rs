@@ -14,9 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AOrd};
 use std::sync::Arc;
 
 use parking_lot::Mutex as PlMutex;
-use srr_analysis::{SyncEvent, SyncTrace, SyncTraceBuilder};
 use srr_memmodel::{AtomicCell, Chooser, ScFenceClock, ThreadView};
-use srr_obs::{EventKind, Obs, ObsOp, StreamId, SysKind};
+use srr_obs::{EventClass, EventKind, Obs, ObsOp, StreamId, SysKind, TraceSpec};
 use srr_racedet::RaceDetector;
 use srr_replay::{HardDesync, SyscallRecord};
 use srr_vclock::VectorClock;
@@ -141,16 +140,13 @@ pub(crate) struct Runtime {
     pub panic_note: PlMutex<Option<String>>,
     /// Free-mode visible-operation counter (controlled modes count ticks).
     pub free_ops: AtomicU32,
-    /// Structured sync-event trace builder (`Config::trace_sync`); `None`
-    /// when tracing is off.
-    pub sync_trace: PlMutex<Option<SyncTraceBuilder>>,
-    /// Observability collector (`Config::trace`); `None` when off, so
-    /// every hook below is a single `Option` check.
+    /// The event-log collector (`Config::trace`); `None` when off, so
+    /// every emit site is a single `Option` check and takes no lock.
     pub obs: Option<Arc<Obs>>,
     /// Plain-access sites that consulted the access plan (plan armed
     /// and `Shared`/`SharedArray` constructed).
     pub plan_sites: AtomicU64,
-    /// `PlainAccess` events suppressed from the trace ring by the plan.
+    /// `PlainAccess` events suppressed from the event log by the plan.
     pub plan_filtered: AtomicU64,
     /// Labels the plan had never seen (fail-open recording) — nonempty
     /// means the plan is stale relative to the workload.
@@ -163,9 +159,20 @@ impl Runtime {
             .mode
             .strategy()
             .map(|s| Scheduler::new(s, Prng::from_seeds(seeds)));
-        let obs = config.trace.map(|spec| Arc::new(Obs::new(spec)));
+        let obs = config.trace.map(|spec| {
+            // Sync and access events are stamped with the scheduler's
+            // tick, so uncontrolled runs keep the schedule class only.
+            let controlled = config.mode.is_controlled();
+            Arc::new(Obs::new(TraceSpec {
+                sync: spec.sync && controlled,
+                access: spec.access && controlled,
+                ..spec
+            }))
+        });
         if let (Some(sched), Some(obs)) = (&sched, &obs) {
-            sched.enable_obs(Arc::clone(obs));
+            if obs.spec().schedule {
+                sched.enable_obs(Arc::clone(obs));
+            }
         }
         let mut racedet = RaceDetector::new();
         racedet.set_reporting(config.report_races);
@@ -191,7 +198,6 @@ impl Runtime {
             stop_liveness: AtomicBool::new(false),
             panic_note: PlMutex::new(None),
             free_ops: AtomicU32::new(0),
-            sync_trace: PlMutex::new(None),
             obs,
             plan_sites: AtomicU64::new(0),
             plan_filtered: AtomicU64::new(0),
@@ -375,13 +381,8 @@ impl Runtime {
     }
 
     // ------------------------------------------------------------------
-    // Sync-event tracing (srr-analysis input)
+    // Sync and access events (srr-analysis input)
     // ------------------------------------------------------------------
-
-    /// Switches sync-event tracing on (start of an execution).
-    pub fn enable_sync_trace(&self) {
-        *self.sync_trace.lock() = Some(SyncTraceBuilder::new());
-    }
 
     /// Current scheduler tick for event stamping (0 when uncontrolled).
     pub fn sync_tick(&self) -> u64 {
@@ -391,34 +392,39 @@ impl Runtime {
         }
     }
 
-    /// Appends a sync event when tracing is enabled. `make` receives the
-    /// current tick; computing it locks scheduler state, so callers must
-    /// not hold runtime locks (`mem`, `mutexes`, `conds`) across this.
-    pub fn sync_event(&self, make: impl FnOnce(u64) -> SyncEvent) {
-        if self.sync_trace.lock().is_none() {
-            return;
+    /// Whether the event log keeps events of `class`.
+    pub fn keeps(&self, class: EventClass) -> bool {
+        self.obs.as_deref().is_some_and(|o| o.spec().keeps(class))
+    }
+
+    /// Appends a sync or access event when the log keeps its class.
+    /// Stamping it locks scheduler state, so callers must not hold
+    /// runtime locks (`mem`, `mutexes`, `conds`) across this.
+    pub fn sync_event(&self, tid: Tid, kind: EventKind) {
+        if let Some(obs) = self.obs.as_deref().filter(|o| o.spec().keeps(kind.class())) {
+            obs.emit(tid.0, self.sync_tick(), kind);
         }
-        let ev = make(self.sync_tick());
-        if let Some(b) = self.sync_trace.lock().as_mut() {
-            b.push(ev);
-        }
+    }
+
+    /// The collector, when it keeps the sync or access class, whose
+    /// events carry mutex and location ids.
+    fn id_tables(&self) -> Option<&Obs> {
+        self.obs
+            .as_deref()
+            .filter(|o| o.spec().sync || o.spec().access)
     }
 
     /// Records `label` for a mutex in the trace's label table.
     pub fn sync_mutex_label(&self, id: MutexId, label: Option<&str>) {
-        if let Some(b) = self.sync_trace.lock().as_mut() {
-            b.set_mutex_label(id.0, label.map(str::to_owned));
+        if let Some(obs) = self.id_tables() {
+            obs.set_mutex_label(id.0, label.map(str::to_owned));
         }
     }
 
-    /// Interns a location label; `None` when tracing is off.
+    /// Interns a location label; `None` when no kept class carries
+    /// location ids.
     pub fn sync_loc(&self, label: &str) -> Option<u32> {
-        self.sync_trace.lock().as_mut().map(|b| b.loc_id(label))
-    }
-
-    /// Takes the finished trace (end of an execution).
-    pub fn take_sync_trace(&self) -> Option<SyncTrace> {
-        self.sync_trace.lock().take().map(SyncTraceBuilder::finish)
+        self.id_tables().map(|obs| obs.loc_id(label))
     }
 
     /// The weak-memory choice source: the scheduler PRNG in controlled
@@ -497,7 +503,7 @@ impl Runtime {
             });
             drop(r);
             if let Some(obs) = &self.obs {
-                obs.thread_event(
+                obs.emit(
                     tid.0,
                     tick,
                     EventKind::SyscallRecord {
@@ -547,12 +553,9 @@ impl Runtime {
         match next {
             Next::NotReplaying => None,
             Next::Hit(seq, rec) => {
-                if let Some(obs) = &self.obs {
-                    let tick = match self.config.mode {
-                        Mode::Tsan11Rec(_) => self.sched().tick_value(),
-                        _ => 0,
-                    };
-                    obs.thread_event(
+                if let Some(obs) = self.obs.as_deref().filter(|o| o.spec().schedule) {
+                    let tick = self.sync_tick();
+                    obs.emit(
                         tid.0,
                         tick,
                         EventKind::SyscallReplay {
@@ -560,7 +563,7 @@ impl Runtime {
                             seq,
                         },
                     );
-                    obs.thread_event(
+                    obs.emit(
                         tid.0,
                         tick,
                         EventKind::StreamCursor {
@@ -630,7 +633,7 @@ impl Runtime {
             desync = desync.with_stream(stream, offset);
         }
         if let Some(obs) = &self.obs {
-            obs.sched_event(u32::MAX, tick, EventKind::Desync);
+            obs.emit(u32::MAX, tick, EventKind::Desync);
         }
         if let Some(sched) = &self.sched {
             sched.fail(FailReason::Desync(desync.clone()));

@@ -27,7 +27,7 @@ use srr_replay::{AsyncEvent, HardDesync, QueueBuilder, QueueCursor, QueueStream,
 use crate::config::Strategy;
 use crate::ids::{CondId, MutexId, Tid};
 use crate::prng::Prng;
-use crate::report::{SchedCounters, TraceEvent};
+use crate::report::SchedCounters;
 
 /// Why the execution was aborted by the scheduler.
 #[derive(Debug, Clone)]
@@ -183,8 +183,6 @@ struct SchedState {
     /// recorded in QUEUE and enforced from there on replay, so this
     /// stream needs no replay determinism.
     slice_jitter: Prng,
-    /// Optional schedule trace for debugging/diffing runs.
-    trace: Option<Vec<TraceEvent>>,
     /// Targeted wakeups issued (one parked thread notified).
     wakeups_issued: u64,
     /// Broadcast wakeups issued (every parked thread notified).
@@ -192,10 +190,10 @@ struct SchedState {
     /// Wakeups observed by a thread that found itself ineligible and went
     /// back to sleep.
     spurious_wakeups: u64,
-    /// Structured observability collector (`Config::with_trace`). `None`
-    /// when tracing is off: every instrumentation site is then a single
-    /// `Option` check. `Obs` takes no locks besides its own, so it is a
-    /// safe leaf under the scheduler mutex.
+    /// The event-log collector, attached when it keeps the schedule
+    /// class (`Config::with_trace`). `None` otherwise: every emit site is
+    /// then a single `Option` check. `Obs` takes no locks besides its
+    /// own, so it is a safe leaf under the scheduler mutex.
     obs: Option<Arc<Obs>>,
     /// Handles onto the unified metrics plane (`Config::with_metrics`).
     /// Pre-registered at enable time so the hot path is one `Option`
@@ -260,7 +258,6 @@ impl Scheduler {
                 hot: Tid::MAIN,
                 delay_budget,
                 slice_jitter,
-                trace: None,
                 wakeups_issued: 0,
                 broadcasts: 0,
                 spurious_wakeups: 0,
@@ -275,12 +272,7 @@ impl Scheduler {
         self.state.lock().record.active = true;
     }
 
-    /// Switches on schedule tracing (diagnostics: every `(tid, tick)`).
-    pub fn enable_trace(&self) {
-        self.state.lock().trace = Some(Vec::new());
-    }
-
-    /// Attaches the structured observability collector.
+    /// Attaches the event-log collector for the schedule class.
     pub fn enable_obs(&self, obs: Arc<Obs>) {
         self.state.lock().obs = Some(obs);
     }
@@ -295,11 +287,6 @@ impl Scheduler {
             spurious: registry.counter("sched_spurious_wakeups_total"),
             stalls: registry.counter("sched_replay_stalls_total"),
         });
-    }
-
-    /// The collected schedule trace, if tracing was enabled.
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
-        self.state.lock().trace.take().unwrap_or_default()
     }
 
     /// Switches on replay from the given streams. The QUEUE stream is
@@ -396,17 +383,7 @@ impl Scheduler {
         if g.obs.is_some() {
             g.threads[tid.index()].cs_start = Some(Instant::now());
             if let Some(obs) = &g.obs {
-                obs.thread_event(tid.0, tick, EventKind::TickBegin);
-            }
-        }
-        if g.trace.is_some() {
-            let (tick, draws) = (g.tick, g.prng.draws());
-            if let Some(trace) = &mut g.trace {
-                trace.push(TraceEvent::Wait {
-                    tid: tid.0,
-                    tick,
-                    draws,
-                });
+                obs.emit(tid.0, tick, EventKind::TickBegin);
             }
         }
     }
@@ -437,22 +414,12 @@ impl Scheduler {
                 .take()
                 .map_or(0, |s| s.elapsed().as_nanos() as u64);
             if let Some(obs) = &g.obs {
-                obs.tick_end(tid.0, k, dur_nanos, op);
+                obs.emit(tid.0, k, EventKind::TickEnd { dur_nanos, op });
             }
         }
 
         if g.record.active && g.strategy.needs_queue_stream() {
             g.record.queue.push(tid.0, k);
-        }
-        if g.trace.is_some() {
-            let draws = g.prng.draws();
-            if let Some(trace) = &mut g.trace {
-                trace.push(TraceEvent::Tick {
-                    tid: tid.0,
-                    tick: k,
-                    draws,
-                });
-            }
         }
 
         // Deferred signal delivery: the signal arrived while this thread
@@ -508,7 +475,7 @@ impl Scheduler {
             } else {
                 g.active.map(|t| t.0)
             };
-            obs.sched_event(tid.0, k, EventKind::Decision { next });
+            obs.emit(tid.0, k, EventKind::Decision { next });
         }
 
         // Replay: apply the remaining async events floated to the end of
@@ -902,7 +869,7 @@ impl SchedState {
                 Some(next) => {
                     self.threads[tid.index()].next_due = next;
                     if let Some(obs) = &self.obs {
-                        obs.sched_event(
+                        obs.emit(
                             tid.0,
                             k,
                             EventKind::StreamCursor {
@@ -914,7 +881,7 @@ impl SchedState {
                 }
                 None => {
                     if let Some(obs) = &self.obs {
-                        obs.sched_event(tid.0, k, EventKind::Desync);
+                        obs.emit(tid.0, k, EventKind::Desync);
                     }
                     self.fail = Some(FailReason::Desync(
                         HardDesync::new(
@@ -1139,7 +1106,7 @@ impl SchedState {
                     m.wakeups.inc();
                 }
                 if let Some(obs) = &self.obs {
-                    obs.sched_event(t.0, self.tick, EventKind::Wakeup { target: t.0 });
+                    obs.emit(t.0, self.tick, EventKind::Wakeup { target: t.0 });
                 }
                 self.threads[t.index()].slot.notify_one();
             }
@@ -1154,7 +1121,7 @@ impl SchedState {
             m.broadcasts.inc();
         }
         if let Some(obs) = &self.obs {
-            obs.sched_event(u32::MAX, self.tick, EventKind::Broadcast);
+            obs.emit(u32::MAX, self.tick, EventKind::Broadcast);
         }
         for t in &self.threads {
             t.slot.notify_one();
@@ -1205,7 +1172,7 @@ impl SchedState {
                 m.stalls.inc();
             }
             if let Some(obs) = &self.obs {
-                obs.sched_event(u32::MAX, self.tick, EventKind::Desync);
+                obs.emit(u32::MAX, self.tick, EventKind::Desync);
             }
             self.fail = Some(FailReason::Desync(
                 HardDesync::new(
@@ -1248,7 +1215,7 @@ impl SchedState {
             .pending_signals
             .push_back(signo);
         if let Some(obs) = &self.obs {
-            obs.thread_event(target.0, last_tick, EventKind::SignalDelivered { signo });
+            obs.emit(target.0, last_tick, EventKind::SignalDelivered { signo });
         }
         if matches!(self.threads[target.index()].status, Status::Disabled(_)) {
             self.enable_thread(target);

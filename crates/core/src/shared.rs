@@ -13,7 +13,7 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering as StdOrd};
 
-use srr_analysis::SyncEvent;
+use srr_obs::{EventClass, EventKind};
 use srr_racedet::{AccessKind, LocationId};
 
 use crate::atomic::Scalar;
@@ -99,20 +99,20 @@ impl<T: Scalar> Shared<T> {
             if !ctx.rt.config.detect_races {
                 return;
             }
-            if let Some(trace_loc) = self.trace_loc.filter(|_| ctx.rt.config.trace_access) {
+            if let Some(trace_loc) = self.trace_loc.filter(|_| ctx.rt.keeps(EventClass::Access)) {
                 // Sparse-by-proof: statically proven sites are dropped
-                // from the trace ring (the race detector below still sees
+                // from the event log (the race detector below still sees
                 // every access — the plan filters the *recording* only).
                 if self.plan == PlanDecision::Filtered {
                     ctx.rt.plan_filtered.fetch_add(1, StdOrd::Relaxed);
                 } else {
-                    let tid = ctx.tid.0;
-                    ctx.rt.sync_event(|tick| SyncEvent::PlainAccess {
-                        tid,
-                        loc: trace_loc,
-                        tick,
-                        write: kind == AccessKind::Write,
-                    });
+                    ctx.rt.sync_event(
+                        ctx.tid,
+                        EventKind::PlainAccess {
+                            loc: trace_loc,
+                            write: kind == AccessKind::Write,
+                        },
+                    );
                 }
             }
             // Plain accesses do not tick the clock; the clock advances at

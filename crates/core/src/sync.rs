@@ -2,7 +2,7 @@
 
 use crate::ids::{CondId, MutexId, Tid};
 use crate::runtime::{current_rt, with_ctx, Runtime};
-use srr_analysis::SyncEvent;
+use srr_obs::EventKind;
 use std::sync::Arc;
 
 /// An instrumented mutual-exclusion lock.
@@ -99,11 +99,7 @@ impl<T> Mutex<T> {
                 // requests, so a run that actually deadlocks here still
                 // contributes its edge.
                 requested = true;
-                rt.sync_event(|tick| SyncEvent::MutexRequest {
-                    tid: tid.0,
-                    mutex: id.0,
-                    tick,
-                });
+                rt.sync_event(tid, EventKind::MutexRequest { mutex: id.0 });
             }
             let acquired = with_ctx(|ctx| {
                 let acquired = ctx.rt.mutex_try_acquire(id, tid, &mut ctx.view);
@@ -114,11 +110,7 @@ impl<T> Mutex<T> {
             if !acquired {
                 rt.sched().mutex_lock_fail(tid, id);
             } else {
-                rt.sync_event(|tick| SyncEvent::MutexAcquire {
-                    tid: tid.0,
-                    mutex: id.0,
-                    tick,
-                });
+                rt.sync_event(tid, EventKind::MutexAcquire { mutex: id.0 });
             }
             rt.exit(tid);
             if acquired {
@@ -153,11 +145,7 @@ impl<T> Mutex<T> {
         if acquired {
             // No MutexRequest: a try_lock cannot block, so it cannot
             // close a deadlock cycle.
-            rt.sync_event(|tick| SyncEvent::MutexAcquire {
-                tid: tid.0,
-                mutex: id.0,
-                tick,
-            });
+            rt.sync_event(tid, EventKind::MutexAcquire { mutex: id.0 });
         }
         rt.exit(tid);
         if acquired {
@@ -226,11 +214,7 @@ impl<T> Drop for MutexGuard<'_, T> {
             ctx.rt.mutex_release(id, tid, &ctx.view);
             ctx.view.tick(); // after publication (FastTrack discipline)
         });
-        rt.sync_event(|tick| SyncEvent::MutexRelease {
-            tid: tid.0,
-            mutex: id.0,
-            tick,
-        });
+        rt.sync_event(tid, EventKind::MutexRelease { mutex: id.0 });
         rt.sched().mutex_unlock(id);
         rt.exit(tid);
     }
@@ -376,12 +360,13 @@ impl Condvar {
 
                 rt.enter(tid);
                 if !self.internal {
-                    rt.sync_event(|tick| SyncEvent::CondWaitBegin {
-                        tid: tid.0,
-                        cond: cid.0,
-                        mutex: mid.0,
-                        tick,
-                    });
+                    rt.sync_event(
+                        tid,
+                        EventKind::CondWaitBegin {
+                            cond: cid.0,
+                            mutex: mid.0,
+                        },
+                    );
                 }
                 rt.conds.lock()[cid.0 as usize].waiters.push((tid, timed));
                 if !timed {
@@ -391,11 +376,7 @@ impl Condvar {
                     ctx.rt.mutex_release(mid, tid, &ctx.view);
                     ctx.view.tick(); // after publication (FastTrack discipline)
                 });
-                rt.sync_event(|tick| SyncEvent::MutexRelease {
-                    tid: tid.0,
-                    mutex: mid.0,
-                    tick,
-                });
+                rt.sync_event(tid, EventKind::MutexRelease { mutex: mid.0 });
                 rt.sched().mutex_unlock(mid);
                 rt.exit(tid);
 
@@ -419,13 +400,14 @@ impl Condvar {
                     was
                 };
                 if !self.internal {
-                    rt.sync_event(|tick| SyncEvent::CondWaitReturn {
-                        tid: tid.0,
-                        cond: cid.0,
-                        mutex: mid.0,
-                        tick,
-                        signaled,
-                    });
+                    rt.sync_event(
+                        tid,
+                        EventKind::CondWaitReturn {
+                            cond: cid.0,
+                            mutex: mid.0,
+                            signaled,
+                        },
+                    );
                 }
                 (new_guard, signaled)
             }
@@ -441,12 +423,13 @@ impl Condvar {
         rt.enter(tid);
         with_ctx(|ctx| ctx.view.tick());
         if !self.internal {
-            rt.sync_event(|tick| SyncEvent::CondNotify {
-                tid: tid.0,
-                cond: id.0,
-                tick,
-                all: false,
-            });
+            rt.sync_event(
+                tid,
+                EventKind::CondNotify {
+                    cond: id.0,
+                    all: false,
+                },
+            );
         }
         let woken = {
             let mut conds = rt.conds.lock();
@@ -483,12 +466,13 @@ impl Condvar {
         rt.enter(tid);
         with_ctx(|ctx| ctx.view.tick());
         if !self.internal {
-            rt.sync_event(|tick| SyncEvent::CondNotify {
-                tid: tid.0,
-                cond: id.0,
-                tick,
-                all: true,
-            });
+            rt.sync_event(
+                tid,
+                EventKind::CondNotify {
+                    cond: id.0,
+                    all: true,
+                },
+            );
         }
         let woken: Vec<(Tid, bool)> = {
             let mut conds = rt.conds.lock();

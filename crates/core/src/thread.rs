@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex as PlMutex;
 use srr_memmodel::ThreadView;
+use srr_obs::EventKind;
 
 use crate::ids::Tid;
 use crate::runtime::{clear_ctx, current_rt, install_ctx, with_ctx, Runtime};
@@ -54,11 +55,7 @@ where
         (child, clock)
     })
     .expect("context present");
-    rt.sync_event(|tick| srr_analysis::SyncEvent::ThreadSpawn {
-        tid: tid.0,
-        child: child_tid.0,
-        tick,
-    });
+    rt.sync_event(tid, EventKind::ThreadSpawn { child: child_tid.0 });
     rt.exit(tid);
 
     let result = Arc::new(PlMutex::new(None));
@@ -171,12 +168,7 @@ impl<T> JoinHandle<T> {
                 rt.enter(tid);
                 let done = rt.sched().thread_join(tid, self.target);
                 let target = self.target.0;
-                rt.sync_event(|tick| srr_analysis::SyncEvent::ThreadJoined {
-                    tid: tid.0,
-                    target,
-                    tick,
-                    done,
-                });
+                rt.sync_event(tid, EventKind::ThreadJoined { target, done });
                 rt.exit(tid);
                 if done {
                     break;

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use tsan11rec::vos::{PollFd, RequestSourcePeer, SignalTrigger, Vos};
-use tsan11rec::{Atomic, Config, Execution, MemOrder, Mode, Mutex, Strategy};
+use tsan11rec::{Atomic, Config, Execution, MemOrder, Mode, Mutex, Strategy, TraceSpec};
 
 const SIGTERM: i32 = 15;
 
@@ -62,7 +62,7 @@ fn record_replay_schedules_are_identical() {
         Config::new(Mode::Tsan11Rec(Strategy::Random))
             .with_seeds([21, 42])
             .without_liveness()
-            .with_schedule_trace()
+            .with_trace(TraceSpec::SCHEDULE)
     };
     let vos_cfg = || tsan11rec::vos::VosConfig::deterministic(0x5eed).with_strace();
     let (rec_report, demo) = Execution::new(config())

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use tsan11rec::vos::{EchoPeer, Fd, PollFd, RequestSourcePeer, SignalTrigger, Vos, VosConfig};
 use tsan11rec::{
     soft_desync, Atomic, Config, Demo, Execution, MemOrder, Mode, Mutex, Outcome, SparseConfig,
-    Strategy, TraceEvent,
+    Strategy, TraceSpec,
 };
 
 const SIGTERM: i32 = 15;
@@ -159,18 +159,12 @@ fn recorded_queue_is_the_schedule_the_run_took() {
     // The recorder writes QUEUE in place as critical sections close: the
     // stream must walk back to exactly the sections the run closed, and
     // `from_order` must rebuild it from that walk.
-    let (report, demo) = Execution::new(rec_config(Strategy::Queue).with_schedule_trace())
-        .setup(figure2_world)
-        .record(figure2_client);
+    let (report, demo) =
+        Execution::new(rec_config(Strategy::Queue).with_trace(TraceSpec::SCHEDULE))
+            .setup(figure2_world)
+            .record(figure2_client);
     assert!(report.outcome.is_ok(), "{:?}", report.outcome);
-    let closed: Vec<(u32, u64)> = report
-        .schedule_trace
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::Tick { tid, tick, .. } => Some((tid, tick)),
-            TraceEvent::Wait { .. } => None,
-        })
-        .collect();
+    let closed = report.tick_trace();
     let order = demo.queue.schedule_order();
     assert_eq!(order, closed);
     assert_eq!(order.len() as u64, report.ticks);

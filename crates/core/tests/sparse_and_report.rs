@@ -3,8 +3,9 @@
 
 use std::sync::Arc;
 
+use tsan11rec::obs::EventKind;
 use tsan11rec::vos::{EchoPeer, Fd, Vos};
-use tsan11rec::{Atomic, Config, Execution, MemOrder, Mode, SparseConfig, Strategy};
+use tsan11rec::{Atomic, Config, Execution, MemOrder, Mode, SparseConfig, Strategy, TraceSpec};
 
 fn config(sparse: SparseConfig) -> Config {
     Config::new(Mode::Tsan11Rec(Strategy::Queue))
@@ -78,15 +79,20 @@ fn tick_trace_filters_wait_markers() {
     let mut c = Config::new(Mode::Tsan11Rec(Strategy::Queue))
         .with_seeds([1, 2])
         .without_liveness();
-    c = c.with_schedule_trace();
+    c = c.with_trace(TraceSpec::SCHEDULE);
     let report = Execution::new(c).run(|| {
         let a = Atomic::new(0u32);
         a.store(1, MemOrder::SeqCst);
         a.store(2, MemOrder::SeqCst);
     });
-    let raw = report.schedule_trace.len();
+    let waits = report
+        .sync_trace
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::TickBegin)
+        .count();
     let ticks = report.tick_trace();
-    assert_eq!(raw, ticks.len() * 2, "one Wait() marker per Tick() entry");
+    assert_eq!(waits, ticks.len(), "one Wait() marker per Tick() entry");
     assert!(ticks.iter().all(|&(tid, _)| tid & 0x8000_0000 == 0));
     // Tick numbers are consecutive from 1.
     for (i, &(_, tick)) in ticks.iter().enumerate() {

@@ -6,23 +6,16 @@
 //! clock — so two replays of the same seed export byte-identical JSON
 //! and the golden test can diff them directly. Wall-clock durations stay
 //! in the histograms and the text timeline only.
+//!
+//! Both exporters read the schedule class of the run's one log through
+//! [`SyncTrace::tracks`], cutting each track to its last `ring` events.
 
 use std::fmt::Write as _;
 
 use crate::event::{EventKind, ObsEvent};
 use crate::json::Json;
-use crate::report::{ObsReport, ThreadTrace};
-
-/// The synthetic tid used for the scheduler track in the export:
-/// one past the largest real thread id.
-fn scheduler_tid(report: &ObsReport) -> u32 {
-    report
-        .threads
-        .iter()
-        .map(|t| t.tid)
-        .max()
-        .map_or(0, |m| m + 1)
-}
+use crate::report::ObsReport;
+use crate::trace::{SyncTrace, ThreadTrace};
 
 fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
@@ -44,8 +37,9 @@ fn meta_thread_name(tid: u32, name: &str) -> Json {
 }
 
 /// Converts one event into a trace record, or `None` for events that do
-/// not export: `TickBegin` (folded into the `TickEnd` slice) and
-/// `Wakeup`/`Broadcast`. The latter two are wall-clock timing artifacts —
+/// not export: `TickBegin` (folded into the `TickEnd` slice),
+/// `Wakeup`/`Broadcast`, and the sync and access classes, which are not
+/// on any track. The latter two are wall-clock timing artifacts —
 /// a targeted wakeup is only issued when the chosen thread happens to be
 /// parked at that instant — so they vary between replays of the same
 /// seed and would break the export's determinism guarantee. They remain
@@ -105,48 +99,58 @@ fn event_record(track_tid: u32, ev: &ObsEvent) -> Option<Json> {
             vec![("offset", num(offset))],
         ),
         EventKind::Desync => instant("desync".into(), vec![]),
+        _ => None,
     }
 }
 
-/// Builds the Chrome `trace_event` document for a traced run.
+/// Builds the Chrome `trace_event` document for a traced run, keeping
+/// the last `ring` events of each track (all of them when `None`).
 ///
 /// Top level is `{"traceEvents": [...], "displayTimeUnit": "ms"}`; every
 /// record uses logical ticks for `ts`, so the export is deterministic
 /// across replays of the same seed.
 #[must_use]
-pub fn chrome_trace(report: &ObsReport) -> Json {
-    let sched_tid = scheduler_tid(report);
+pub fn chrome_trace(trace: &SyncTrace, ring: Option<usize>) -> Json {
+    let (threads, sched) = trace.tracks(ring);
+    // The scheduler track's synthetic tid: one past the largest thread's.
+    let sched_tid = threads.len() as u32;
     let mut events = Vec::new();
-    for t in &report.threads {
+    for t in &threads {
         events.push(meta_thread_name(t.tid, &format!("T{}", t.tid)));
     }
     events.push(meta_thread_name(sched_tid, "scheduler"));
-    for t in &report.threads {
+    for t in &threads {
         for ev in &t.events {
             if let Some(rec) = event_record(t.tid, ev) {
                 events.push(rec);
             }
         }
     }
-    for ev in &report.scheduler.events {
+    for ev in &sched.events {
         if let Some(rec) = event_record(sched_tid, ev) {
             events.push(rec);
         }
     }
-    events.extend(counter_tracks(report, sched_tid));
+    events.extend(counter_tracks(&threads, sched_tid));
     Json::Obj(vec![
         ("traceEvents".to_owned(), Json::Arr(events)),
         ("displayTimeUnit".to_owned(), Json::Str("ms".to_owned())),
     ])
 }
 
-/// `"C"` counter records derived purely from the retained tick order, so
+/// `"C"` counter records derived purely from the exported tick order, so
 /// they share the export's determinism guarantee: a stacked
 /// `sched.ticks` series (cumulative ticks per thread) and a
 /// `sched.run_length` series (current consecutive-run length), one
-/// sample per retained tick.
-fn counter_tracks(report: &ObsReport, sched_tid: u32) -> Vec<Json> {
-    let order = report.tick_order();
+/// sample per exported tick.
+fn counter_tracks(threads: &[ThreadTrace], sched_tid: u32) -> Vec<Json> {
+    let mut order: Vec<(u32, u64)> = threads
+        .iter()
+        .flat_map(|t| t.events.iter())
+        .filter(|e| matches!(e.kind, EventKind::TickEnd { .. }))
+        .map(|e| (e.tid, e.tick))
+        .collect();
+    order.sort_by_key(|&(_, tick)| tick);
     if order.is_empty() {
         return Vec::new();
     }
@@ -204,23 +208,26 @@ fn describe(ev: &ObsEvent) -> String {
             format!("cursor {} @ {offset}", stream.name())
         }
         EventKind::Desync => "DESYNC".to_owned(),
+        other => format!("{other:?}"),
     }
 }
 
-/// A human-readable merged timeline of all tracks, newest last. Unlike
-/// the Chrome export this *does* include wall-clock durations.
+/// A human-readable merged timeline of all tracks, each cut to its last
+/// `ring` events, newest last, under `report`'s histograms. Unlike the
+/// Chrome export this *does* include wall-clock durations.
 #[must_use]
-pub fn text_timeline(report: &ObsReport) -> String {
+pub fn text_timeline(trace: &SyncTrace, report: &ObsReport, ring: Option<usize>) -> String {
+    let (threads, sched) = trace.tracks(ring);
     let mut rows: Vec<(u64, String, String)> = Vec::new();
     let track = |t: &ThreadTrace, label: &str, rows: &mut Vec<(u64, String, String)>| {
         for ev in &t.events {
             rows.push((ev.tick, label.to_owned(), describe(ev)));
         }
     };
-    for t in &report.threads {
+    for t in &threads {
         track(t, &format!("T{}", t.tid), &mut rows);
     }
-    track(&report.scheduler, "sched", &mut rows);
+    track(&sched, "sched", &mut rows);
     rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
     let mut out = String::new();
     let _ = writeln!(
@@ -239,46 +246,33 @@ mod tests {
     use super::*;
     use crate::event::ObsOp;
 
-    fn sample_report() -> ObsReport {
-        let mut r = ObsReport {
-            enabled: true,
-            ..ObsReport::default()
-        };
-        r.threads.push(ThreadTrace {
-            tid: 0,
-            events: vec![
-                ObsEvent {
-                    tid: 0,
-                    tick: 1,
-                    kind: EventKind::TickBegin,
-                },
-                ObsEvent {
-                    tid: 0,
-                    tick: 1,
-                    kind: EventKind::TickEnd {
-                        dur_nanos: 1234,
-                        op: ObsOp::Atomic,
-                    },
-                },
-            ],
-            dropped: 0,
-        });
-        r.scheduler.tid = u32::MAX;
-        r.scheduler.events.push(ObsEvent {
+    fn sample_trace(dur_nanos: u64) -> SyncTrace {
+        let ev = |kind| ObsEvent {
             tid: 0,
             tick: 1,
-            kind: EventKind::Wakeup { target: 1 },
-        });
-        r
+            kind,
+        };
+        SyncTrace {
+            events: vec![
+                ev(EventKind::TickBegin),
+                ev(EventKind::MutexAcquire { mutex: 0 }),
+                ev(EventKind::TickEnd {
+                    dur_nanos,
+                    op: ObsOp::Atomic,
+                }),
+                ev(EventKind::Wakeup { target: 1 }),
+            ],
+            ..SyncTrace::default()
+        }
     }
 
     #[test]
     fn chrome_trace_has_tracks_and_slices() {
-        let json = chrome_trace(&sample_report());
+        let json = chrome_trace(&sample_trace(1234), None);
         let events = json.get("traceEvents").and_then(Json::as_array).unwrap();
         // 2 metadata (T0 + scheduler) + 1 slice + 2 counter samples for
-        // the one retained tick; the wakeup is a timing artifact and
-        // must NOT export.
+        // the one tick; the wakeup is a timing artifact and must NOT
+        // export, and the sync event is on no track.
         assert_eq!(events.len(), 5);
         let counters: Vec<&Json> = events
             .iter()
@@ -311,22 +305,42 @@ mod tests {
     #[test]
     fn export_excludes_wall_clock() {
         // dur_nanos differs between "runs"; the exports must not.
-        let mut a = sample_report();
-        let mut b = sample_report();
-        if let EventKind::TickEnd { dur_nanos, .. } = &mut a.threads[0].events[1].kind {
-            *dur_nanos = 111;
-        }
-        if let EventKind::TickEnd { dur_nanos, .. } = &mut b.threads[0].events[1].kind {
-            *dur_nanos = 999_999;
-        }
-        assert_eq!(chrome_trace(&a).to_pretty(), chrome_trace(&b).to_pretty());
+        assert_eq!(
+            chrome_trace(&sample_trace(111), None).to_pretty(),
+            chrome_trace(&sample_trace(999_999), None).to_pretty()
+        );
+    }
+
+    #[test]
+    fn ring_cuts_each_track_at_export() {
+        let mut trace = sample_trace(1);
+        trace.events.push(ObsEvent {
+            tid: 0,
+            tick: 2,
+            kind: EventKind::TickEnd {
+                dur_nanos: 1,
+                op: ObsOp::Sync,
+            },
+        });
+        let slices = |ring| {
+            let json = chrome_trace(&trace, ring);
+            json.get("traceEvents")
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+                .count()
+        };
+        assert_eq!(slices(None), 2);
+        assert_eq!(slices(Some(1)), 1, "only the newest tick of T0");
     }
 
     #[test]
     fn text_timeline_is_ordered() {
-        let text = text_timeline(&sample_report());
+        let trace = sample_trace(1234);
+        let text = text_timeline(&trace, &ObsReport::of(&trace), None);
         assert!(text.contains("atomic"), "{text}");
         assert!(text.contains("wakeup T1"), "{text}");
-        assert!(text.contains("tick latency"), "{text}");
+        assert!(text.contains("tick latency: n=1"), "{text}");
     }
 }

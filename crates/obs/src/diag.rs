@@ -9,7 +9,10 @@ use std::fmt::Write as _;
 
 use crate::event::EventKind;
 use crate::json::Json;
-use crate::report::{ObsReport, ThreadTrace};
+use crate::trace::{SyncTrace, ThreadTrace};
+
+/// Events per track a report keeps (and renders).
+const LAST_EVENTS: usize = 8;
 
 /// One row of the recorded-vs-replayed schedule diff.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +49,7 @@ pub fn first_divergence(recorded: &[(u32, u64)], replayed: &[(u32, u64)]) -> Opt
     None
 }
 
-/// A structured desynchronisation report, built from the obs traces and
+/// A structured desynchronisation report, built from the run's trace and
 /// the recorded schedule when a replay run desynchronises.
 #[derive(Clone, Debug, Default)]
 pub struct DesyncDiagnostics {
@@ -61,18 +64,21 @@ pub struct DesyncDiagnostics {
     /// The thread active when the desync surfaced, when known.
     pub thread: Option<u32>,
     /// First divergent position of the recorded-vs-replayed tick diff
-    /// (`None` when replay simply fell off the end of the recording, or
-    /// when tracing was off and no replayed schedule is available).
+    /// (`None` when the replayed schedule matches the recording so far,
+    /// or when the schedule was not traced and there is none to diff).
     pub first_divergence: Option<TickDiff>,
     /// Final `(stream, offset)` cursor positions observed during replay.
     pub stream_cursors: Vec<(String, u64)>,
-    /// The last retained events per thread (plus the scheduler track).
+    /// The last events per thread (plus the scheduler track), at most
+    /// eight each.
     pub last_events: Vec<ThreadTrace>,
 }
 
 impl DesyncDiagnostics {
     /// Builds diagnostics from the failure point, the recorded schedule
-    /// (from the demo's QUEUE stream), and the obs report of the replay.
+    /// (from the demo's QUEUE stream), and the replay's trace — `None`
+    /// when the schedule class was not traced, so there is no replayed
+    /// schedule to diff.
     #[must_use]
     pub fn build(
         tick: u64,
@@ -80,41 +86,45 @@ impl DesyncDiagnostics {
         stream: &str,
         offset: u64,
         recorded: &[(u32, u64)],
-        obs: &ObsReport,
+        trace: Option<&SyncTrace>,
     ) -> Self {
-        let replayed = obs.tick_order();
-        let thread = replayed.last().map(|&(tid, _)| tid);
-        let mut cursors: Vec<(String, u64)> = Vec::new();
-        for trace in obs.threads.iter().chain(std::iter::once(&obs.scheduler)) {
-            for ev in &trace.events {
-                if let EventKind::StreamCursor { stream, offset } = ev.kind {
-                    match cursors.iter_mut().find(|(s, _)| *s == stream.name()) {
-                        Some(entry) => entry.1 = entry.1.max(offset),
-                        None => cursors.push((stream.name().to_owned(), offset)),
-                    }
-                }
-            }
-        }
-        let mut last_events = obs.threads.clone();
-        if !obs.scheduler.events.is_empty() {
-            last_events.push(obs.scheduler.clone());
-        }
-        DesyncDiagnostics {
+        let mut diag = DesyncDiagnostics {
             tick,
             constraint: constraint.to_owned(),
             stream: stream.to_owned(),
             offset,
-            thread,
-            // With tracing off there is no replayed schedule; an empty
-            // diff would blame position 0 rather than admit ignorance.
-            first_divergence: if obs.enabled {
-                first_divergence(recorded, &replayed)
-            } else {
-                None
-            },
-            stream_cursors: cursors,
-            last_events,
+            ..DesyncDiagnostics::default()
+        };
+        // Without a traced schedule an empty diff would blame position
+        // 0 rather than admit ignorance.
+        let Some(trace) = trace else {
+            return diag;
+        };
+        let replayed = trace.tick_order();
+        diag.thread = replayed.last().map(|&(tid, _)| tid);
+        diag.first_divergence = first_divergence(recorded, &replayed);
+        // Thread tracks first, then the scheduler's: the order cursors
+        // are listed in.
+        let on_threads = trace.events.iter().filter(|e| !e.kind.on_scheduler_track());
+        let on_sched = trace.events.iter().filter(|e| e.kind.on_scheduler_track());
+        for ev in on_threads.chain(on_sched) {
+            if let EventKind::StreamCursor { stream, offset } = ev.kind {
+                match diag
+                    .stream_cursors
+                    .iter_mut()
+                    .find(|(s, _)| *s == stream.name())
+                {
+                    Some(entry) => entry.1 = entry.1.max(offset),
+                    None => diag.stream_cursors.push((stream.name().to_owned(), offset)),
+                }
+            }
         }
+        let (threads, sched) = trace.tracks(Some(LAST_EVENTS));
+        diag.last_events = threads;
+        if !sched.events.is_empty() {
+            diag.last_events.push(sched);
+        }
+        diag
     }
 
     /// Short context lines suitable for embedding in a desync error.
@@ -207,11 +217,11 @@ impl DesyncDiagnostics {
             };
             let _ = writeln!(
                 out,
-                "  last events of {label} ({} retained, {} dropped):",
+                "  last events of {label} ({} of {}):",
                 trace.events.len(),
-                trace.dropped
+                trace.events.len() as u64 + trace.dropped
             );
-            for ev in trace.events.iter().rev().take(8).rev() {
+            for ev in &trace.events {
                 let _ = writeln!(out, "    tick {:>6}  {:?}", ev.tick, ev.kind);
             }
         }
@@ -289,5 +299,58 @@ mod tests {
         assert!(text.contains("entry 40"), "{text}");
         assert!(text.contains("tick 41"), "{text}");
         assert!(text.contains("T2"), "{text}");
+    }
+
+    #[test]
+    fn build_diffs_the_traced_schedule_and_keeps_eight_per_track() {
+        use crate::event::{ObsEvent, ObsOp, StreamId};
+        let mut events = Vec::new();
+        for tick in 1..=20u64 {
+            let tid = u32::from(tick > 10);
+            events.push(ObsEvent {
+                tid,
+                tick,
+                kind: EventKind::TickEnd {
+                    dur_nanos: 0,
+                    op: ObsOp::Other,
+                },
+            });
+            events.push(ObsEvent {
+                tid,
+                tick,
+                kind: EventKind::StreamCursor {
+                    stream: StreamId::Queue,
+                    offset: tick - 1,
+                },
+            });
+        }
+        let trace = SyncTrace {
+            events,
+            ..SyncTrace::default()
+        };
+        let recorded: Vec<(u32, u64)> = (1..=15).map(|t| (u32::from(t > 10), t)).collect();
+        let diag =
+            DesyncDiagnostics::build(21, "queue-schedule", "QUEUE", 15, &recorded, Some(&trace));
+        assert_eq!(
+            diag.first_divergence,
+            Some(TickDiff {
+                index: 15,
+                recorded: None,
+                replayed: Some(1),
+            })
+        );
+        assert_eq!(diag.thread, Some(1));
+        assert_eq!(diag.stream_cursors, vec![("QUEUE".to_owned(), 19)]);
+        assert!(diag
+            .last_events
+            .iter()
+            .all(|t| t.events.len() <= LAST_EVENTS));
+        assert_eq!(diag.last_events[0].dropped, 2, "T0 closed 10 ticks");
+        assert!(diag.render().contains("last events of T1 (8 of 10)"));
+
+        let untraced = DesyncDiagnostics::build(21, "queue-schedule", "QUEUE", 15, &recorded, None);
+        assert_eq!(untraced.first_divergence, None);
+        assert_eq!(untraced.thread, None);
+        assert!(untraced.last_events.is_empty());
     }
 }

@@ -131,8 +131,26 @@ impl fmt::Display for SysKind {
     }
 }
 
+/// The class of an event: what a [`TraceSpec`](crate::TraceSpec) keeps
+/// or drops.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EventClass {
+    /// Ticks, decisions, wakeups, signals, syscall and cursor markers,
+    /// and desyncs.
+    Schedule,
+    /// Mutex, condvar, atomic and thread operations.
+    Sync,
+    /// Plain (non-atomic) accesses to instrumented shared variables.
+    Access,
+}
+
 /// What happened. Every variant is `Copy`; see [`ObsEvent`] for the
-/// carrier record.
+/// carrier record, which holds the acting thread and the tick.
+///
+/// Sync and access events carry raw mutex, condvar and location ids;
+/// the [`SyncTrace`](crate::SyncTrace) owns the label tables that make
+/// them readable. Per-thread subsequences follow program order, and a
+/// sync event's tick is the scheduler tick current at emission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// `Wait()` success: the thread entered the critical section.
@@ -186,13 +204,137 @@ pub enum EventKind {
     },
     /// A desynchronisation was raised here.
     Desync,
+    /// A thread entered a *blocking* `lock()` (emitted once, on the first
+    /// acquisition attempt). Lock-order edges come from requests only: a
+    /// failed `try_lock` cannot block, so it cannot deadlock.
+    MutexRequest {
+        /// Requested mutex.
+        mutex: u32,
+    },
+    /// A successful mutex acquisition (blocking or try).
+    MutexAcquire {
+        /// Acquired mutex.
+        mutex: u32,
+    },
+    /// A mutex release (guard drop, or the release inside a condvar wait).
+    MutexRelease {
+        /// Released mutex.
+        mutex: u32,
+    },
+    /// A condvar wait began (the guard mutex is released in the same
+    /// critical section — a separate [`EventKind::MutexRelease`] follows).
+    CondWaitBegin {
+        /// The condition variable.
+        cond: u32,
+        /// The guard mutex.
+        mutex: u32,
+    },
+    /// A condvar wait returned with the guard mutex reacquired. Emitted
+    /// outside any critical section, so its tick may vary between
+    /// replays.
+    CondWaitReturn {
+        /// The condition variable.
+        cond: u32,
+        /// The reacquired guard mutex.
+        mutex: u32,
+        /// Whether the return was due to a signal (`false`: timeout or
+        /// spurious).
+        signaled: bool,
+    },
+    /// A `notify_one` / `notify_all`.
+    CondNotify {
+        /// The condition variable.
+        cond: u32,
+        /// `true` for `notify_all`.
+        all: bool,
+    },
+    /// An atomic load.
+    AtomicLoad {
+        /// Location id.
+        loc: u32,
+        /// Whether the load was `Relaxed`.
+        relaxed: bool,
+        /// The thread that produced the observed store.
+        writer: u32,
+    },
+    /// An atomic store (including the write half of RMWs).
+    AtomicStore {
+        /// Location id.
+        loc: u32,
+        /// Whether the store was a read-modify-write.
+        rmw: bool,
+    },
+    /// A plain (non-atomic) access to an instrumented shared variable.
+    /// Plain accesses are invisible operations, so the tick is
+    /// approximate.
+    PlainAccess {
+        /// Location id.
+        loc: u32,
+        /// `true` for a write.
+        write: bool,
+    },
+    /// A thread creation (`ThreadNew`), emitted in the parent's critical
+    /// section. Creation synchronizes parent→child.
+    ThreadSpawn {
+        /// The created thread.
+        child: u32,
+    },
+    /// One `ThreadJoin` attempt (each attempt is its own critical
+    /// section; a blocking join makes at most one failed attempt before
+    /// the successful one).
+    ThreadJoined {
+        /// The join target.
+        target: u32,
+        /// Whether the target had already finished (`false`: the joiner
+        /// disabled itself until the target's `ThreadDelete`).
+        done: bool,
+    },
+}
+
+impl EventKind {
+    /// The class a [`TraceSpec`](crate::TraceSpec) selects this event by.
+    #[must_use]
+    pub fn class(self) -> EventClass {
+        match self {
+            EventKind::PlainAccess { .. } => EventClass::Access,
+            EventKind::MutexRequest { .. }
+            | EventKind::MutexAcquire { .. }
+            | EventKind::MutexRelease { .. }
+            | EventKind::CondWaitBegin { .. }
+            | EventKind::CondWaitReturn { .. }
+            | EventKind::CondNotify { .. }
+            | EventKind::AtomicLoad { .. }
+            | EventKind::AtomicStore { .. }
+            | EventKind::ThreadSpawn { .. }
+            | EventKind::ThreadJoined { .. } => EventClass::Sync,
+            _ => EventClass::Schedule,
+        }
+    }
+
+    /// Whether the exporters draw this event on the scheduler track
+    /// rather than on its thread's: the strategy's decisions, wakeups
+    /// and broadcasts, desyncs, and the QUEUE cursor.
+    #[must_use]
+    pub fn on_scheduler_track(self) -> bool {
+        matches!(
+            self,
+            EventKind::Decision { .. }
+                | EventKind::Wakeup { .. }
+                | EventKind::Broadcast
+                | EventKind::Desync
+                | EventKind::StreamCursor {
+                    stream: StreamId::Queue,
+                    ..
+                }
+        )
+    }
 }
 
 /// One trace event: who, when (logical tick), what.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsEvent {
-    /// The thread the event belongs to (scheduler-track events carry the
-    /// thread that triggered them).
+    /// The acting thread (scheduler-track events carry the thread that
+    /// triggered them, `u32::MAX` when none did).
     pub tid: u32,
     /// The logical tick at which the event happened.
     pub tick: u64,
@@ -230,9 +372,9 @@ mod tests {
 
     #[test]
     fn events_are_copy_and_small() {
-        // The hot path copies events by value into the ring; keep the
-        // record within a couple of words of a cache line.
-        assert!(std::mem::size_of::<ObsEvent>() <= 40);
+        // The hot path copies events by value into the log; keep the
+        // record at half a cache line.
+        assert!(std::mem::size_of::<ObsEvent>() <= 32);
         let ev = ObsEvent {
             tid: 1,
             tick: 2,
@@ -240,5 +382,27 @@ mod tests {
         };
         let copy = ev;
         assert_eq!(copy, ev);
+    }
+
+    #[test]
+    fn classes_and_tracks() {
+        assert_eq!(EventKind::TickBegin.class(), EventClass::Schedule);
+        assert_eq!(
+            EventKind::MutexAcquire { mutex: 0 }.class(),
+            EventClass::Sync
+        );
+        assert_eq!(
+            EventKind::PlainAccess {
+                loc: 0,
+                write: true
+            }
+            .class(),
+            EventClass::Access
+        );
+        let cursor = |stream| EventKind::StreamCursor { stream, offset: 1 };
+        assert!(cursor(StreamId::Queue).on_scheduler_track());
+        assert!(!cursor(StreamId::Syscall).on_scheduler_track());
+        assert!(EventKind::Broadcast.on_scheduler_track());
+        assert!(!EventKind::TickBegin.on_scheduler_track());
     }
 }

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A log2-bucketed histogram of `u64` samples.
 ///
@@ -34,7 +34,8 @@ impl Default for Histogram {
     }
 }
 
-fn bucket_of(v: u64) -> usize {
+/// The bucket holding `v`: the one log2 bucket rule both histograms use.
+pub(crate) fn bucket_of(v: u64) -> usize {
     if v == 0 {
         0
     } else {

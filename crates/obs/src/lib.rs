@@ -1,13 +1,15 @@
 //! srr-obs: the observability layer for the sparse record/replay stack.
 //!
-//! Provides the structured event model ([`ObsEvent`]), bounded per-thread
-//! event rings ([`EventRing`]), log2 latency histograms ([`Histogram`]),
-//! the run-level [`ObsReport`], desynchronisation diagnostics
-//! ([`DesyncDiagnostics`]), and the exporters ([`chrome_trace`],
-//! [`text_timeline`]). The core runtime depends on this crate and feeds
-//! it through an [`Obs`] collector when a [`TraceSpec`] is configured;
-//! with tracing off the runtime never constructs a collector, so the
-//! instrumented hot path pays only an `Option` check.
+//! A traced run keeps one event log: the [`Obs`] collector appends each
+//! [`ObsEvent`] whose class the run's [`TraceSpec`] keeps, once, in
+//! emission order, and finishes into a [`SyncTrace`]. Every view is
+//! derived from that log: the schedule ([`SyncTrace::tick_order`]), the
+//! log2 histograms of the [`ObsReport`], desynchronisation diagnostics
+//! ([`DesyncDiagnostics`]), the causal profile ([`profile`]), and the
+//! exporters ([`chrome_trace`], [`text_timeline`]), which cut each track
+//! to its last events at export. The core runtime builds a collector only
+//! when a spec is configured, so an untraced run pays an `Option` check
+//! per emit site and takes no lock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,62 +23,73 @@ mod json;
 pub mod metrics;
 pub mod profile;
 mod report;
-mod ring;
+mod trace;
 
 pub use chrome::{chrome_trace, text_timeline};
 pub use diag::{first_divergence, DesyncDiagnostics, TickDiff};
-pub use event::{EventKind, ObsEvent, ObsOp, StreamId, SysKind};
+pub use event::{EventClass, EventKind, ObsEvent, ObsOp, StreamId, SysKind};
 pub use farm::FarmCounters;
 pub use hist::Histogram;
 pub use json::Json;
 pub use metrics::{Counter, Gauge, MetricHistogram, MetricsRegistry};
-pub use profile::{profile, BucketRow, ProfileEvent, ProfileInput, ProfileReport};
-pub use report::{ObsReport, StreamCounter, ThreadTrace};
-pub use ring::EventRing;
+pub use profile::{profile, BucketRow, ProfileReport};
+pub use report::{ObsReport, StreamCounter};
+pub use trace::{SyncTrace, ThreadTrace};
+
+use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-/// What to trace and how much to retain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which event classes a traced run keeps. The default keeps nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceSpec {
-    /// Events retained per thread (and for the scheduler track); older
-    /// events are overwritten. Default 256.
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceSpec {
-    fn default() -> Self {
-        TraceSpec { ring_capacity: 256 }
-    }
+    /// Ticks, decisions, wakeups, signals, syscall and cursor markers,
+    /// and desyncs.
+    pub schedule: bool,
+    /// Mutex, condvar, atomic and thread operations.
+    pub sync: bool,
+    /// Plain accesses to instrumented shared variables.
+    pub access: bool,
 }
 
 impl TraceSpec {
-    /// The default spec (ring capacity 256).
+    /// The schedule class alone: what `srr trace` keeps.
+    pub const SCHEDULE: TraceSpec = TraceSpec {
+        schedule: true,
+        sync: false,
+        access: false,
+    };
+
+    /// Whether events of `class` are kept.
     #[must_use]
-    pub fn new() -> Self {
-        TraceSpec::default()
+    pub fn keeps(self, class: EventClass) -> bool {
+        match class {
+            EventClass::Schedule => self.schedule,
+            EventClass::Sync => self.sync,
+            EventClass::Access => self.access,
+        }
     }
 
-    /// Sets the per-thread ring capacity.
+    /// The classes either spec keeps.
     #[must_use]
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
+    pub fn union(self, other: TraceSpec) -> TraceSpec {
+        TraceSpec {
+            schedule: self.schedule || other.schedule,
+            sync: self.sync || other.sync,
+            access: self.access || other.access,
+        }
     }
 }
 
+#[derive(Default)]
 struct Inner {
-    threads: Vec<EventRing>,
-    sched: EventRing,
-    tick_latency: Histogram,
-    run_lengths: Histogram,
-    last_tid: Option<u32>,
-    run_len: u64,
+    trace: SyncTrace,
+    loc_ids: HashMap<String, u32>,
 }
 
 /// The run-wide trace collector.
 ///
-/// One mutex guards all rings; the scheduler already serialises visible
+/// One mutex guards the log; the scheduler already serialises visible
 /// operations (exactly one thread is ever inside the critical section),
 /// so the lock is uncontended in controlled runs. `Obs` takes no other
 /// locks, making it a safe leaf under the scheduler mutex.
@@ -86,19 +99,13 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A collector retaining `spec.ring_capacity` events per track.
+    /// A collector keeping the classes `spec` names. It preallocates
+    /// nothing.
     #[must_use]
     pub fn new(spec: TraceSpec) -> Self {
         Obs {
             spec,
-            inner: Mutex::new(Inner {
-                threads: Vec::new(),
-                sched: EventRing::new(spec.ring_capacity),
-                tick_latency: Histogram::new(),
-                run_lengths: Histogram::new(),
-                last_tid: None,
-                run_len: 0,
-            }),
+            inner: Mutex::new(Inner::default()),
         }
     }
 
@@ -108,84 +115,46 @@ impl Obs {
         self.spec
     }
 
-    fn ring_of<'a>(&self, inner: &'a mut Inner, tid: u32) -> &'a mut EventRing {
-        let idx = tid as usize;
-        while inner.threads.len() <= idx {
-            // Ring growth happens at thread registration, not on the
-            // steady-state hot path.
-            inner.threads.push(EventRing::new(self.spec.ring_capacity));
-        }
-        &mut inner.threads[idx]
-    }
-
-    /// Records an event on `tid`'s track.
-    pub fn thread_event(&self, tid: u32, tick: u64, kind: EventKind) {
-        let mut inner = self.inner.lock();
-        self.ring_of(&mut inner, tid)
-            .push(ObsEvent { tid, tick, kind });
-    }
-
-    /// Records an event on the scheduler track (attributed to `tid`).
-    pub fn sched_event(&self, tid: u32, tick: u64, kind: EventKind) {
-        let mut inner = self.inner.lock();
-        inner.sched.push(ObsEvent { tid, tick, kind });
-    }
-
-    /// Records a tick completion: pushes the `TickEnd` event, feeds the
-    /// latency histogram, and advances the run-length accounting.
-    pub fn tick_end(&self, tid: u32, tick: u64, dur_nanos: u64, op: ObsOp) {
-        let mut inner = self.inner.lock();
-        self.ring_of(&mut inner, tid).push(ObsEvent {
-            tid,
-            tick,
-            kind: EventKind::TickEnd { dur_nanos, op },
-        });
-        inner.tick_latency.record(dur_nanos);
-        match inner.last_tid {
-            Some(last) if last == tid => inner.run_len += 1,
-            _ => {
-                if inner.run_len > 0 {
-                    let len = inner.run_len;
-                    inner.run_lengths.record(len);
-                }
-                inner.last_tid = Some(tid);
-                inner.run_len = 1;
-            }
+    /// Appends an event to the log, unless its class is not kept.
+    pub fn emit(&self, tid: u32, tick: u64, kind: EventKind) {
+        if self.spec.keeps(kind.class()) {
+            self.inner
+                .lock()
+                .trace
+                .events
+                .push(ObsEvent { tid, tick, kind });
         }
     }
 
-    /// Drains the collector into a report (flushes the trailing run).
+    /// Records the label of mutex `id` (ids are dense; gaps are filled
+    /// with `None`).
+    pub fn set_mutex_label(&self, id: u32, label: Option<String>) {
+        let labels = &mut self.inner.lock().trace.mutex_labels;
+        let idx = id as usize;
+        if labels.len() <= idx {
+            labels.resize(idx + 1, None);
+        }
+        labels[idx] = label;
+    }
+
+    /// Interns `label` as a location id. Two variables sharing a label
+    /// model two views of one memory location (how the mixed
+    /// plain/atomic lint identifies "the same location").
+    pub fn loc_id(&self, label: &str) -> u32 {
+        let inner = &mut *self.inner.lock();
+        if let Some(&id) = inner.loc_ids.get(label) {
+            return id;
+        }
+        let id = inner.trace.loc_labels.len() as u32;
+        inner.trace.loc_labels.push(label.to_owned());
+        inner.loc_ids.insert(label.to_owned(), id);
+        id
+    }
+
+    /// Takes the finished log (end of an execution).
     #[must_use]
-    pub fn finish(&self) -> ObsReport {
-        let mut inner = self.inner.lock();
-        if inner.run_len > 0 {
-            let len = inner.run_len;
-            inner.run_lengths.record(len);
-            inner.run_len = 0;
-            inner.last_tid = None;
-        }
-        ObsReport {
-            enabled: true,
-            tick_latency: inner.tick_latency.clone(),
-            run_lengths: inner.run_lengths.clone(),
-            threads: inner
-                .threads
-                .iter()
-                .enumerate()
-                .map(|(tid, ring)| ThreadTrace {
-                    tid: tid as u32,
-                    events: ring.in_order(),
-                    dropped: ring.dropped(),
-                })
-                .collect(),
-            scheduler: ThreadTrace {
-                tid: u32::MAX,
-                events: inner.sched.in_order(),
-                dropped: inner.sched.dropped(),
-            },
-            streams: Vec::new(),
-            desync: None,
-        }
+    pub fn finish(&self) -> SyncTrace {
+        std::mem::take(&mut self.inner.lock().trace)
     }
 }
 
@@ -200,28 +169,57 @@ mod tests {
     use super::*;
 
     #[test]
-    fn collector_tracks_and_runs() {
-        let obs = Obs::new(TraceSpec::new().with_ring_capacity(16));
-        // Schedule T0 T0 T1 T0 -> runs of 2, 1, 1.
-        for (tick, tid) in [(1u64, 0u32), (2, 0), (3, 1), (4, 0)] {
-            obs.thread_event(tid, tick, EventKind::TickBegin);
-            obs.tick_end(tid, tick, 10, ObsOp::Atomic);
-        }
-        obs.sched_event(0, 4, EventKind::Broadcast);
-        let report = obs.finish();
-        assert!(report.enabled);
-        assert_eq!(report.threads.len(), 2);
-        assert_eq!(report.tick_order(), vec![(0, 1), (0, 2), (1, 3), (0, 4)]);
-        assert_eq!(report.tick_latency.count(), 4);
-        assert_eq!(report.run_lengths.count(), 3);
-        assert_eq!(report.run_lengths.max(), 2);
-        assert_eq!(report.scheduler.events.len(), 1);
+    fn collector_keeps_only_the_spec_classes_in_emission_order() {
+        let obs = Obs::new(TraceSpec {
+            sync: true,
+            ..TraceSpec::default()
+        });
+        obs.emit(0, 1, EventKind::TickBegin);
+        obs.emit(0, 1, EventKind::MutexAcquire { mutex: 0 });
+        obs.emit(
+            1,
+            1,
+            EventKind::PlainAccess {
+                loc: 0,
+                write: false,
+            },
+        );
+        obs.emit(0, 2, EventKind::MutexRelease { mutex: 0 });
+        obs.set_mutex_label(2, Some("B".into()));
+        assert_eq!(obs.loc_id("x"), 0);
+        assert_eq!(obs.loc_id("y"), 1);
+        assert_eq!(obs.loc_id("x"), 0, "same label, same id");
+        let trace = obs.finish();
+        let kinds: Vec<EventKind> = trace.events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::MutexAcquire { mutex: 0 },
+                EventKind::MutexRelease { mutex: 0 }
+            ]
+        );
+        assert_eq!(trace.mutex_label(2), "B");
+        assert_eq!(trace.mutex_label(0), "mutex#0", "gap filled with None");
+        assert_eq!(trace.loc_labels, vec!["x".to_owned(), "y".to_owned()]);
+        assert!(obs.finish().is_empty(), "finish takes the log");
     }
 
     #[test]
-    fn trace_spec_builder() {
-        let spec = TraceSpec::new().with_ring_capacity(1024);
-        assert_eq!(spec.ring_capacity, 1024);
-        assert_eq!(TraceSpec::default().ring_capacity, 256);
+    fn trace_spec_classes() {
+        let none = TraceSpec::default();
+        assert!(!none.keeps(EventClass::Schedule));
+        let access = TraceSpec {
+            sync: true,
+            access: true,
+            ..none
+        };
+        let both = access.union(TraceSpec {
+            schedule: true,
+            ..none
+        });
+        assert!(both.keeps(EventClass::Schedule));
+        assert!(both.keeps(EventClass::Sync));
+        assert!(both.keeps(EventClass::Access));
+        assert!(!access.keeps(EventClass::Schedule));
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
-use crate::hist::Histogram;
+use crate::hist::{bucket_of, Histogram, BUCKETS};
 use crate::json::Json;
 
 /// A monotonically increasing counter that saturates at `u64::MAX`
@@ -120,8 +120,6 @@ impl Default for Gauge {
     }
 }
 
-const BUCKETS: usize = 64;
-
 struct AtomicHist {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
@@ -157,12 +155,7 @@ impl MetricHistogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let b = if v == 0 {
-            0
-        } else {
-            ((64 - v.leading_zeros()) as usize).min(BUCKETS - 1)
-        };
-        self.0.buckets[b].fetch_add(1, Ordering::Relaxed);
+        self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         let _ = self
             .0

@@ -1,20 +1,9 @@
 //! The aggregated observability report attached to an execution report.
 
 use crate::diag::DesyncDiagnostics;
-use crate::event::{EventKind, ObsEvent};
+use crate::event::EventKind;
 use crate::hist::Histogram;
-
-/// The retained trace of one thread (or the scheduler track): the most
-/// recent events from its ring plus how many older ones were overwritten.
-#[derive(Clone, Debug, Default)]
-pub struct ThreadTrace {
-    /// Controlled-thread id (`u32::MAX` for the scheduler track).
-    pub tid: u32,
-    /// Retained events, oldest first.
-    pub events: Vec<ObsEvent>,
-    /// Events lost to ring overwriting.
-    pub dropped: u64,
-}
+use crate::trace::SyncTrace;
 
 /// Per-demo-stream size counters (entries and on-disk bytes).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -30,22 +19,17 @@ pub struct StreamCounter {
     pub bytes: u64,
 }
 
-/// Everything the observability layer gathered over one execution.
+/// Everything the observability layer derived over one execution. The
+/// events themselves live in the run's one [`SyncTrace`].
 ///
-/// Present on every `ExecReport`; `enabled == false` means tracing was
-/// off and only the cheap always-on fields (stream counters) are filled.
+/// Present on every `ExecReport`; without the schedule class traced only
+/// the cheap always-on fields (stream counters) are filled.
 #[derive(Clone, Debug, Default)]
 pub struct ObsReport {
-    /// Whether event tracing was enabled for the run.
-    pub enabled: bool,
     /// Wall-clock critical-section (tick) latencies, in nanoseconds.
     pub tick_latency: Histogram,
     /// Consecutive-tick run lengths per scheduled thread.
     pub run_lengths: Histogram,
-    /// Per-thread retained event traces, in tid order.
-    pub threads: Vec<ThreadTrace>,
-    /// The scheduler track (decisions, wakeups, broadcasts, desyncs).
-    pub scheduler: ThreadTrace,
     /// Per-stream entry/byte counters (filled on record and replay runs
     /// even when tracing is off).
     pub streams: Vec<StreamCounter>,
@@ -54,25 +38,31 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// All retained `TickEnd` events across threads, sorted by tick —
-    /// the replayed schedule order as far as the rings remember it.
+    /// The tick histograms of `trace`: every `TickEnd`'s critical-section
+    /// latency, and the lengths of the runs of consecutive ticks one
+    /// thread owned.
     #[must_use]
-    pub fn tick_order(&self) -> Vec<(u32, u64)> {
-        let mut out: Vec<(u32, u64)> = self
-            .threads
-            .iter()
-            .flat_map(|t| t.events.iter())
-            .filter(|e| matches!(e.kind, EventKind::TickEnd { .. }))
-            .map(|e| (e.tid, e.tick))
-            .collect();
-        out.sort_by_key(|&(_, tick)| tick);
-        out
-    }
-
-    /// Total events retained across all tracks.
-    #[must_use]
-    pub fn total_events(&self) -> usize {
-        self.threads.iter().map(|t| t.events.len()).sum::<usize>() + self.scheduler.events.len()
+    pub fn of(trace: &SyncTrace) -> Self {
+        let mut report = ObsReport::default();
+        let mut run: Option<(u32, u64)> = None;
+        for ev in &trace.events {
+            let EventKind::TickEnd { dur_nanos, .. } = ev.kind else {
+                continue;
+            };
+            report.tick_latency.record(dur_nanos);
+            run = match run {
+                Some((tid, len)) if tid == ev.tid => Some((tid, len + 1)),
+                Some((_, len)) => {
+                    report.run_lengths.record(len);
+                    Some((ev.tid, 1))
+                }
+                None => Some((ev.tid, 1)),
+            };
+        }
+        if let Some((_, len)) = run {
+            report.run_lengths.record(len);
+        }
+        report
     }
 
     /// Looks up a stream counter by name.
@@ -85,38 +75,39 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ObsOp;
+    use crate::event::{ObsEvent, ObsOp};
 
     #[test]
-    fn tick_order_merges_and_sorts() {
-        let end = |tid: u32, tick: u64| ObsEvent {
-            tid,
-            tick,
-            kind: EventKind::TickEnd {
-                dur_nanos: 0,
-                op: ObsOp::Other,
-            },
-        };
-        let mut report = ObsReport::default();
-        report.threads.push(ThreadTrace {
-            tid: 0,
-            events: vec![end(0, 1), end(0, 4)],
-            dropped: 0,
+    fn histograms_follow_the_tick_order() {
+        // Schedule T0 T0 T1 T0 -> runs of 2, 1, 1.
+        let events = [(0u32, 1u64), (0, 2), (1, 3), (0, 4)]
+            .into_iter()
+            .flat_map(|(tid, tick)| {
+                [
+                    ObsEvent {
+                        tid,
+                        tick,
+                        kind: EventKind::TickBegin,
+                    },
+                    ObsEvent {
+                        tid,
+                        tick,
+                        kind: EventKind::TickEnd {
+                            dur_nanos: 10,
+                            op: ObsOp::Atomic,
+                        },
+                    },
+                ]
+            })
+            .collect();
+        let report = ObsReport::of(&SyncTrace {
+            events,
+            ..SyncTrace::default()
         });
-        report.threads.push(ThreadTrace {
-            tid: 1,
-            events: vec![
-                end(1, 2),
-                ObsEvent {
-                    tid: 1,
-                    tick: 3,
-                    kind: EventKind::TickBegin,
-                },
-                end(1, 3),
-            ],
-            dropped: 0,
-        });
-        assert_eq!(report.tick_order(), vec![(0, 1), (1, 2), (1, 3), (0, 4)]);
-        assert_eq!(report.total_events(), 5);
+        assert_eq!(report.tick_latency.count(), 4);
+        assert_eq!(report.tick_latency.max(), 10);
+        assert_eq!(report.run_lengths.count(), 3);
+        assert_eq!(report.run_lengths.max(), 2);
+        assert_eq!(ObsReport::of(&SyncTrace::default()).run_lengths.count(), 0);
     }
 }

@@ -4,8 +4,9 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use srr_obs::profile::{profile, ProfileEvent, ProfileInput};
-use srr_obs::{Counter, Histogram, MetricHistogram};
+use srr_obs::{
+    profile, Counter, EventKind, Histogram, MetricHistogram, ObsEvent, ObsOp, SyncTrace,
+};
 
 fn hist_of(samples: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -15,51 +16,49 @@ fn hist_of(samples: &[u64]) -> Histogram {
     h
 }
 
-/// A random but internally consistent profiler input: a schedule over a
-/// few threads plus lock/cond/spawn events stamped onto owned ticks.
-fn arb_profile_input() -> impl Strategy<Value = ProfileInput> {
+/// A random but internally consistent traced run: a schedule over a few
+/// threads plus lock/cond/join events stamped onto owned ticks.
+fn arb_trace() -> impl Strategy<Value = SyncTrace> {
     (vec(0u32..4, 1..60), vec(0usize..6, 0..20)).prop_map(|(owners, choices)| {
-        let schedule: Vec<(u64, u32)> = owners
+        let mut events: Vec<ObsEvent> = owners
             .iter()
             .enumerate()
-            .map(|(i, &t)| ((i + 1) as u64, t))
+            .map(|(i, &tid)| ObsEvent {
+                tid,
+                tick: (i + 1) as u64,
+                kind: EventKind::TickEnd {
+                    dur_nanos: 0,
+                    op: ObsOp::Other,
+                },
+            })
             .collect();
-        let mut events = Vec::new();
         for (i, &c) in choices.iter().enumerate() {
             // Pick an owned tick deterministically from the choice index.
             let k = (i % owners.len()) + 1;
             let tid = owners[k - 1];
-            let tick = k as u64;
-            events.push(match c {
-                0 => ProfileEvent::MutexRequest {
-                    tid,
-                    mutex: 1,
-                    tick,
+            let kind = match c {
+                0 => EventKind::MutexRequest { mutex: 1 },
+                1 => EventKind::MutexAcquire { mutex: 1 },
+                2 => EventKind::MutexRelease { mutex: 1 },
+                3 => EventKind::CondWaitBegin { cond: 2, mutex: 1 },
+                4 => EventKind::CondNotify {
+                    cond: 2,
+                    all: false,
                 },
-                1 => ProfileEvent::MutexAcquire {
-                    tid,
-                    mutex: 1,
-                    tick,
-                },
-                2 => ProfileEvent::MutexRelease {
-                    tid,
-                    mutex: 1,
-                    tick,
-                },
-                3 => ProfileEvent::CondWaitBegin { tid, cond: 2, tick },
-                4 => ProfileEvent::CondNotify { cond: 2, tick },
-                _ => ProfileEvent::ThreadJoin {
-                    tid,
+                _ => EventKind::ThreadJoined {
                     target: (tid + 1) % 4,
-                    tick,
                     done: true,
                 },
+            };
+            events.push(ObsEvent {
+                tid,
+                tick: k as u64,
+                kind,
             });
         }
-        ProfileInput {
-            schedule,
+        SyncTrace {
             events,
-            mutex_labels: Default::default(),
+            ..SyncTrace::default()
         }
     })
 }
@@ -135,16 +134,15 @@ proptest! {
     }
 
     /// Profiling is deterministic: the same logical input produces a
-    /// byte-identical JSON report, even when the event and schedule
-    /// vectors are traversed in a different order.
+    /// byte-identical JSON report, even when the log is traversed in a
+    /// different order.
     #[test]
-    fn profile_json_is_byte_identical(input in arb_profile_input()) {
-        let a = profile(&input).to_json().to_pretty();
-        let b = profile(&input).to_json().to_pretty();
+    fn profile_json_is_byte_identical(trace in arb_trace()) {
+        let a = profile(&trace).to_json().to_pretty();
+        let b = profile(&trace).to_json().to_pretty();
         prop_assert_eq!(&a, &b);
-        let mut shuffled = input.clone();
+        let mut shuffled = trace.clone();
         shuffled.events.reverse();
-        shuffled.schedule.reverse();
         let c = profile(&shuffled).to_json().to_pretty();
         prop_assert_eq!(&a, &c);
     }
@@ -152,9 +150,9 @@ proptest! {
     /// The critical-path walk partitions logical time exactly: bucket
     /// totals always sum to the schedule length, whatever the events say.
     #[test]
-    fn profile_buckets_partition_total_ticks(input in arb_profile_input()) {
-        let rep = profile(&input);
-        prop_assert_eq!(rep.total_ticks, input.schedule.len() as u64);
+    fn profile_buckets_partition_total_ticks(trace in arb_trace()) {
+        let rep = profile(&trace);
+        prop_assert_eq!(rep.total_ticks, trace.tick_order().len() as u64);
         prop_assert_eq!(rep.attributed_ticks(), rep.total_ticks);
         let share_sum: f64 = rep.buckets.iter().map(|b| b.share).sum();
         prop_assert!((share_sum - 1.0).abs() < 1e-9);

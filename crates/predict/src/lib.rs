@@ -44,7 +44,7 @@ pub use model::{Access, TickOp, TraceModel};
 pub use weakpo::{weak_candidates, Candidate};
 pub use witness::{synthesize, Synth};
 
-use srr_analysis::SyncTrace;
+use srr_obs::SyncTrace;
 use srr_replay::Demo;
 
 /// Final grade of one predicted race.
@@ -246,35 +246,35 @@ pub fn classify_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srr_analysis::SyncEvent;
+    use srr_obs::{EventKind, ObsEvent};
+
+    fn ev(tid: u32, tick: u64, kind: EventKind) -> ObsEvent {
+        ObsEvent { tid, tick, kind }
+    }
     use srr_replay::{DemoHeader, QueueStream};
     use std::sync::Arc;
 
     fn unordered_pair() -> (SyncTrace, Demo) {
         let trace = SyncTrace {
             events: vec![
-                SyncEvent::ThreadSpawn {
-                    tid: 0,
-                    child: 1,
-                    tick: 1,
-                },
-                SyncEvent::ThreadSpawn {
-                    tid: 0,
-                    child: 2,
-                    tick: 2,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 1,
-                    loc: 0,
-                    tick: 3,
-                    write: true,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 2,
-                    loc: 0,
-                    tick: 4,
-                    write: true,
-                },
+                ev(0, 1, EventKind::ThreadSpawn { child: 1 }),
+                ev(0, 2, EventKind::ThreadSpawn { child: 2 }),
+                ev(
+                    1,
+                    3,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: true,
+                    },
+                ),
+                ev(
+                    2,
+                    4,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: true,
+                    },
+                ),
             ],
             mutex_labels: vec![],
             loc_labels: vec!["x".into()],

@@ -1,8 +1,8 @@
 //! Trace ingestion: reconciling the recorded QUEUE schedule with the
-//! sync-event trace into a per-tick, per-thread model.
+//! sync events of the run's trace into a per-tick, per-thread model.
 //!
 //! The scheduler's QUEUE stream says *which thread* owned every tick; the
-//! sync-event trace says *what* (some of) those ticks did. Joining the two
+//! sync events say *what* (some of) those ticks did. Joining the two
 //! gives each tick a [`TickOp`] list, each plain access an enclosing
 //! *segment* (the window of ticks during which the invisible access can
 //! execute), and each mutex a contention verdict — everything the weak
@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use srr_analysis::{SyncEvent, SyncTrace};
+use srr_obs::{EventKind, SyncTrace};
 use srr_replay::Demo;
 
 /// What a classified tick's critical section did. One tick can carry
@@ -126,37 +126,30 @@ impl TraceModel {
         let mut spawn_tick = vec![None; nthreads];
         let mut contended: HashSet<u32> = HashSet::new();
         let mut push = |tick: u64, op: TickOp| tick_ops.entry(tick).or_default().push(op);
-        for ev in &trace.events {
-            match *ev {
-                SyncEvent::MutexRequest { mutex, tick, .. } => {
-                    push(tick, TickOp::Request { mutex })
-                }
-                SyncEvent::MutexAcquire { mutex, tick, .. } => {
-                    push(tick, TickOp::Acquire { mutex })
-                }
-                SyncEvent::MutexRelease { mutex, tick, .. } => {
-                    push(tick, TickOp::Release { mutex })
-                }
-                SyncEvent::CondWaitBegin { cond, tick, .. } => {
-                    push(tick, TickOp::CondBegin { cond })
-                }
-                SyncEvent::CondNotify { cond, tick, .. } => push(tick, TickOp::Notify { cond }),
-                SyncEvent::AtomicLoad { loc, tick, .. }
-                | SyncEvent::AtomicStore { loc, tick, .. } => {
+        for ev in trace.sync_events() {
+            let tick = ev.tick;
+            match ev.kind {
+                EventKind::MutexRequest { mutex } => push(tick, TickOp::Request { mutex }),
+                EventKind::MutexAcquire { mutex } => push(tick, TickOp::Acquire { mutex }),
+                EventKind::MutexRelease { mutex } => push(tick, TickOp::Release { mutex }),
+                EventKind::CondWaitBegin { cond, .. } => push(tick, TickOp::CondBegin { cond }),
+                EventKind::CondNotify { cond, .. } => push(tick, TickOp::Notify { cond }),
+                EventKind::AtomicLoad { loc, .. } | EventKind::AtomicStore { loc, .. } => {
                     push(tick, TickOp::Atomic { loc });
                 }
-                SyncEvent::ThreadSpawn { child, tick, .. } => {
+                EventKind::ThreadSpawn { child } => {
                     push(tick, TickOp::Spawn { child });
                     if let Some(slot) = spawn_tick.get_mut(child as usize) {
                         *slot = Some(tick);
                     }
                 }
-                SyncEvent::ThreadJoined {
-                    target, tick, done, ..
-                } => push(tick, TickOp::JoinAttempt { target, done }),
-                // Emitted outside any critical section (approximate tick)
-                // or invisible: not tick anchors.
-                SyncEvent::CondWaitReturn { .. } | SyncEvent::PlainAccess { .. } => {}
+                EventKind::ThreadJoined { target, done } => {
+                    push(tick, TickOp::JoinAttempt { target, done });
+                }
+                // `CondWaitReturn` is emitted outside any critical
+                // section (approximate tick) and plain accesses are
+                // invisible: not tick anchors.
+                _ => {}
             }
         }
         for rec in demo.syscalls.iter() {
@@ -189,14 +182,12 @@ impl TraceModel {
         let mut last_evented: HashMap<u32, u64> = HashMap::new();
         let mut pos: HashMap<u32, usize> = HashMap::new();
         let mut open: Vec<usize> = Vec::new(); // accesses awaiting seg_end
-        for ev in &trace.events {
-            let tid = ev.tid();
+        for ev in trace.sync_events() {
+            let tid = ev.tid;
             let p = pos.entry(tid).or_insert(0);
             *p += 1;
-            match *ev {
-                SyncEvent::PlainAccess {
-                    tid, loc, write, ..
-                } => {
+            match ev.kind {
+                EventKind::PlainAccess { loc, write } => {
                     accesses.push(Access {
                         tid,
                         loc,
@@ -207,9 +198,9 @@ impl TraceModel {
                     });
                     open.push(accesses.len() - 1);
                 }
-                SyncEvent::CondWaitReturn { .. } => {}
+                EventKind::CondWaitReturn { .. } => {}
                 _ => {
-                    let tick = ev.tick();
+                    let tick = ev.tick;
                     last_evented.insert(tid, tick);
                     open.retain(|&i| {
                         if accesses[i].tid == tid {
@@ -262,6 +253,11 @@ impl TraceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srr_obs::ObsEvent;
+
+    fn ev(tid: u32, tick: u64, kind: EventKind) -> ObsEvent {
+        ObsEvent { tid, tick, kind }
+    }
     use srr_replay::{DemoHeader, QueueStream};
     use std::sync::Arc;
 
@@ -279,32 +275,18 @@ mod tests {
         let trace = SyncTrace {
             loc_labels: vec!["x".into()],
             events: vec![
-                SyncEvent::ThreadSpawn {
-                    tid: 0,
-                    child: 1,
-                    tick: 1,
-                },
-                SyncEvent::MutexRequest {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 2,
-                },
-                SyncEvent::MutexAcquire {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 2,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 1,
-                    loc: 0,
-                    tick: 3,
-                    write: true,
-                },
-                SyncEvent::MutexRelease {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 4,
-                },
+                ev(0, 1, EventKind::ThreadSpawn { child: 1 }),
+                ev(1, 2, EventKind::MutexRequest { mutex: 0 }),
+                ev(1, 2, EventKind::MutexAcquire { mutex: 0 }),
+                ev(
+                    1,
+                    3,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: true,
+                    },
+                ),
+                ev(1, 4, EventKind::MutexRelease { mutex: 0 }),
             ],
             ..SyncTrace::default()
         };
@@ -333,22 +315,16 @@ mod tests {
         let trace = SyncTrace {
             loc_labels: vec!["x".into()],
             events: vec![
-                SyncEvent::PlainAccess {
-                    tid: 1,
-                    loc: 0,
-                    tick: 1,
-                    write: false,
-                },
-                SyncEvent::MutexRequest {
-                    tid: 1,
-                    mutex: 3,
-                    tick: 2,
-                },
-                SyncEvent::MutexAcquire {
-                    tid: 1,
-                    mutex: 3,
-                    tick: 4,
-                },
+                ev(
+                    1,
+                    1,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: false,
+                    },
+                ),
+                ev(1, 2, EventKind::MutexRequest { mutex: 3 }),
+                ev(1, 4, EventKind::MutexAcquire { mutex: 3 }),
             ],
             ..SyncTrace::default()
         };
@@ -366,18 +342,15 @@ mod tests {
         let trace = SyncTrace {
             loc_labels: vec!["x".into()],
             events: vec![
-                SyncEvent::AtomicStore {
-                    tid: 1,
-                    loc: 0,
-                    tick: 2,
-                    rmw: false,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 1,
-                    loc: 0,
-                    tick: 3,
-                    write: true,
-                },
+                ev(1, 2, EventKind::AtomicStore { loc: 0, rmw: false }),
+                ev(
+                    1,
+                    3,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: true,
+                    },
+                ),
             ],
             ..SyncTrace::default()
         };

@@ -18,7 +18,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use srr_analysis::{SyncEvent, SyncTrace};
+use srr_obs::{EventKind, SyncTrace};
 use srr_vclock::VectorClock;
 
 /// A predicted racing pair: indices into the model's access list (in
@@ -77,15 +77,14 @@ struct AccessSnap {
 #[must_use]
 pub fn weak_candidates(trace: &SyncTrace) -> Vec<Candidate> {
     let ntids = trace
-        .events
-        .iter()
+        .sync_events()
         .map(|e| {
-            let extra = match *e {
-                SyncEvent::ThreadSpawn { child, .. } => child,
-                SyncEvent::ThreadJoined { target, .. } => target,
+            let extra = match e.kind {
+                EventKind::ThreadSpawn { child } => child,
+                EventKind::ThreadJoined { target, .. } => target,
                 _ => 0,
             };
-            e.tid().max(extra) as usize + 1
+            e.tid.max(extra) as usize + 1
         })
         .max()
         .unwrap_or(0);
@@ -96,9 +95,10 @@ pub fn weak_candidates(trace: &SyncTrace) -> Vec<Candidate> {
     let mut mutex_cs: HashMap<u32, Vec<usize>> = HashMap::new();
     let mut cs_of_acquire: HashMap<usize, usize> = HashMap::new();
     let mut open: Vec<Vec<usize>> = vec![Vec::new(); ntids]; // per-thread open cs
-    for (i, ev) in trace.events.iter().enumerate() {
-        match *ev {
-            SyncEvent::MutexAcquire { tid, mutex, .. } => {
+    for (i, ev) in trace.sync_events().enumerate() {
+        let tid = ev.tid;
+        match ev.kind {
+            EventKind::MutexAcquire { mutex } => {
                 let id = cs.len();
                 cs.push(CsRecord {
                     mutex,
@@ -109,26 +109,24 @@ pub fn weak_candidates(trace: &SyncTrace) -> Vec<Candidate> {
                 cs_of_acquire.insert(i, id);
                 open[tid as usize].push(id);
             }
-            SyncEvent::MutexRelease { tid, mutex, .. } => {
+            EventKind::MutexRelease { mutex } => {
                 let stack = &mut open[tid as usize];
                 if let Some(p) = stack.iter().rposition(|&id| cs[id].mutex == mutex) {
                     stack.remove(p);
                 }
             }
-            SyncEvent::PlainAccess {
-                tid, loc, write, ..
-            } => {
+            EventKind::PlainAccess { loc, write } => {
                 for &id in &open[tid as usize] {
                     let w = cs[id].accesses.entry(loc).or_insert(false);
                     *w |= write;
                 }
             }
-            SyncEvent::AtomicLoad { tid, loc, .. } => {
+            EventKind::AtomicLoad { loc, .. } => {
                 for &id in &open[tid as usize] {
                     cs[id].accesses.entry(loc).or_insert(false);
                 }
             }
-            SyncEvent::AtomicStore { tid, loc, .. } => {
+            EventKind::AtomicStore { loc, .. } => {
                 for &id in &open[tid as usize] {
                     let w = cs[id].accesses.entry(loc).or_insert(false);
                     *w = true;
@@ -150,29 +148,27 @@ pub fn weak_candidates(trace: &SyncTrace) -> Vec<Candidate> {
     let mut last_store: HashMap<(u32, u32), VectorClock> = HashMap::new();
     let mut snaps: Vec<AccessSnap> = Vec::new();
 
-    for (i, ev) in trace.events.iter().enumerate() {
-        let t = ev.tid() as usize;
+    for (i, ev) in trace.sync_events().enumerate() {
+        let (tid, t) = (ev.tid, ev.tid as usize);
         key[t] += 1;
         let k = key[t];
         weak[t].set(t, k);
         observed[t].set(t, k);
-        match *ev {
-            SyncEvent::ThreadSpawn { child, .. } => {
+        match ev.kind {
+            EventKind::ThreadSpawn { child } => {
                 let (parent_weak, parent_obs) = (weak[t].clone(), observed[t].clone());
                 weak[child as usize].join(&parent_weak);
                 observed[child as usize].join(&parent_obs);
             }
-            SyncEvent::ThreadJoined { target, done, .. } => {
-                if done {
-                    let (tw, to) = (
-                        weak[target as usize].clone(),
-                        observed[target as usize].clone(),
-                    );
-                    weak[t].join(&tw);
-                    observed[t].join(&to);
-                }
+            EventKind::ThreadJoined { target, done: true } => {
+                let (tw, to) = (
+                    weak[target as usize].clone(),
+                    observed[target as usize].clone(),
+                );
+                weak[t].join(&tw);
+                observed[t].join(&to);
             }
-            SyncEvent::CondNotify { cond, all, .. } => {
+            EventKind::CondNotify { cond, all } => {
                 let clocks = (weak[t].clone(), observed[t].clone());
                 if all {
                     broadcast.insert(cond, clocks);
@@ -180,19 +176,21 @@ pub fn weak_candidates(trace: &SyncTrace) -> Vec<Candidate> {
                     notifies.entry(cond).or_default().push_back(clocks);
                 }
             }
-            SyncEvent::CondWaitReturn { cond, signaled, .. } => {
-                if signaled {
-                    let hit = notifies
-                        .get_mut(&cond)
-                        .and_then(VecDeque::pop_front)
-                        .or_else(|| broadcast.get(&cond).cloned());
-                    if let Some((w, o)) = hit {
-                        weak[t].join(&w);
-                        observed[t].join(&o);
-                    }
+            EventKind::CondWaitReturn {
+                cond,
+                signaled: true,
+                ..
+            } => {
+                let hit = notifies
+                    .get_mut(&cond)
+                    .and_then(VecDeque::pop_front)
+                    .or_else(|| broadcast.get(&cond).cloned());
+                if let Some((w, o)) = hit {
+                    weak[t].join(&w);
+                    observed[t].join(&o);
                 }
             }
-            SyncEvent::MutexAcquire { mutex, .. } => {
+            EventKind::MutexAcquire { mutex } => {
                 let me = cs_of_acquire[&i];
                 open[t].push(me);
                 let peers = mutex_cs.get(&mutex).cloned().unwrap_or_default();
@@ -211,26 +209,22 @@ pub fn weak_candidates(trace: &SyncTrace) -> Vec<Candidate> {
                     }
                 }
             }
-            SyncEvent::MutexRelease { mutex, .. } => {
+            EventKind::MutexRelease { mutex } => {
                 if let Some(p) = open[t].iter().rposition(|&id| cs[id].mutex == mutex) {
                     let id = open[t].remove(p);
                     cs[id].weak_release = Some(weak[t].clone());
                     cs[id].observed_release = Some(observed[t].clone());
                 }
             }
-            SyncEvent::AtomicStore { tid, loc, .. } => {
+            EventKind::AtomicStore { loc, .. } => {
                 last_store.insert((loc, tid), observed[t].clone());
             }
-            SyncEvent::AtomicLoad { loc, writer, .. } => {
-                if writer as usize != t {
-                    if let Some(sc) = last_store.get(&(loc, writer)).cloned() {
-                        observed[t].join(&sc);
-                    }
+            EventKind::AtomicLoad { loc, writer, .. } if writer as usize != t => {
+                if let Some(sc) = last_store.get(&(loc, writer)).cloned() {
+                    observed[t].join(&sc);
                 }
             }
-            SyncEvent::PlainAccess {
-                tid, loc, write, ..
-            } => {
+            EventKind::PlainAccess { loc, write } => {
                 snaps.push(AccessSnap {
                     tid,
                     loc,
@@ -240,7 +234,7 @@ pub fn weak_candidates(trace: &SyncTrace) -> Vec<Candidate> {
                     observed: observed[t].clone(),
                 });
             }
-            SyncEvent::MutexRequest { .. } | SyncEvent::CondWaitBegin { .. } => {}
+            _ => {}
         }
     }
 
@@ -305,8 +299,13 @@ pub fn weak_candidates(trace: &SyncTrace) -> Vec<Candidate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srr_obs::ObsEvent;
 
-    fn trace(events: Vec<SyncEvent>) -> SyncTrace {
+    fn ev(tid: u32, tick: u64, kind: EventKind) -> ObsEvent {
+        ObsEvent { tid, tick, kind }
+    }
+
+    fn trace(events: Vec<ObsEvent>) -> SyncTrace {
         SyncTrace {
             events,
             mutex_labels: vec![],
@@ -320,38 +319,26 @@ mod tests {
         // The handoff orders the writes under observed HB but the
         // critical sections are empty, so the weak order drops the edge.
         let t = trace(vec![
-            SyncEvent::PlainAccess {
-                tid: 0,
-                loc: 0,
-                tick: 1,
-                write: true,
-            },
-            SyncEvent::MutexAcquire {
-                tid: 0,
-                mutex: 0,
-                tick: 1,
-            },
-            SyncEvent::MutexRelease {
-                tid: 0,
-                mutex: 0,
-                tick: 2,
-            },
-            SyncEvent::MutexAcquire {
-                tid: 1,
-                mutex: 0,
-                tick: 3,
-            },
-            SyncEvent::MutexRelease {
-                tid: 1,
-                mutex: 0,
-                tick: 4,
-            },
-            SyncEvent::PlainAccess {
-                tid: 1,
-                loc: 0,
-                tick: 5,
-                write: true,
-            },
+            ev(
+                0,
+                1,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
+            ev(0, 1, EventKind::MutexAcquire { mutex: 0 }),
+            ev(0, 2, EventKind::MutexRelease { mutex: 0 }),
+            ev(1, 3, EventKind::MutexAcquire { mutex: 0 }),
+            ev(1, 4, EventKind::MutexRelease { mutex: 0 }),
+            ev(
+                1,
+                5,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
         ]);
         let cands = weak_candidates(&t);
         assert_eq!(cands.len(), 1);
@@ -364,38 +351,26 @@ mod tests {
         // Same shape, but both critical sections write x: the handoff is
         // forced and the accesses stay ordered — no candidate.
         let t = trace(vec![
-            SyncEvent::MutexAcquire {
-                tid: 0,
-                mutex: 0,
-                tick: 1,
-            },
-            SyncEvent::PlainAccess {
-                tid: 0,
-                loc: 0,
-                tick: 1,
-                write: true,
-            },
-            SyncEvent::MutexRelease {
-                tid: 0,
-                mutex: 0,
-                tick: 2,
-            },
-            SyncEvent::MutexAcquire {
-                tid: 1,
-                mutex: 0,
-                tick: 3,
-            },
-            SyncEvent::PlainAccess {
-                tid: 1,
-                loc: 0,
-                tick: 3,
-                write: true,
-            },
-            SyncEvent::MutexRelease {
-                tid: 1,
-                mutex: 0,
-                tick: 4,
-            },
+            ev(0, 1, EventKind::MutexAcquire { mutex: 0 }),
+            ev(
+                0,
+                1,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
+            ev(0, 2, EventKind::MutexRelease { mutex: 0 }),
+            ev(1, 3, EventKind::MutexAcquire { mutex: 0 }),
+            ev(
+                1,
+                3,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
+            ev(1, 4, EventKind::MutexRelease { mutex: 0 }),
         ]);
         assert!(weak_candidates(&t).is_empty());
     }
@@ -406,31 +381,32 @@ mod tests {
         // Observed HB orders the writes through the reads-from edge; the
         // weak order does not — a candidate, flagged hidden.
         let t = trace(vec![
-            SyncEvent::PlainAccess {
-                tid: 0,
-                loc: 0,
-                tick: 1,
-                write: true,
-            },
-            SyncEvent::AtomicStore {
-                tid: 0,
-                loc: 1,
-                tick: 1,
-                rmw: false,
-            },
-            SyncEvent::AtomicLoad {
-                tid: 1,
-                loc: 1,
-                tick: 2,
-                relaxed: false,
-                writer: 0,
-            },
-            SyncEvent::PlainAccess {
-                tid: 1,
-                loc: 0,
-                tick: 3,
-                write: true,
-            },
+            ev(
+                0,
+                1,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
+            ev(0, 1, EventKind::AtomicStore { loc: 1, rmw: false }),
+            ev(
+                1,
+                2,
+                EventKind::AtomicLoad {
+                    loc: 1,
+                    relaxed: false,
+                    writer: 0,
+                },
+            ),
+            ev(
+                1,
+                3,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
         ]);
         let cands = weak_candidates(&t);
         assert_eq!(cands.len(), 1);
@@ -442,35 +418,39 @@ mod tests {
         // Parent writes x before spawning; child writes x: ordered by the
         // spawn edge in both frames — no candidate. Same for join.
         let t = trace(vec![
-            SyncEvent::PlainAccess {
-                tid: 0,
-                loc: 0,
-                tick: 1,
-                write: true,
-            },
-            SyncEvent::ThreadSpawn {
-                tid: 0,
-                child: 1,
-                tick: 1,
-            },
-            SyncEvent::PlainAccess {
-                tid: 1,
-                loc: 0,
-                tick: 2,
-                write: true,
-            },
-            SyncEvent::ThreadJoined {
-                tid: 0,
-                target: 1,
-                tick: 3,
-                done: true,
-            },
-            SyncEvent::PlainAccess {
-                tid: 0,
-                loc: 0,
-                tick: 4,
-                write: true,
-            },
+            ev(
+                0,
+                1,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
+            ev(0, 1, EventKind::ThreadSpawn { child: 1 }),
+            ev(
+                1,
+                2,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
+            ev(
+                0,
+                3,
+                EventKind::ThreadJoined {
+                    target: 1,
+                    done: true,
+                },
+            ),
+            ev(
+                0,
+                4,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
         ]);
         assert!(weak_candidates(&t).is_empty());
     }
@@ -478,18 +458,22 @@ mod tests {
     #[test]
     fn unordered_in_both_frames_is_not_hidden() {
         let t = trace(vec![
-            SyncEvent::PlainAccess {
-                tid: 0,
-                loc: 0,
-                tick: 1,
-                write: true,
-            },
-            SyncEvent::PlainAccess {
-                tid: 1,
-                loc: 0,
-                tick: 2,
-                write: true,
-            },
+            ev(
+                0,
+                1,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
+            ev(
+                1,
+                2,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ),
         ]);
         let cands = weak_candidates(&t);
         assert_eq!(cands.len(), 1);
@@ -499,18 +483,22 @@ mod tests {
     #[test]
     fn read_read_pairs_are_not_candidates() {
         let t = trace(vec![
-            SyncEvent::PlainAccess {
-                tid: 0,
-                loc: 0,
-                tick: 1,
-                write: false,
-            },
-            SyncEvent::PlainAccess {
-                tid: 1,
-                loc: 0,
-                tick: 2,
-                write: false,
-            },
+            ev(
+                0,
+                1,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: false,
+                },
+            ),
+            ev(
+                1,
+                2,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: false,
+                },
+            ),
         ]);
         assert!(weak_candidates(&t).is_empty());
     }
@@ -519,18 +507,22 @@ mod tests {
     fn duplicate_sites_are_deduplicated() {
         let mut evs = Vec::new();
         for _ in 0..5 {
-            evs.push(SyncEvent::PlainAccess {
-                tid: 0,
-                loc: 0,
-                tick: 1,
-                write: true,
-            });
-            evs.push(SyncEvent::PlainAccess {
-                tid: 1,
-                loc: 0,
-                tick: 2,
-                write: true,
-            });
+            evs.push(ev(
+                0,
+                1,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ));
+            evs.push(ev(
+                1,
+                2,
+                EventKind::PlainAccess {
+                    loc: 0,
+                    write: true,
+                },
+            ));
         }
         let cands = weak_candidates(&trace(evs));
         assert_eq!(cands.len(), 1, "one per (loc, pair, kinds) site");

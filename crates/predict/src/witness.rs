@@ -426,7 +426,11 @@ fn rebuild_demo(demo: &Demo, order: &[(u32, u64)], nthreads: usize) -> Demo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srr_analysis::{SyncEvent, SyncTrace};
+    use srr_obs::{EventKind, ObsEvent, SyncTrace};
+
+    fn ev(tid: u32, tick: u64, kind: EventKind) -> ObsEvent {
+        ObsEvent { tid, tick, kind }
+    }
 
     /// The hidden-handoff shape: T0 spawns T1 and T2; T1 writes x then
     /// locks/unlocks m; T2 pads, locks/unlocks m, then writes x.
@@ -450,76 +454,47 @@ mod tests {
         let trace = SyncTrace {
             loc_labels: vec!["x".into(), "pad".into()],
             events: vec![
-                SyncEvent::ThreadSpawn {
-                    tid: 0,
-                    child: 1,
-                    tick: 1,
-                },
-                SyncEvent::ThreadSpawn {
-                    tid: 0,
-                    child: 2,
-                    tick: 2,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 1,
-                    loc: 0,
-                    tick: 2,
-                    write: true,
-                },
-                SyncEvent::MutexRequest {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 3,
-                },
-                SyncEvent::MutexAcquire {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 3,
-                },
-                SyncEvent::MutexRelease {
-                    tid: 1,
-                    mutex: 0,
-                    tick: 4,
-                },
-                SyncEvent::AtomicStore {
-                    tid: 2,
-                    loc: 1,
-                    tick: 5,
-                    rmw: false,
-                },
-                SyncEvent::MutexRequest {
-                    tid: 2,
-                    mutex: 0,
-                    tick: 6,
-                },
-                SyncEvent::MutexAcquire {
-                    tid: 2,
-                    mutex: 0,
-                    tick: 6,
-                },
-                SyncEvent::MutexRelease {
-                    tid: 2,
-                    mutex: 0,
-                    tick: 7,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 2,
-                    loc: 0,
-                    tick: 8,
-                    write: true,
-                },
-                SyncEvent::ThreadJoined {
-                    tid: 0,
-                    target: 1,
-                    tick: 9,
-                    done: true,
-                },
-                SyncEvent::ThreadJoined {
-                    tid: 0,
-                    target: 2,
-                    tick: 11,
-                    done: true,
-                },
+                ev(0, 1, EventKind::ThreadSpawn { child: 1 }),
+                ev(0, 2, EventKind::ThreadSpawn { child: 2 }),
+                ev(
+                    1,
+                    2,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: true,
+                    },
+                ),
+                ev(1, 3, EventKind::MutexRequest { mutex: 0 }),
+                ev(1, 3, EventKind::MutexAcquire { mutex: 0 }),
+                ev(1, 4, EventKind::MutexRelease { mutex: 0 }),
+                ev(2, 5, EventKind::AtomicStore { loc: 1, rmw: false }),
+                ev(2, 6, EventKind::MutexRequest { mutex: 0 }),
+                ev(2, 6, EventKind::MutexAcquire { mutex: 0 }),
+                ev(2, 7, EventKind::MutexRelease { mutex: 0 }),
+                ev(
+                    2,
+                    8,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: true,
+                    },
+                ),
+                ev(
+                    0,
+                    9,
+                    EventKind::ThreadJoined {
+                        target: 1,
+                        done: true,
+                    },
+                ),
+                ev(
+                    0,
+                    11,
+                    EventKind::ThreadJoined {
+                        target: 2,
+                        done: true,
+                    },
+                ),
             ],
             ..SyncTrace::default()
         };
@@ -564,41 +539,34 @@ mod tests {
         let trace = SyncTrace {
             loc_labels: vec!["x".into(), "g".into()],
             events: vec![
-                SyncEvent::ThreadSpawn {
-                    tid: 0,
-                    child: 1,
-                    tick: 1,
-                },
-                SyncEvent::ThreadSpawn {
-                    tid: 0,
-                    child: 2,
-                    tick: 2,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 1,
-                    loc: 0,
-                    tick: 2,
-                    write: true,
-                },
-                SyncEvent::AtomicStore {
-                    tid: 1,
-                    loc: 1,
-                    tick: 3,
-                    rmw: false,
-                },
-                SyncEvent::AtomicLoad {
-                    tid: 2,
-                    loc: 1,
-                    tick: 4,
-                    relaxed: false,
-                    writer: 1,
-                },
-                SyncEvent::PlainAccess {
-                    tid: 2,
-                    loc: 0,
-                    tick: 5,
-                    write: true,
-                },
+                ev(0, 1, EventKind::ThreadSpawn { child: 1 }),
+                ev(0, 2, EventKind::ThreadSpawn { child: 2 }),
+                ev(
+                    1,
+                    2,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: true,
+                    },
+                ),
+                ev(1, 3, EventKind::AtomicStore { loc: 1, rmw: false }),
+                ev(
+                    2,
+                    4,
+                    EventKind::AtomicLoad {
+                        loc: 1,
+                        relaxed: false,
+                        writer: 1,
+                    },
+                ),
+                ev(
+                    2,
+                    5,
+                    EventKind::PlainAccess {
+                        loc: 0,
+                        write: true,
+                    },
+                ),
             ],
             ..SyncTrace::default()
         };

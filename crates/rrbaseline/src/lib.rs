@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tsan11rec::vos::{Fd, SilentPeer, Vos};
-    use tsan11rec::{Atomic, Execution, MemOrder, Outcome, Shared};
+    use tsan11rec::{Atomic, Execution, MemOrder, Outcome, Shared, TraceSpec};
 
     #[test]
     fn rr_configs_have_the_right_knobs() {
@@ -211,7 +211,7 @@ mod tests {
                 quantum: 4,
                 seeds: [1, 1],
             });
-            config = config.with_schedule_trace();
+            config = config.with_trace(TraceSpec::SCHEDULE);
             Execution::new(config).run(|| {
                 let a = Arc::new(Atomic::new(0u64));
                 let handles: Vec<_> = (0..2)

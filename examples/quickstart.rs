@@ -29,13 +29,18 @@ fn main() {
         demo.size_bytes()
     );
 
-    // The demo is a directory of plain text streams, exactly as in §4.
+    // The demo is a directory of one file per stream, as in §4, saved in
+    // the binary format (an empty stream writes no file). The text form
+    // of each stream reads like the paper's.
     let dir = std::env::temp_dir().join("sparse-rr-quickstart-demo");
     demo.save_dir(&dir).expect("write demo");
     println!("\ndemo saved to {}", dir.display());
+    let streams = demo.to_string_map();
     for name in ["HEADER", "QUEUE", "SIGNAL", "SYSCALL", "ASYNC"] {
-        let text = std::fs::read_to_string(dir.join(name)).expect("stream file");
-        let first = text.lines().next().unwrap_or("<empty>");
+        let first = streams
+            .get(name)
+            .and_then(|text| text.lines().next())
+            .unwrap_or("<empty>");
         println!("  {name:8} | {first}");
     }
 
