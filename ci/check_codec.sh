@@ -9,13 +9,13 @@
 #     fluidanimate fixture must fit its exact byte budget.
 #  2. Corruption battery: every truncation and single-bit flip of every
 #     stream is a typed load error, never a panic.
-#  3. Text-compat + conversion: pre-codec text fixtures still load
-#     through auto-detect, and `srr demo convert` round-trips a live
-#     recording text→bin→text with the store hashes unchanged.
-#  4. Throughput/size gate: the codec bench asserts binary loads ≥ 1.5×
-#     faster than text and the deduplicating store shrinks the hazard
-#     corpus ≥ 40%; the deterministic byte-count rows are then diffed
-#     against bench/baseline.json.
+#  3. Export: `srr demo export` writes a live recording's text
+#     rendering, and the export is refused by every reader with a typed
+#     error naming the file (text is export-only; the codec is the one
+#     reader).
+#  4. Size gate: the codec bench asserts the deduplicating store
+#     shrinks the hazard corpus ≥ 40%; the deterministic byte-count rows
+#     are then diffed against bench/baseline.json.
 #
 # Usage: ci/check_codec.sh [threshold]   (default 0.25 = ±25%)
 set -euo pipefail
@@ -38,10 +38,7 @@ section "corruption battery + codec properties"
 cargo test -q -p srr-replay --test corruption
 cargo test -q -p srr-replay --test codec_properties
 
-section "text-fixture compatibility"
-cargo test -q -p srr-apps --test demo_compat
-
-section "srr demo convert round trip"
+section "srr demo export"
 DEMO_DIR="$(mktemp -d)"
 TEXT_DIR="$(mktemp -d)"
 # lib.sh owns the EXIT trap for tmpfile(); extend it for the two dirs.
@@ -50,14 +47,18 @@ srr record client --tool queue --seed 5 --out "$DEMO_DIR" >/dev/null
 HASHES="$(tmpfile)"
 srr demo hash --demo "$DEMO_DIR" >"$HASHES"
 [ -s "$HASHES" ] || fail "demo hash printed nothing"
-srr demo convert --demo "$DEMO_DIR" --to text --out "$TEXT_DIR" 2>/dev/null
-head -1 "$TEXT_DIR/HEADER" | grep -q 'tsan11rec-demo' ||
-  fail "converted HEADER is not the text format"
-srr demo convert --demo "$TEXT_DIR" --to bin 2>/dev/null
-diff -u "$HASHES" <(srr demo hash --demo "$TEXT_DIR") ||
-  fail "text→bin→text round trip changed the stream hashes"
-srr lint-demo --demo "$TEXT_DIR" >/dev/null || fail "converted demo does not lint clean"
-srr replay client --demo "$TEXT_DIR" >/dev/null || fail "converted demo does not replay"
+srr lint-demo --demo "$DEMO_DIR" >/dev/null || fail "recorded demo does not lint clean"
+srr demo export --demo "$DEMO_DIR" --out "$TEXT_DIR" 2>/dev/null
+head -1 "$TEXT_DIR/HEADER" | grep -q '^tsan11rec-demo v1$' ||
+  fail "exported HEADER is not the text rendering"
+ERR="$(tmpfile)"
+got=0
+srr replay client --demo "$TEXT_DIR" >/dev/null 2>"$ERR" || got=$?
+[ "$got" -eq 1 ] || fail "replaying a text export exited $got, expected 1"
+grep -q 'cannot decode HEADER: bad magic' "$ERR" ||
+  fail "replaying a text export did not name HEADER: $(cat "$ERR")"
+diff -u "$HASHES" <(srr demo hash --demo "$DEMO_DIR") ||
+  fail "export changed the demo's stream hashes"
 
 section "bench codec (--quick) + baseline gate"
 cargo bench -p srr-bench --bench codec -- --quick

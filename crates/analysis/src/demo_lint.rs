@@ -1,568 +1,353 @@
-//! Offline demo linter: structural validation of a demo directory.
+//! Offline demo linter: the recorder's invariants, checked on a decoded
+//! demo.
 //!
-//! A pure function over the demo's per-file text map (§4's five streams
-//! plus the header) that re-derives the recorder's invariants and reports
-//! every violation with a file name and 1-based line number. Unlike
-//! [`srr_replay::Demo::from_string_map`] — which stops at the first parse
-//! error — the linter keeps going and also checks *semantic* properties a
-//! parse cannot see:
+//! The binary codec rejects, with a typed error, every stream it cannot
+//! decode: a bad magic or checksum, an unknown version, a syscall kind
+//! over its cap, a buffer shorter than its declared length. A demo that
+//! decodes can still break what the recorder guarantees and replay
+//! relies on (§4). The linter re-derives those invariants and reports
+//! every violation with its stream and a 1-based entry number:
 //!
-//! * `HEADER` — version/field presence, seed arity;
-//! * `QUEUE` — RLE well-formedness, next-tick entries strictly after the
-//!   critical section consuming them, every tick claimed exactly once;
-//! * `SIGNAL` — arity, per-thread tick monotonicity (signal ticks are the
-//!   *target's* last tick, so they are ordered per thread, not globally),
-//!   thread-id validity against the QUEUE;
-//! * `SYSCALL` — seq contiguity, global tick monotonicity, kind names
-//!   within the loader's cap, declared buffer counts and lengths
-//!   matching the payload;
-//! * `ASYNC` — arity, global tick monotonicity;
-//! * `ALLOC` — RLE well-formedness.
+//! * `QUEUE` — entry `k` is the critical section of tick `k`, which
+//!   holds that section's next tick. With `T` sections, every tick in
+//!   `1..=T` is claimed exactly once, by a thread's first tick or by a
+//!   next tick, and every next tick lies in `(k, T]` (0 = never again);
+//! * `SIGNAL` — the tid is in range, the signal number is positive, and
+//!   ticks are monotone per thread (a signal's tick is its *target's*
+//!   last tick, so they are ordered per thread, not globally);
+//! * `SYSCALL` — seq numbers are contiguous from 0, the tid is in
+//!   range, and ticks are monotone (syscalls are recorded inside
+//!   critical sections, which are totally ordered);
+//! * `ASYNC` — ticks are monotone.
+//!
+//! Thread ids are checked against the QUEUE's first-tick table; a
+//! random-strategy demo has none, and skips those checks.
+//!
+//! QUEUE is checked a run at a time, in O(threads + runs) memory: a
+//! 20-byte frame may declare 2^32 sections, so nothing is built per
+//! tick. Within a run the step is constant, so its sections' next ticks
+//! are consecutive and each run claims one range of ticks.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
 use std::path::Path;
 
-use srr_replay::codec::MAX_KIND_LEN;
-use srr_replay::rle;
+use srr_replay::{
+    AsyncEvent, Demo, DemoLoadError, QueueRun, QueueStream, SignalEvent, SyscallRecord,
+};
 
-/// One linter diagnostic, anchored to a stream file and line.
+/// One linter diagnostic, anchored to a stream entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DemoDiagnostic {
     /// Stream file name (`HEADER`, `QUEUE`, ...).
-    pub file: String,
-    /// 1-based line number; 0 for file-level problems (missing file,
-    /// missing required field).
-    pub line: usize,
+    pub stream: String,
+    /// 1-based entry number within the stream; 0 for problems of the
+    /// stream as a whole (a load error, a thread's first tick).
+    pub entry: u64,
     /// What is wrong.
     pub message: String,
 }
 
 impl fmt::Display for DemoDiagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}: {}", self.file, self.message)
+        if self.entry == 0 {
+            write!(f, "{}: {}", self.stream, self.message)
         } else {
-            write!(f, "{}:{}: {}", self.file, self.line, self.message)
+            write!(f, "{} entry {}: {}", self.stream, self.entry, self.message)
         }
     }
 }
 
-fn diag(diags: &mut Vec<DemoDiagnostic>, file: &str, line: usize, message: impl Into<String>) {
+fn diag(diags: &mut Vec<DemoDiagnostic>, stream: &str, entry: u64, message: impl Into<String>) {
     diags.push(DemoDiagnostic {
-        file: file.into(),
-        line,
+        stream: stream.into(),
+        entry,
         message: message.into(),
     });
 }
 
-/// Lints a demo in its per-file text form ([`srr_replay::Demo::to_string_map`]).
-///
-/// Missing stream files mean empty streams (sparsity) and are fine;
-/// a missing `HEADER` is an error. Returns every diagnostic found, in
-/// file order.
+/// Lints a decoded demo. Returns every diagnostic found, stream by
+/// stream in file order.
 #[must_use]
-pub fn lint_demo_map(map: &BTreeMap<String, String>) -> Vec<DemoDiagnostic> {
+pub fn lint_demo(demo: &Demo) -> Vec<DemoDiagnostic> {
     let mut diags = Vec::new();
-    match map.get("HEADER") {
-        Some(text) => lint_header(text, &mut diags),
-        None => diag(&mut diags, "HEADER", 0, "demo has no HEADER file"),
-    }
-    let text = |name: &str| map.get(name).map(String::as_str).unwrap_or("");
-    let queue = lint_queue(text("QUEUE"), &mut diags);
-    // Thread-id bound for cross-stream checks: only known when the queue
-    // strategy recorded a first-tick table (random demos carry no tid
-    // universe, so tid checks are skipped).
-    let nthreads = queue.as_ref().and_then(|(first, _)| {
-        if first.is_empty() {
-            None
-        } else {
-            Some(first.len())
-        }
-    });
-    lint_signal(text("SIGNAL"), nthreads, &mut diags);
-    lint_syscall(text("SYSCALL"), nthreads, &mut diags);
-    lint_async(text("ASYNC"), &mut diags);
-    lint_alloc(text("ALLOC"), &mut diags);
+    lint_queue(&demo.queue, &mut diags);
+    let first = &demo.queue.first_tick;
+    let nthreads = (!first.is_empty()).then_some(first.len());
+    lint_signals(&demo.signals, nthreads, &mut diags);
+    lint_syscalls(&demo.syscalls, nthreads, &mut diags);
+    lint_asyncs(&demo.async_events, &mut diags);
     diags
 }
 
-/// Lints a demo directory written by [`srr_replay::Demo::save_dir`],
-/// auto-detecting the on-disk format per file.
-///
-/// Text streams are linted line by line as before. When any stream is
-/// binary, the demo is decoded through the checksummed codec and its
-/// canonical text rendering is linted — a decode failure (corruption,
-/// truncation, version skew) *is* the diagnostic, since the frame
-/// checksum already localizes the damage to a file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors other than "file not found" (absent
-/// stream files are empty streams).
-pub fn lint_demo_dir(dir: &Path) -> io::Result<Vec<DemoDiagnostic>> {
-    let mut bytes_map = BTreeMap::new();
-    let mut any_binary = false;
-    for name in ["HEADER", "QUEUE", "SIGNAL", "SYSCALL", "ASYNC", "ALLOC"] {
-        match std::fs::read(dir.join(name)) {
-            Ok(bytes) => {
-                any_binary |= srr_replay::codec::is_binary(&bytes);
-                bytes_map.insert(name.to_owned(), bytes);
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-    }
-    if any_binary {
-        return Ok(match srr_replay::Demo::from_bytes_map(&bytes_map) {
-            Ok(demo) => lint_demo_map(&demo.to_string_map()),
-            Err(e) => {
-                let mut diags = Vec::new();
-                let (file, line) = match &e {
-                    srr_replay::DemoLoadError::Malformed { file, line, .. } => {
-                        (file.clone(), line.unwrap_or(0))
-                    }
-                    srr_replay::DemoLoadError::Codec { file, .. }
-                    | srr_replay::DemoLoadError::Io { file, .. } => (file.clone(), 0),
-                    srr_replay::DemoLoadError::MissingHeader => ("HEADER".to_owned(), 0),
-                };
-                diag(&mut diags, &file, line, e.to_string());
-                diags
-            }
-        });
-    }
-    let mut map = BTreeMap::new();
-    for (name, bytes) in bytes_map {
-        map.insert(name, String::from_utf8_lossy(&bytes).into_owned());
-    }
-    Ok(lint_demo_map(&map))
-}
-
-/// Non-empty `(line_no, trimmed)` lines of a stream file.
-fn lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    text.lines().enumerate().filter_map(|(i, l)| {
-        let l = l.trim();
-        if l.is_empty() {
-            None
-        } else {
-            Some((i + 1, l))
-        }
-    })
-}
-
-fn lint_header(text: &str, diags: &mut Vec<DemoDiagnostic>) {
-    const FILE: &str = "HEADER";
-    let mut version = None;
-    let mut tool = false;
-    let mut strategy = false;
-    let mut seeds = false;
-    for (ln, line) in lines(text) {
-        if let Some(v) = line.strip_prefix("tsan11rec-demo v") {
-            match v.parse::<u32>() {
-                Ok(n) => version = Some((ln, n)),
-                Err(_) => diag(diags, FILE, ln, format!("bad version `{v}`")),
-            }
-        } else if line.strip_prefix("tool ").is_some() {
-            tool = true;
-        } else if line.strip_prefix("strategy ").is_some() {
-            strategy = true;
-        } else if let Some(s) = line.strip_prefix("seed ") {
-            let vals: Vec<_> = s.split_whitespace().collect();
-            if vals.len() != 2 || vals.iter().any(|v| v.parse::<u64>().is_err()) {
-                diag(
-                    diags,
-                    FILE,
-                    ln,
-                    format!("seed line needs two integers, got `{s}`"),
-                );
-            } else {
-                seeds = true;
-            }
-        } else {
-            diag(diags, FILE, ln, format!("unknown HEADER line `{line}`"));
-        }
-    }
-    match version {
-        None => diag(diags, FILE, 0, "missing version line"),
-        Some((ln, v)) if v != srr_replay::FORMAT_VERSION => {
-            diag(diags, FILE, ln, format!("unsupported demo version {v}"));
-        }
-        Some(_) => {}
-    }
-    for (present, what) in [(tool, "tool"), (strategy, "strategy"), (seeds, "seed")] {
-        if !present {
-            diag(diags, FILE, 0, format!("missing {what} line"));
+/// Loads and lints a demo directory. A demo that does not load yields
+/// one diagnostic, the typed load error, naming the file at fault.
+#[must_use]
+pub fn lint_demo_dir(dir: &Path) -> Vec<DemoDiagnostic> {
+    match Demo::load_dir(dir) {
+        Ok(demo) => lint_demo(&demo),
+        Err(e) => {
+            let stream = match &e {
+                DemoLoadError::Malformed { file, .. }
+                | DemoLoadError::Codec { file, .. }
+                | DemoLoadError::Io { file, .. } => file.clone(),
+                DemoLoadError::MissingHeader => "HEADER".to_owned(),
+            };
+            vec![DemoDiagnostic {
+                stream,
+                entry: 0,
+                message: e.to_string(),
+            }]
         }
     }
 }
 
-/// Returns the decoded `(first_tick, next_ticks)` when both lines parse,
-/// so cross-stream checks can use them.
-fn lint_queue(text: &str, diags: &mut Vec<DemoDiagnostic>) -> Option<(Vec<u64>, Vec<u64>)> {
+/// `""` for one section, else how many more a diagnostic stands for.
+fn more(n: u64) -> String {
+    match n {
+        0 | 1 => String::new(),
+        2 => " (as does the section after it)".to_owned(),
+        n => format!(" (as do the {} sections after it)", n - 1),
+    }
+}
+
+/// Ticks `lo..=hi` claimed by a thread's first tick, or by the next
+/// ticks of consecutive sections of one run of step `step`.
+struct Claim {
+    lo: u64,
+    hi: u64,
+    by: Claimant,
+}
+
+enum Claimant {
+    First(usize),
+    Next { step: u64 },
+}
+
+fn lint_queue(queue: &QueueStream, diags: &mut Vec<DemoDiagnostic>) {
     const FILE: &str = "QUEUE";
-    let mut first: Option<(usize, Vec<u64>)> = None;
-    let mut ticks: Option<(usize, Vec<u64>)> = None;
-    let mut parse_ok = true;
-    for (ln, line) in lines(text) {
-        let (slot, rest) = if let Some(rest) = line.strip_prefix("first ") {
-            (&mut first, rest)
-        } else if let Some(rest) = line.strip_prefix("ticks ") {
-            (&mut ticks, rest)
-        } else if line == "first" || line == "ticks" {
-            continue; // empty stream lines are fine
-        } else {
-            diag(diags, FILE, ln, format!("unknown QUEUE line `{line}`"));
-            parse_ok = false;
-            continue;
-        };
-        if slot.is_some() {
-            diag(
-                diags,
-                FILE,
-                ln,
-                format!("duplicate `{}` line", line.split(' ').next().unwrap()),
-            );
-            parse_ok = false;
-            continue;
-        }
-        match rle::decode_u64s(rest) {
-            Ok(vals) => *slot = Some((ln, vals)),
-            Err(e) => {
-                diag(diags, FILE, ln, e);
-                parse_ok = false;
-            }
-        }
-    }
-    let (first_ln, first_tick) = first.unwrap_or((0, Vec::new()));
-    let (ticks_ln, next_ticks) = ticks.unwrap_or((0, Vec::new()));
-    if !parse_ok {
-        return None;
-    }
-
-    // Semantic checks: ticks are 1-based and dense, so with T critical
-    // sections (T = next_ticks length) every tick in 1..=T is scheduled
-    // by exactly one claim — a thread's first tick or a next-tick entry.
-    let total = next_ticks.len() as u64;
-    if total == 0 && first_tick.iter().any(|&t| t != 0) {
-        diag(
-            diags,
-            FILE,
-            first_ln,
-            "first-tick entries but no next-tick list",
-        );
-        return Some((first_tick, next_ticks));
-    }
-    let mut claimed = vec![false; next_ticks.len() + 1]; // index = tick, [0] unused
-    let mut claim = |tick: u64, ln: usize, what: String, diags: &mut Vec<DemoDiagnostic>| {
-        if tick == 0 {
-            return;
-        }
+    let total = queue.ticks();
+    let mut claims = Vec::new();
+    for (tid, &tick) in queue.first_tick.iter().enumerate() {
         if tick > total {
             diag(
                 diags,
                 FILE,
-                ln,
-                format!("{what} names tick {tick} > total {total}"),
+                0,
+                format!("first tick of thread {tid} names tick {tick} > total {total}"),
             );
-        } else if std::mem::replace(&mut claimed[tick as usize], true) {
+        } else if tick != 0 {
+            claims.push(Claim {
+                lo: tick,
+                hi: tick,
+                by: Claimant::First(tid),
+            });
+        }
+    }
+    let mut before = 0u64; // sections before the run
+    for &run in queue.runs() {
+        let (lo, hi) = (before + 1, before + run.count);
+        before = hi;
+        if run.step == QueueRun::NEVER {
+            continue;
+        }
+        // Sections before `wrap` name the tick `step` after their own;
+        // from `wrap` on the sum passes u64::MAX and names one at or
+        // before it. Of the forward ones, those up to `T - step` name a
+        // tick in range.
+        let wrap = run.step.wrapping_neg();
+        let fwd_hi = hi.min(wrap - 1);
+        let ok_hi = total
+            .checked_sub(run.step)
+            .map_or(lo - 1, |t| fwd_hi.min(t));
+        if lo <= ok_hi {
+            claims.push(Claim {
+                lo: lo + run.step,
+                hi: ok_hi + run.step,
+                by: Claimant::Next { step: run.step },
+            });
+        }
+        let far_lo = lo.max(ok_hi + 1);
+        if far_lo <= fwd_hi {
+            let next = run.next_tick(far_lo);
             diag(
                 diags,
                 FILE,
-                ln,
-                format!("{what} names tick {tick}, already scheduled"),
+                far_lo,
+                format!(
+                    "section {far_lo} names next tick {next} > total {total}{}",
+                    more(fwd_hi - far_lo + 1)
+                ),
             );
         }
-    };
-    for (tid, &t) in first_tick.iter().enumerate() {
-        claim(t, first_ln, format!("first tick of thread {tid}"), diags);
-    }
-    for (k, &t) in next_ticks.iter().enumerate() {
-        let cs = k as u64 + 1;
-        if t != 0 && t <= cs {
+        let past_lo = lo.max(wrap);
+        if past_lo <= hi {
+            let next = run.next_tick(past_lo);
             diag(
                 diags,
                 FILE,
-                ticks_ln,
-                format!("next-tick entry for critical section {cs} names tick {t} <= {cs}"),
+                past_lo,
+                format!(
+                    "section {past_lo} names next tick {next} <= {past_lo}{}",
+                    more(hi - past_lo + 1)
+                ),
             );
+        }
+    }
+    // Sweep the claims in tick order: each must start at the first tick
+    // not yet claimed. A later start leaves a hole; an earlier one
+    // claims again what an earlier claim (a first tick before a next
+    // tick, an earlier run before a later one, on equal starts) holds.
+    claims.sort_by_key(|c| c.lo);
+    let mut free = 1u64; // every tick below is claimed
+    let hole = |lo: u64, hi: u64, diags: &mut Vec<DemoDiagnostic>| {
+        let message = if lo == hi {
+            format!("tick {lo} is never scheduled")
         } else {
-            claim(
-                t,
-                ticks_ln,
-                format!("next-tick entry for critical section {cs}"),
-                diags,
-            );
+            format!("ticks {lo}..={hi} are never scheduled")
+        };
+        diag(diags, FILE, lo, message);
+    };
+    for c in &claims {
+        if c.lo > free {
+            hole(free, c.lo - 1, diags);
+        } else if c.lo < free {
+            let twice = c.hi.min(free - 1) - c.lo + 1;
+            match c.by {
+                Claimant::First(tid) => diag(
+                    diags,
+                    FILE,
+                    0,
+                    format!(
+                        "first tick of thread {tid} names tick {}, already scheduled",
+                        c.lo
+                    ),
+                ),
+                Claimant::Next { step } => diag(
+                    diags,
+                    FILE,
+                    c.lo - step,
+                    format!(
+                        "section {} names next tick {}, already scheduled{}",
+                        c.lo - step,
+                        c.lo,
+                        more(twice)
+                    ),
+                ),
+            }
         }
+        free = free.max(c.hi + 1);
     }
-    for (tick, &c) in claimed.iter().enumerate().skip(1) {
-        if !c {
-            diag(
-                diags,
-                FILE,
-                ticks_ln.max(first_ln),
-                format!("tick {tick} is never scheduled"),
-            );
-        }
+    if free <= total {
+        hole(free, total, diags);
     }
-    Some((first_tick, next_ticks))
+}
+
+/// Entries of a stream, numbered from 1.
+fn entries<T>(items: &[T]) -> impl Iterator<Item = (u64, &T)> {
+    (1..).zip(items)
 }
 
 fn check_tid(
     file: &str,
-    ln: usize,
-    tid: u64,
+    entry: u64,
+    tid: u32,
     nthreads: Option<usize>,
     diags: &mut Vec<DemoDiagnostic>,
 ) {
     if let Some(n) = nthreads {
-        if tid >= n as u64 {
+        if tid as usize >= n {
             diag(
                 diags,
                 file,
-                ln,
+                entry,
                 format!("tid {tid} out of range (queue records {n} threads)"),
             );
         }
     }
 }
 
-fn lint_signal(text: &str, nthreads: Option<usize>, diags: &mut Vec<DemoDiagnostic>) {
+fn lint_signals(signals: &[SignalEvent], nthreads: Option<usize>, diags: &mut Vec<DemoDiagnostic>) {
     const FILE: &str = "SIGNAL";
-    let mut last_tick: BTreeMap<u64, u64> = BTreeMap::new(); // tid -> last tick
-    for (ln, line) in lines(text) {
-        let fields: Vec<_> = line.split_whitespace().collect();
-        if fields.len() != 3 {
+    let mut last_tick: BTreeMap<u32, u64> = BTreeMap::new();
+    for (entry, s) in entries(signals) {
+        check_tid(FILE, entry, s.tid, nthreads, diags);
+        if s.signo <= 0 {
             diag(
                 diags,
                 FILE,
-                ln,
-                format!("SIGNAL line needs `tid tick signo`, got `{line}`"),
-            );
-            continue;
-        }
-        let (Ok(tid), Ok(tick), Ok(signo)) = (
-            fields[0].parse::<u64>(),
-            fields[1].parse::<u64>(),
-            fields[2].parse::<i64>(),
-        ) else {
-            diag(
-                diags,
-                FILE,
-                ln,
-                format!("non-numeric field in SIGNAL line `{line}`"),
-            );
-            continue;
-        };
-        check_tid(FILE, ln, tid, nthreads, diags);
-        if signo <= 0 {
-            diag(
-                diags,
-                FILE,
-                ln,
-                format!("signal number {signo} is not positive"),
+                entry,
+                format!("signal number {} is not positive", s.signo),
             );
         }
-        // Signal ticks are recorded at the *target's* most recent Tick(),
-        // so they are monotone per thread, not globally.
-        if let Some(&prev) = last_tick.get(&tid) {
-            if tick < prev {
+        if let Some(prev) = last_tick.insert(s.tid, s.tick) {
+            if s.tick < prev {
                 diag(
                     diags,
                     FILE,
-                    ln,
-                    format!("tick {tick} for thread {tid} decreases (previous was {prev})"),
+                    entry,
+                    format!(
+                        "tick {} for thread {} decreases (previous was {prev})",
+                        s.tick, s.tid
+                    ),
                 );
             }
         }
-        last_tick.insert(tid, tick);
     }
 }
 
-fn lint_syscall(text: &str, nthreads: Option<usize>, diags: &mut Vec<DemoDiagnostic>) {
+fn lint_syscalls(
+    syscalls: &[SyscallRecord],
+    nthreads: Option<usize>,
+    diags: &mut Vec<DemoDiagnostic>,
+) {
     const FILE: &str = "SYSCALL";
-    fn close_record(header_ln: usize, expected_bufs: &mut usize, diags: &mut Vec<DemoDiagnostic>) {
-        if *expected_bufs != 0 {
+    let mut next_seq = 0u64;
+    let mut last_tick = 0u64;
+    for (entry, r) in entries(syscalls) {
+        if r.seq != next_seq {
             diag(
                 diags,
                 FILE,
-                header_ln,
-                format!("syscall record is missing {expected_bufs} buffer line(s)"),
+                entry,
+                format!("seq {} breaks contiguity (expected {next_seq})", r.seq),
             );
-            *expected_bufs = 0;
         }
-    }
-    let mut next_seq: u64 = 0;
-    let mut last_tick: u64 = 0;
-    let mut expected_bufs: usize = 0;
-    let mut header_ln: usize = 0; // line of the open syscall record
-    for (ln, line) in lines(text) {
-        if let Some(rest) = line.strip_prefix("syscall ") {
-            close_record(header_ln, &mut expected_bufs, diags);
-            header_ln = ln;
-            let fields: Vec<_> = rest.split_whitespace().collect();
-            if fields.len() != 7 {
-                diag(
-                    diags,
-                    FILE,
-                    ln,
-                    "syscall line needs `seq tid tick kind ret=N errno=N nbufs=N`",
-                );
-                continue;
-            }
-            match fields[0].parse::<u64>() {
-                Ok(seq) => {
-                    if seq != next_seq {
-                        diag(
-                            diags,
-                            FILE,
-                            ln,
-                            format!("seq {seq} breaks contiguity (expected {next_seq})"),
-                        );
-                    }
-                    next_seq = seq.max(next_seq) + 1;
-                }
-                Err(_) => diag(diags, FILE, ln, format!("bad seq `{}`", fields[0])),
-            }
-            match fields[1].parse::<u64>() {
-                Ok(tid) => check_tid(FILE, ln, tid, nthreads, diags),
-                Err(_) => diag(diags, FILE, ln, format!("bad tid `{}`", fields[1])),
-            }
-            match fields[2].parse::<u64>() {
-                Ok(tick) => {
-                    // Syscalls are recorded inside critical sections, which
-                    // are totally ordered: ticks are globally monotone.
-                    if tick < last_tick {
-                        diag(
-                            diags,
-                            FILE,
-                            ln,
-                            format!("tick {tick} decreases (previous was {last_tick})"),
-                        );
-                    }
-                    last_tick = last_tick.max(tick);
-                }
-                Err(_) => diag(diags, FILE, ln, format!("bad tick `{}`", fields[2])),
-            }
-            if fields[3].len() > MAX_KIND_LEN {
-                diag(
-                    diags,
-                    FILE,
-                    ln,
-                    format!(
-                        "kind of {} bytes is longer than {MAX_KIND_LEN}",
-                        fields[3].len()
-                    ),
-                );
-            }
-            for (field, prefix) in [(fields[4], "ret="), (fields[5], "errno=")] {
-                if field
-                    .strip_prefix(prefix)
-                    .and_then(|v| v.parse::<i64>().ok())
-                    .is_none()
-                {
-                    diag(
-                        diags,
-                        FILE,
-                        ln,
-                        format!("expected `{prefix}<integer>`, got `{field}`"),
-                    );
-                }
-            }
-            match fields[6]
-                .strip_prefix("nbufs=")
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                Some(n) => expected_bufs = n,
-                None => diag(
-                    diags,
-                    FILE,
-                    ln,
-                    format!("expected `nbufs=<count>`, got `{}`", fields[6]),
-                ),
-            }
-        } else if let Some(rest) = line.strip_prefix("buf ") {
-            if header_ln == 0 {
-                diag(diags, FILE, ln, "buf line before any syscall line");
-                continue;
-            }
-            if expected_bufs == 0 {
-                diag(diags, FILE, ln, "more buf lines than nbufs declared");
-                continue;
-            }
-            expected_bufs -= 1;
-            let (len_s, payload) = rest.split_once(' ').unwrap_or((rest, ""));
-            let Ok(len) = len_s.parse::<usize>() else {
-                diag(diags, FILE, ln, format!("bad buf length `{len_s}`"));
-                continue;
-            };
-            match rle::decode_bytes(payload) {
-                Ok(data) if data.len() != len => diag(
-                    diags,
-                    FILE,
-                    ln,
-                    format!(
-                        "buf declares {len} bytes but payload decodes to {}",
-                        data.len()
-                    ),
-                ),
-                Ok(_) => {}
-                Err(e) => diag(diags, FILE, ln, e),
-            }
-        } else {
-            diag(diags, FILE, ln, format!("unknown SYSCALL line `{line}`"));
-        }
-    }
-    close_record(header_ln, &mut expected_bufs, diags);
-}
-
-fn lint_async(text: &str, diags: &mut Vec<DemoDiagnostic>) {
-    const FILE: &str = "ASYNC";
-    let mut last_tick: u64 = 0;
-    for (ln, line) in lines(text) {
-        let fields: Vec<_> = line.split_whitespace().collect();
-        let tick = match fields.as_slice() {
-            ["reschedule", t] => t.parse::<u64>().ok(),
-            ["sigwakeup", tid, t] => {
-                if tid.parse::<u64>().is_err() {
-                    diag(diags, FILE, ln, format!("bad sigwakeup tid `{tid}`"));
-                }
-                t.parse::<u64>().ok()
-            }
-            _ => {
-                diag(diags, FILE, ln, format!("unknown ASYNC line `{line}`"));
-                continue;
-            }
-        };
-        let Some(tick) = tick else {
-            diag(diags, FILE, ln, format!("bad tick in ASYNC line `{line}`"));
-            continue;
-        };
-        // Async events are floated to ticks in recording order: monotone.
-        if tick < last_tick {
+        next_seq = r.seq.max(next_seq).saturating_add(1);
+        check_tid(FILE, entry, r.tid, nthreads, diags);
+        if r.tick < last_tick {
             diag(
                 diags,
                 FILE,
-                ln,
-                format!("tick {tick} decreases (previous was {last_tick})"),
+                entry,
+                format!("tick {} decreases (previous was {last_tick})", r.tick),
             );
         }
-        last_tick = last_tick.max(tick);
+        last_tick = last_tick.max(r.tick);
     }
 }
 
-fn lint_alloc(text: &str, diags: &mut Vec<DemoDiagnostic>) {
-    for (ln, line) in lines(text) {
-        if let Err(e) = rle::decode_u64s(line) {
-            diag(diags, "ALLOC", ln, e);
+fn lint_asyncs(events: &[AsyncEvent], diags: &mut Vec<DemoDiagnostic>) {
+    let mut last_tick = 0u64;
+    for (entry, e) in entries(events) {
+        // Async events are floated to ticks in recording order.
+        if e.tick() < last_tick {
+            diag(
+                diags,
+                "ASYNC",
+                entry,
+                format!("tick {} decreases (previous was {last_tick})", e.tick()),
+            );
         }
+        last_tick = last_tick.max(e.tick());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srr_replay::{Demo, DemoHeader, QueueStream, SignalEvent, SyscallRecord};
+    use srr_replay::codec::{encode_frame, write_varint};
+    use srr_replay::{DemoHeader, StreamId};
     use std::sync::Arc;
 
     fn sample_demo() -> Demo {
@@ -587,58 +372,34 @@ mod tests {
         d
     }
 
-    fn lint(d: &Demo) -> Vec<DemoDiagnostic> {
-        lint_demo_map(&d.to_string_map())
+    /// `(stream, entry, message)` of each diagnostic.
+    fn found(d: &Demo) -> Vec<(String, u64, String)> {
+        lint_demo(d)
+            .into_iter()
+            .map(|d| (d.stream, d.entry, d.message))
+            .collect()
+    }
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("srr-lint-{name}-{}", std::process::id()))
     }
 
     #[test]
     fn recorded_demo_lints_clean() {
-        let diags = lint(&sample_demo());
+        let diags = lint_demo(&sample_demo());
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
-    fn missing_header_is_file_level() {
-        let mut map = sample_demo().to_string_map();
-        map.remove("HEADER");
-        let diags = lint_demo_map(&map);
-        assert_eq!(diags.len(), 1);
-        assert_eq!((diags[0].file.as_str(), diags[0].line), ("HEADER", 0));
-        assert_eq!(diags[0].to_string(), "HEADER: demo has no HEADER file");
-    }
-
-    #[test]
-    fn truncated_syscall_points_at_its_header_line() {
-        let mut map = sample_demo().to_string_map();
-        // Drop the buf line: the record on line 1 declares nbufs=1.
-        let sys = map.get_mut("SYSCALL").unwrap();
-        *sys = sys.lines().next().unwrap().to_owned() + "\n";
-        let diags = lint_demo_map(&map);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!((diags[0].file.as_str(), diags[0].line), ("SYSCALL", 1));
-        assert!(diags[0].message.contains("missing 1 buffer line(s)"));
-    }
-
-    #[test]
-    fn buf_length_mismatch_is_line_precise() {
-        let mut map = sample_demo().to_string_map();
-        let sys = map.get_mut("SYSCALL").unwrap();
-        *sys = sys.replace("buf 10 ", "buf 11 ");
-        let diags = lint_demo_map(&map);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!((diags[0].file.as_str(), diags[0].line), ("SYSCALL", 2));
-        assert!(diags[0].message.contains("declares 11 bytes"));
-    }
-
-    #[test]
-    fn kind_names_over_the_cap_are_caught() {
-        let mut map = sample_demo().to_string_map();
-        let sys = map.get_mut("SYSCALL").unwrap();
-        *sys = sys.replace(" recv ", &format!(" {} ", "k".repeat(MAX_KIND_LEN + 1)));
-        let diags = lint_demo_map(&map);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!((diags[0].file.as_str(), diags[0].line), ("SYSCALL", 1));
-        assert!(diags[0].message.contains("longer than 64"));
+    fn diagnostics_name_the_stream_and_entry() {
+        let d = DemoDiagnostic {
+            stream: "SYSCALL".into(),
+            entry: 3,
+            message: "boom".into(),
+        };
+        assert_eq!(d.to_string(), "SYSCALL entry 3: boom");
+        let d = DemoDiagnostic { entry: 0, ..d };
+        assert_eq!(d.to_string(), "SYSCALL: boom");
     }
 
     #[test]
@@ -653,17 +414,31 @@ mod tests {
             errno: 0,
             bufs: vec![],
         });
-        let diags = lint(&d);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("breaks contiguity")),
-            "{diags:?}"
+        assert_eq!(
+            found(&d),
+            [
+                (
+                    "SYSCALL".into(),
+                    2,
+                    "seq 2 breaks contiguity (expected 1)".into()
+                ),
+                (
+                    "SYSCALL".into(),
+                    2,
+                    "tick 1 decreases (previous was 2)".into()
+                ),
+            ]
         );
-        assert!(
-            diags.iter().any(|d| d.message.contains("decreases")),
-            "{diags:?}"
-        );
+    }
+
+    #[test]
+    fn syscall_tid_out_of_range_is_caught() {
+        let mut d = sample_demo();
+        Arc::make_mut(&mut d.syscalls)[0].tid = 2;
+        let diags = lint_demo(&d);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].stream.as_str(), diags[0].entry), ("SYSCALL", 1));
+        assert!(diags[0].message.contains("out of range"));
     }
 
     #[test]
@@ -671,41 +446,125 @@ mod tests {
         let mut d = sample_demo();
         // Both threads claim tick 1; tick 3 is claimed nowhere.
         d.queue = Arc::new(QueueStream::new(vec![1, 1], vec![2, 4, 0, 0]));
-        let diags = lint(&d);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("already scheduled")),
-            "{diags:?}"
+        assert_eq!(
+            found(&d),
+            [
+                (
+                    "QUEUE".into(),
+                    0,
+                    "first tick of thread 1 names tick 1, already scheduled".into()
+                ),
+                ("QUEUE".into(), 3, "tick 3 is never scheduled".into()),
+            ]
         );
-        assert!(
-            diags.iter().any(|d| d.message.contains("never scheduled")),
-            "{diags:?}"
+        // Two sections naming one next tick: the later one is blamed.
+        d.queue = Arc::new(QueueStream::new(vec![1, 3], vec![4, 4, 0, 0]));
+        assert_eq!(
+            found(&d),
+            [
+                ("QUEUE".into(), 2, "tick 2 is never scheduled".into()),
+                (
+                    "QUEUE".into(),
+                    2,
+                    "section 2 names next tick 4, already scheduled".into()
+                ),
+            ]
         );
-        assert!(diags.iter().all(|d| d.file == "QUEUE"));
     }
 
     #[test]
     fn queue_next_tick_must_be_in_the_future() {
         let mut d = sample_demo();
-        // CS 2's next-tick entry names tick 2 (not strictly later).
-        d.queue = Arc::new(QueueStream::new(vec![1, 3], vec![2, 2, 0, 0]));
-        let diags = lint(&d);
-        assert!(
-            diags.iter().any(|d| d.message.contains("<= 2")),
-            "{diags:?}"
+        // Section 2's next tick names tick 2 (not strictly later), and
+        // section 4's names tick 1; tick 4 is then never scheduled.
+        d.queue = Arc::new(QueueStream::new(vec![1, 3], vec![2, 2, 0, 1]));
+        assert_eq!(
+            found(&d),
+            [
+                ("QUEUE".into(), 2, "section 2 names next tick 2 <= 2".into()),
+                ("QUEUE".into(), 4, "section 4 names next tick 1 <= 4".into()),
+                ("QUEUE".into(), 4, "tick 4 is never scheduled".into()),
+            ]
+        );
+        // Sections 2 and 3 both step back two ticks: one run, one
+        // diagnostic.
+        d.queue = Arc::new(QueueStream::new(vec![1, 3], vec![2, 2, 1, 0]));
+        assert_eq!(
+            found(&d)[0],
+            (
+                "QUEUE".into(),
+                2,
+                "section 2 names next tick 2 <= 2 (as does the section after it)".into()
+            )
         );
     }
 
     #[test]
-    fn queue_out_of_range_tick_is_caught() {
+    fn queue_out_of_range_ticks_are_caught() {
         let mut d = sample_demo();
         d.queue = Arc::new(QueueStream::new(vec![1, 9], vec![2, 3, 4, 0]));
-        let diags = lint(&d);
-        assert!(
-            diags.iter().any(|d| d.message.contains("> total 4")),
-            "{diags:?}"
+        assert_eq!(
+            found(&d),
+            [(
+                "QUEUE".into(),
+                0,
+                "first tick of thread 1 names tick 9 > total 4".into()
+            )]
         );
+        d.queue = Arc::new(QueueStream::new(vec![1, 3], vec![2, 4, 7, 0]));
+        assert_eq!(
+            found(&d),
+            [(
+                "QUEUE".into(),
+                3,
+                "section 3 names next tick 7 > total 4".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn queue_faults_are_reported_a_run_at_a_time() {
+        let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [1, 2]));
+        // One thread: sections 1..=100 each name the tick after them,
+        // and 50 more each name the tick 60 past their own.
+        let next = (2..=100).chain(std::iter::once(0)).chain(161..211);
+        d.queue = Arc::new(QueueStream::new(vec![1], next));
+        assert_eq!(
+            found(&d),
+            [
+                (
+                    "QUEUE".into(),
+                    101,
+                    "section 101 names next tick 161 > total 150 \
+                     (as do the 49 sections after it)"
+                        .into()
+                ),
+                (
+                    "QUEUE".into(),
+                    101,
+                    "ticks 101..=150 are never scheduled".into()
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn queue_of_four_billion_sections_lints_in_its_runs() {
+        // A 20-byte frame: thread 0 first runs at tick 1, then 2^32
+        // sections each run it again at the next tick, the last one
+        // past the end.
+        let mut payload = Vec::new();
+        for v in [1, 1, 1, 1, 1 << 32] {
+            write_varint(&mut payload, v);
+        }
+        let mut map = Demo::new(DemoHeader::new("tsan11rec", "queue", [1, 2])).to_bytes_map();
+        map.insert("QUEUE".into(), encode_frame(StreamId::Queue, &payload));
+        let demo = Demo::from_bytes_map(&map).expect("a valid frame");
+        assert_eq!(demo.queue.ticks(), 1 << 32);
+        let diags = lint_demo(&demo);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].entry, 1 << 32);
+        assert!(diags[0].message.contains("> total 4294967296"), "{diags:?}");
     }
 
     #[test]
@@ -730,14 +589,25 @@ mod tests {
             SignalEvent {
                 tid: 0,
                 tick: 1,
-                signo: 9,
-            }, // other tid: lower tick is fine
+                signo: 0,
+            }, // other tid: lower tick is fine, signal 0 is not
         ];
-        let diags = lint(&d);
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(diags[0].message.contains("out of range"));
-        assert!(diags[1].message.contains("decreases"));
-        assert_eq!(diags[1].line, 3);
+        assert_eq!(
+            found(&d),
+            [
+                (
+                    "SIGNAL".into(),
+                    1,
+                    "tid 5 out of range (queue records 2 threads)".into()
+                ),
+                (
+                    "SIGNAL".into(),
+                    3,
+                    "tick 2 for thread 1 decreases (previous was 4)".into()
+                ),
+                ("SIGNAL".into(), 4, "signal number 0 is not positive".into()),
+            ]
+        );
     }
 
     #[test]
@@ -748,84 +618,60 @@ mod tests {
             tick: 1,
             signo: 2,
         });
-        assert!(lint(&d).is_empty());
+        assert!(lint_demo(&d).is_empty());
     }
 
     #[test]
-    fn header_problems_are_reported() {
-        let mut map = sample_demo().to_string_map();
-        map.insert(
-            "HEADER".into(),
-            "tsan11rec-demo v9\ntool x\nwhat is this\n".into(),
+    fn async_regression_is_reported() {
+        let mut d = sample_demo();
+        d.async_events = vec![
+            AsyncEvent::Reschedule { tick: 5 },
+            AsyncEvent::SignalWakeup { tid: 1, tick: 3 },
+            AsyncEvent::Reschedule { tick: 6 },
+        ];
+        assert_eq!(
+            found(&d),
+            [(
+                "ASYNC".into(),
+                2,
+                "tick 3 decreases (previous was 5)".into()
+            )]
         );
-        let diags = lint_demo_map(&map);
-        assert!(diags
-            .iter()
-            .any(|d| d.message.contains("unsupported demo version 9")));
-        assert!(diags
-            .iter()
-            .any(|d| d.line == 3 && d.message.contains("unknown HEADER line")));
-        assert!(diags
-            .iter()
-            .any(|d| d.line == 0 && d.message.contains("missing strategy")));
-        assert!(diags
-            .iter()
-            .any(|d| d.line == 0 && d.message.contains("missing seed")));
     }
 
     #[test]
-    fn async_and_alloc_problems_are_reported() {
-        let mut map = sample_demo().to_string_map();
-        map.insert(
-            "ASYNC".into(),
-            "reschedule 5\nreschedule 3\nteleport 1\n".into(),
-        );
-        map.insert("ALLOC".into(), "4096 80q2\n".into());
-        let diags = lint_demo_map(&map);
-        assert!(diags
-            .iter()
-            .any(|d| d.file == "ASYNC" && d.line == 2 && d.message.contains("decreases")));
-        assert!(diags
-            .iter()
-            .any(|d| d.file == "ASYNC" && d.line == 3 && d.message.contains("unknown")));
-        assert!(diags.iter().any(|d| d.file == "ALLOC" && d.line == 1));
-    }
-
-    #[test]
-    fn lint_dir_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("srr-lint-test-{}", std::process::id()));
+    fn lint_dir_reports_a_load_error_as_the_one_diagnostic() {
+        let dir = tmp("dir");
         let d = sample_demo();
-        d.save_dir_as(&dir, srr_replay::DemoFormat::Text).unwrap();
-        assert!(lint_demo_dir(&dir).unwrap().is_empty());
-        // Truncate the SYSCALL stream on disk.
-        let sys = std::fs::read_to_string(dir.join("SYSCALL")).unwrap();
-        std::fs::write(dir.join("SYSCALL"), sys.lines().next().unwrap()).unwrap();
-        let diags = lint_demo_dir(&dir).unwrap();
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].to_string().starts_with("SYSCALL:1: "));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn lint_dir_handles_binary_demos() {
-        let dir = std::env::temp_dir().join(format!("srr-lint-bin-test-{}", std::process::id()));
-        let d = sample_demo();
-        d.save_dir(&dir).unwrap(); // binary by default
-        assert!(lint_demo_dir(&dir).unwrap().is_empty());
+        d.save_dir(&dir).unwrap();
+        assert!(lint_demo_dir(&dir).is_empty());
         // Flip one payload bit: the frame checksum localizes the damage
         // and the decode failure becomes the diagnostic.
         let mut sys = std::fs::read(dir.join("SYSCALL")).unwrap();
         let mid = sys.len() / 2;
         sys[mid] ^= 0x01;
         std::fs::write(dir.join("SYSCALL"), sys).unwrap();
-        let diags = lint_demo_dir(&dir).unwrap();
+        let diags = lint_demo_dir(&dir);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].file, "SYSCALL");
+        assert_eq!((diags[0].stream.as_str(), diags[0].entry), ("SYSCALL", 0));
+        assert!(diags[0].message.contains("cannot decode"), "{}", diags[0]);
+        // A text export does not load: its HEADER is not a frame.
+        for (name, text) in d.to_string_map() {
+            std::fs::write(dir.join(name), text).unwrap();
+        }
+        let diags = lint_demo_dir(&dir);
+        assert_eq!(diags.len(), 1);
         assert!(
-            diags[0].message.contains("cannot decode"),
-            "message: {}",
-            diags[0].message
+            diags[0]
+                .to_string()
+                .starts_with("HEADER: cannot decode HEADER: bad magic"),
+            "{}",
+            diags[0]
         );
         std::fs::remove_dir_all(&dir).unwrap();
+        // No HEADER at all.
+        let diags = lint_demo_dir(&dir);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].to_string(), "HEADER: demo has no HEADER file");
     }
 }

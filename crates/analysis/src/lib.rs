@@ -20,8 +20,9 @@
 //!    condvar waits returning without a predicate re-check, and relaxed
 //!    cross-thread loads feeding visible-op decisions (the §6 replay
 //!    hazard).
-//! 3. [`lint_demo_map`] / [`lint_demo_dir`] — a structural linter for
-//!    demo directories with file/line-precise [`DemoDiagnostic`]s.
+//! 3. [`lint_demo`] / [`lint_demo_dir`] — a linter for decoded demos
+//!    that re-derives the recorder's stream invariants and reports
+//!    [`DemoDiagnostic`]s naming the stream and entry.
 //!
 //! [`analyze`] bundles the trace-based passes; the CLI exposes all three
 //! as `srr analyze <workload>` and `srr lint-demo --demo DIR`.
@@ -35,7 +36,7 @@ mod findings;
 mod lints;
 
 pub use deadlock::predict_deadlocks;
-pub use demo_lint::{lint_demo_dir, lint_demo_map, DemoDiagnostic};
+pub use demo_lint::{lint_demo, lint_demo_dir, DemoDiagnostic};
 pub use findings::{Finding, FindingKind, Severity, SourceSpan};
 pub use lints::{condvar_no_recheck, misuse_lints, mixed_atomic_plain, relaxed_load_decision};
 pub use srr_obs::SyncTrace;

@@ -5,7 +5,9 @@
 use srr_apps::harness::Tool;
 use srr_apps::hazards::{self, AbBaParams};
 use srr_apps::{client, httpd};
-use tsan11rec::{Execution, FindingKind, Outcome, TraceSpec};
+use std::sync::Arc;
+
+use tsan11rec::{Demo, Execution, FindingKind, Outcome, TraceSpec};
 
 /// The sync class alone: what the deadlock and misuse passes read.
 const SYNC: TraceSpec = TraceSpec {
@@ -83,10 +85,10 @@ fn well_ordered_workloads_produce_no_deadlock_findings() {
 }
 
 /// Every recorded demo (two different workloads, two strategies) passes
-/// the offline linter, and a truncated SYSCALL stream is rejected with a
-/// diagnostic pointing at the syscall header line.
+/// the offline linter; a syscall record that skips a seq is flagged at
+/// its entry, and a truncated SYSCALL file as its stream's load error.
 #[test]
-fn recorded_demos_lint_clean_and_truncation_is_line_precise() {
+fn recorded_demos_lint_clean_and_faults_are_entry_precise() {
     type Case = (&'static str, Tool, Box<dyn FnOnce() + Send>);
     let dir = std::env::temp_dir().join(format!("srr-analysis-e2e-{}", std::process::id()));
     let cases: Vec<Case> = vec![
@@ -114,36 +116,38 @@ fn recorded_demos_lint_clean_and_truncation_is_line_precise() {
         };
         let (report, demo) = exec.record(program);
         assert!(report.outcome.is_ok(), "{name}: {:?}", report.outcome);
-        // Text format: the truncation below edits SYSCALL line by line.
-        demo.save_dir_as(&out, srr_replay::DemoFormat::Text)
-            .expect("save demo");
-        let diags = srr_analysis::lint_demo_dir(&out).expect("readable demo dir");
+        demo.save_dir(&out).expect("save demo");
+        let diags = srr_analysis::lint_demo_dir(&out);
         assert!(diags.is_empty(), "{name} must lint clean: {diags:?}");
     }
 
-    // Corrupt the client-queue demo: drop everything after the first
-    // syscall record's header line, leaving its buffers missing.
-    let syscall = dir.join("client-queue").join("SYSCALL");
-    let text = std::fs::read_to_string(&syscall).expect("client records syscalls");
-    let first_syscall_ln = text
-        .lines()
-        .position(|l| l.trim_start().starts_with("syscall ") && !l.contains("nbufs=0"))
-        .expect("at least one syscall record carrying buffers")
-        + 1;
-    let keep: String = text
-        .lines()
-        .take(first_syscall_ln)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert!(keep.contains("nbufs="), "header line declares buffers");
-    std::fs::write(&syscall, keep).unwrap();
-    let diags = srr_analysis::lint_demo_dir(&dir.join("client-queue")).unwrap();
-    assert!(!diags.is_empty(), "truncated SYSCALL must be rejected");
-    let hit = diags
-        .iter()
-        .find(|d| d.file == "SYSCALL" && d.line == first_syscall_ln)
-        .unwrap_or_else(|| panic!("diagnostic at SYSCALL:{first_syscall_ln}, got {diags:?}"));
-    assert!(hit.message.contains("missing"), "{hit}");
+    // Skip one seq from the client-queue demo's second syscall record on.
+    let client = dir.join("client-queue");
+    let mut demo = Demo::load_dir(&client).expect("the saved demo loads");
+    assert!(demo.syscalls.len() >= 2, "client records syscalls");
+    for r in &mut Arc::make_mut(&mut demo.syscalls)[1..] {
+        r.seq += 1;
+    }
+    demo.save_dir(&client).unwrap();
+    let diags = srr_analysis::lint_demo_dir(&client);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(
+        diags[0].to_string(),
+        "SYSCALL entry 2: seq 2 breaks contiguity (expected 1)"
+    );
+
+    // Truncate the SYSCALL file: its load error is the one diagnostic.
+    let syscall = client.join("SYSCALL");
+    let bytes = std::fs::read(&syscall).unwrap();
+    std::fs::write(&syscall, &bytes[..bytes.len() / 2]).unwrap();
+    let diags = srr_analysis::lint_demo_dir(&client);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!((diags[0].stream.as_str(), diags[0].entry), ("SYSCALL", 0));
+    assert!(
+        diags[0].message.starts_with("cannot decode SYSCALL"),
+        "{}",
+        diags[0]
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

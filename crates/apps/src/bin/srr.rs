@@ -10,7 +10,7 @@
 //!               [--metrics-out DIR]      # parallel race-hunting farm
 //! srr analyze   <workload> [--tool TOOL] [--seed N] [--json]  # offline sync analysis
 //! srr predict   <workload> [--seed N] [--plan FILE] [--json]  # predictive race detection
-//! srr demo      convert --demo DIR --to bin|text [--out DIR]  # transcode formats
+//! srr demo      export --demo DIR --out DIR  # text rendering, for reading
 //! srr demo      hash|stats --demo DIR  # per-stream store hashes / summary
 //! srr lint-demo --demo DIR             # validate a serialized demo
 //! srr vet       <path>... [--allow FILE|none] [--json] [--out FILE]  # static soundness scan
@@ -50,7 +50,7 @@ use srr_explore::{
 use srr_obs::{FarmCounters, MetricsRegistry};
 use srr_plan::SiteClass;
 use srr_predict::Classification;
-use srr_replay::{DemoFormat, StreamHash};
+use srr_replay::StreamHash;
 use srr_vet::Allowlist;
 use tsan11rec::obs::Json;
 use tsan11rec::vos::Vos;
@@ -283,7 +283,6 @@ struct Args {
     plan: Option<PathBuf>,
     folded: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
-    to: Option<String>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -347,14 +346,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--plan" => args.plan = Some(PathBuf::from(flag("--plan")?)),
             "--folded" => args.folded = Some(PathBuf::from(flag("--folded")?)),
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(flag("--metrics-out")?)),
-            "--to" => args.to = Some(flag("--to")?),
             // Any dash-prefixed token is a (mis)spelled flag, never a
             // workload name — `-seed` must not silently become a
             // positional and mask the user's intent.
             other if other.starts_with('-') => {
                 let valid = "--tool --seed --out --demo --sparse --runs --ring --allow --vet \
                              --json --workers --corpus --strategies --shard --predict --plan \
-                             --folded --metrics-out --to -o";
+                             --folded --metrics-out -o";
                 return Err(format!("unknown flag `{other}` (valid flags: {valid})"));
             }
             other => args.positional.push(other.to_owned()),
@@ -513,7 +511,7 @@ fn usage() -> String {
         "                [--out FILE] [--metrics-out DIR]",
         "  srr analyze   <workload> [--tool TOOL] [--seed N] [--json] [--out FILE]",
         "  srr predict   <workload> [--seed N] [--plan FILE] [--json]",
-        "  srr demo      convert --demo DIR --to bin|text [--out DIR]",
+        "  srr demo      export --demo DIR --out DIR",
         "  srr demo      hash|stats --demo DIR",
         "  srr lint-demo --demo DIR",
         "  srr vet       <path>... [--allow FILE|none] [--json] [--out FILE]",
@@ -532,8 +530,8 @@ fn usage() -> String {
         "search targets. Exit 2 when distinct signatures were found.",
         "",
         "trace runs or replays with the schedule traced and writes a Chrome trace;",
-        "--ring N keeps the last N events of each track (default 256), cut at",
-        "export.",
+        "--ring N keeps the last N exported events of each track (default 256),",
+        "cut at export.",
         "",
         "profile replays a recorded demo and walks the critical path backwards",
         "through the sync events, attributing every logical tick to a bucket: lock",
@@ -559,11 +557,12 @@ fn usage() -> String {
         "static lock cycles; `// plan: allow(conflict)` markers or the vet",
         "allowlist-file format waive the gate (never the recording).",
         "",
-        "demo converts between the binary (default) and text stream formats",
-        "(convert writes in place unless --out names a directory), prints the",
-        "per-stream content hashes DemoStore dedups by (hash), or summarizes a",
-        "recording (stats). Every --demo consumer auto-detects the format per",
-        "file, so mixed directories load fine.",
+        "demo writes a recording's line-oriented text rendering to another",
+        "directory for reading and diffing (export; nothing loads it back),",
+        "prints the per-stream content hashes DemoStore dedups by (hash), or",
+        "summarizes a recording (stats). Demos are read and written in the",
+        "binary codec only; a stream file that is not a codec frame fails to",
+        "load with an error naming it.",
         "",
         "exit codes:",
         "  0  success",
@@ -1153,26 +1152,29 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                 .positional
                 .first()
                 .map(String::as_str)
-                .ok_or("demo needs a subcommand: convert | hash | stats")?;
+                .ok_or("demo needs a subcommand: export | hash | stats")?;
             let dir = args.demo.clone().ok_or("demo needs --demo DIR")?;
             let demo = Demo::load_dir(&dir).map_err(|e| format!("loading demo: {e}"))?;
             match sub {
-                "convert" => {
-                    let to = args.to.as_deref().ok_or("convert needs --to bin|text")?;
-                    let format = DemoFormat::from_name(to)
-                        .ok_or_else(|| format!("unknown demo format `{to}` (bin or text)"))?;
-                    // No --out means convert in place; `save_dir_as`
-                    // removes the other format's stream files so the
-                    // directory never holds a stale mixed demo.
-                    let dest = args.out.clone().unwrap_or_else(|| dir.clone());
-                    demo.save_dir_as(&dest, format)
-                        .map_err(|e| format!("writing {}: {e}", dest.display()))?;
-                    eprintln!(
-                        "{}: {} format, {} bytes",
-                        dest.display(),
-                        format.name(),
-                        demo.size_bytes_as(format)
-                    );
+                "export" => {
+                    let dest = args.out.clone().ok_or("export needs --out DIR")?;
+                    // Text over the demo's own streams would leave a
+                    // directory that no longer loads.
+                    if std::fs::canonicalize(&dest).ok() == std::fs::canonicalize(&dir).ok() {
+                        return Err(format!(
+                            "export --out {} is the demo itself; name another directory",
+                            dest.display()
+                        ));
+                    }
+                    std::fs::create_dir_all(&dest)
+                        .map_err(|e| format!("creating {}: {e}", dest.display()))?;
+                    let mut bytes = 0;
+                    for (file, text) in demo.to_string_map() {
+                        std::fs::write(dest.join(&file), &text)
+                            .map_err(|e| format!("writing {}: {e}", dest.join(&file).display()))?;
+                        bytes += text.len();
+                    }
+                    eprintln!("{}: text export, {bytes} bytes", dest.display());
                     Ok(EXIT_OK)
                 }
                 "hash" => {
@@ -1189,14 +1191,13 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                     Ok(EXIT_OK)
                 }
                 other => Err(format!(
-                    "unknown demo subcommand `{other}` (convert | hash | stats)"
+                    "unknown demo subcommand `{other}` (export | hash | stats)"
                 )),
             }
         }
         "lint-demo" => {
             let dir = args.demo.clone().ok_or("lint-demo needs --demo DIR")?;
-            let diags =
-                srr_analysis::lint_demo_dir(&dir).map_err(|e| format!("reading demo dir: {e}"))?;
+            let diags = srr_analysis::lint_demo_dir(&dir);
             if diags.is_empty() {
                 println!("{}: demo is well-formed", dir.display());
             }
@@ -1905,7 +1906,7 @@ mod tests {
     }
 
     #[test]
-    fn demo_command_converts_hashes_and_reports_stats() {
+    fn demo_command_exports_hashes_and_reports_stats() {
         let dir = std::env::temp_dir().join(format!("srr-demo-cmd-{}", std::process::id()));
         let text_dir = std::env::temp_dir().join(format!("srr-demo-cmd-t-{}", std::process::id()));
         run_command(&argv(&[
@@ -1920,6 +1921,7 @@ mod tests {
         ]))
         .expect("record");
         let d = dir.to_str().unwrap();
+        let t = text_dir.to_str().unwrap();
         assert_eq!(
             run_command(&argv(&["demo", "stats", "--demo", d])),
             Ok(EXIT_OK)
@@ -1928,46 +1930,43 @@ mod tests {
             run_command(&argv(&["demo", "hash", "--demo", d])),
             Ok(EXIT_OK)
         );
-        // Convert to text in a second directory: same demo, different bytes.
-        run_command(&argv(&[
-            "demo",
-            "convert",
-            "--demo",
-            d,
-            "--to",
-            "text",
-            "--out",
-            text_dir.to_str().unwrap(),
-        ]))
-        .expect("convert to text");
-        let orig = Demo::load_dir(&dir).unwrap();
-        let text = Demo::load_dir(&text_dir).unwrap();
-        assert_eq!(orig.to_bytes_map(), text.to_bytes_map(), "lossless convert");
-        assert!(
-            std::fs::read_to_string(text_dir.join("HEADER")).is_ok(),
-            "text HEADER is UTF-8"
+        // Export the text rendering to a second directory.
+        run_command(&argv(&["demo", "export", "--demo", d, "--out", t])).expect("export");
+        let header = std::fs::read_to_string(text_dir.join("HEADER")).expect("text HEADER");
+        assert!(header.starts_with("tsan11rec-demo v1\n"), "{header}");
+        let demo = Demo::load_dir(&dir).unwrap();
+        for (file, text) in demo.to_string_map() {
+            assert_eq!(std::fs::read_to_string(text_dir.join(&file)).unwrap(), text);
+        }
+        // The export is not a demo: every reader refuses it, naming the
+        // file, and exits 1.
+        for cmd in [
+            &["replay", "client", "--demo", t][..],
+            &["profile", "client", "--demo", t],
+            &["demo", "hash", "--demo", t],
+        ] {
+            let err = run_command(&argv(cmd)).expect_err("a text export does not load");
+            assert!(
+                err.contains("cannot decode HEADER: bad magic"),
+                "{cmd:?}: {err}"
+            );
+        }
+        // The linter reports the load error as its one diagnostic.
+        assert_eq!(
+            run_command(&argv(&["lint-demo", "--demo", t])),
+            Ok(EXIT_FINDINGS)
         );
-        // In-place round trip back to binary, then replay the result.
-        run_command(&argv(&[
-            "demo",
-            "convert",
-            "--demo",
-            text_dir.to_str().unwrap(),
-            "--to",
-            "bin",
-        ]))
-        .expect("convert in place");
-        run_command(&argv(&[
-            "replay",
-            "client",
-            "--demo",
-            text_dir.to_str().unwrap(),
-        ]))
-        .expect("converted demo replays");
-        // Usage errors: missing subcommand, unknown subcommand, missing --to.
+        // Exporting over the demo itself would destroy it.
+        let err = run_command(&argv(&["demo", "export", "--demo", d, "--out", d]))
+            .expect_err("export over the demo");
+        assert!(err.contains("is the demo itself"), "{err}");
+        assert_eq!(Demo::load_dir(&dir).unwrap(), demo, "demo untouched");
+        // Usage errors: missing subcommand, unknown subcommand, missing
+        // --out, and the retired --to flag.
         assert!(run_command(&argv(&["demo", "--demo", d])).is_err());
         assert!(run_command(&argv(&["demo", "bogus", "--demo", d])).is_err());
-        assert!(run_command(&argv(&["demo", "convert", "--demo", d])).is_err());
+        assert!(run_command(&argv(&["demo", "export", "--demo", d])).is_err());
+        assert!(run_command(&argv(&["demo", "convert", "--demo", d, "--to", "text"])).is_err());
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&text_dir);
     }

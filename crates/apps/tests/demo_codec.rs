@@ -29,10 +29,10 @@
 //! robust but its fresh recordings machine-dependent, so they are held
 //! to the decode∘encode and replay assertions only. `UPDATE_GOLDEN=1`
 //! transcodes their committed fixtures rather than re-recording them,
-//! so a format change keeps their schedules (the loader reads the text
-//! form too: convert an older binary fixture with `srr demo convert
-//! --to text` from the build that wrote it, then regenerate). A missing
-//! queue fixture is recorded afresh.
+//! so an encoder change keeps their schedules. A codec version change
+//! cannot: this build reads no older frames (nor text), so those
+//! fixtures are then recorded again. A missing queue fixture is
+//! recorded afresh.
 //!
 //! fluidanimate's fixture is a recording with srrbench's parameters
 //! (two threads of 800 cells, ≈25.6k ticks in a few dozen QUEUE runs),

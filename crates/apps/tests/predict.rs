@@ -122,12 +122,12 @@ fn synthesized_witness_round_trips_through_linter_and_codec() {
 
     // Lint: the programmatic builder's demos must satisfy the same QUEUE
     // invariants `srr lint-demo` enforces on recorded directories.
-    let diags = srr_analysis::lint_demo_map(&witness.to_string_map());
+    let diags = srr_analysis::lint_demo(witness);
     assert!(diags.is_empty(), "witness demo must lint clean: {diags:?}");
 
     // Codec round-trip, then replay the reloaded demo.
     let reloaded =
-        Demo::from_string_map(&witness.to_string_map()).expect("witness demo reserializes");
+        Demo::from_bytes_map(&witness.to_bytes_map()).expect("witness demo reserializes");
     let cfg = Tool::Queue
         .config(reloaded.header.seeds)
         .with_race_target("cell", 1, 2);

@@ -3,15 +3,20 @@
 //!
 //! The paper's Table 2 discussion estimates ~4.8KB per request and
 //! suggests "more aggressive compression" as a trade-off; this ablation
-//! quantifies what the text format's RLE buys by re-serializing recorded
+//! quantifies what the text export's RLE buys by re-serializing recorded
 //! demos with the codecs disabled (literal token per value / hex per
 //! byte).
 
 use srr_apps::httpd::{server, world, HttpdParams};
 use srr_apps::litmus::table1_suite;
 use srr_bench::{banner, bench_scale, run_tool, seeds_for, TablePrinter, Tool};
-use srr_replay::{rle, DemoFormat};
+use srr_replay::rle;
 use tsan11rec::Demo;
+
+/// Size of the demo's text export, RLE on.
+fn text_size(demo: &Demo) -> usize {
+    demo.to_string_map().values().map(String::len).sum()
+}
 
 /// Size of the demo with RLE replaced by naive encodings.
 fn naive_size(demo: &Demo) -> usize {
@@ -52,7 +57,7 @@ fn main() {
         let litmus = table1_suite().into_iter().next_back().expect("suite");
         let r = run_tool(Tool::QueueRec, seeds_for(3), |_| {}, litmus.run);
         let demo = r.demo.expect("recorded");
-        let (a, b) = (demo.size_bytes_as(DemoFormat::Text), naive_size(&demo));
+        let (a, b) = (text_size(&demo), naive_size(&demo));
         table.row(&[
             &format!("litmus/{}", litmus.name),
             &a.to_string(),
@@ -72,7 +77,7 @@ fn main() {
         };
         let r = run_tool(Tool::QueueRec, seeds_for(3), world(params), server(params));
         let demo = r.demo.expect("recorded");
-        let (a, b) = (demo.size_bytes_as(DemoFormat::Text), naive_size(&demo));
+        let (a, b) = (text_size(&demo), naive_size(&demo));
         table.row(&[
             "httpd",
             &a.to_string(),

@@ -36,10 +36,6 @@ fn rle_benches(c: &mut Criterion) {
     group.bench_function("encode_bytes_4k", |bench| {
         bench.iter(|| rle::encode_bytes(black_box(&payload)));
     });
-    let encoded = rle::encode_bytes(&payload);
-    group.bench_function("decode_bytes_4k", |bench| {
-        bench.iter(|| rle::decode_bytes(black_box(&encoded)).expect("valid"));
-    });
     group.finish();
 }
 

@@ -6,18 +6,21 @@
 //! predict pruning/wall-time notes.
 //!
 //! The reduction must never cost recall: the plan-pruned prediction run
-//! is asserted to confirm exactly as many races as the full one.
+//! is asserted to confirm exactly as many races as the full one. Both
+//! grade the committed queue recording of hidden_handoff, so they start
+//! from one schedule (a fresh queue recording follows thread arrival
+//! order, and two of them may differ).
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use srr_apps::hazards;
-use srr_apps::predictor::{run_prediction, run_prediction_in_world_with};
+use srr_apps::predictor::{replay_prediction, replay_prediction_with};
 use srr_bench::report::{BenchReport, BenchRow, Json};
 use srr_bench::{banner, seeds_for, Stats, TablePrinter, Tool};
 use srr_predict::Classification;
 use tsan11rec::vos::Vos;
-use tsan11rec::{AccessPlan, ExecReport, Execution};
+use tsan11rec::{AccessPlan, Demo, ExecReport, Execution};
 
 fn plain_events(r: &ExecReport) -> usize {
     r.sync_trace
@@ -100,17 +103,20 @@ fn main() {
     // Predict under the plan: statically proven labels are pruned before
     // witness synthesis; the verdicts must not change.
     fn no_setup(_: &Vos) {}
+    let fixture = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../apps/tests/fixtures/predict/hidden_handoff_queue"
+    ));
+    let recording = Demo::load_dir(&fixture).expect("the committed hidden_handoff recording");
     let t0 = Instant::now();
-    let base = run_prediction(seeds_for(7), || {
-        Box::new(hazards::hidden_handoff()) as Box<dyn FnOnce() + Send>
-    });
+    let base = replay_prediction(recording.clone(), hazards::hidden_handoff);
     let full_ms = t0.elapsed().as_secs_f64() * 1e3;
     let proven = static_plan.proven_labels();
     let t0 = Instant::now();
-    let pruned_run = run_prediction_in_world_with(
-        seeds_for(7),
+    let pruned_run = replay_prediction_with(
+        recording,
         no_setup,
-        || Box::new(hazards::hidden_handoff()) as Box<dyn FnOnce() + Send>,
+        hazards::hidden_handoff,
         Some(arm()),
         |label| !proven.contains(label),
     );

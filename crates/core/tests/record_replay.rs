@@ -127,8 +127,8 @@ fn demo_roundtrips_through_disk_format() {
     let (_, demo) = Execution::new(rec_config(Strategy::Queue))
         .setup(figure2_world)
         .record(figure2_client);
-    let map = demo.to_string_map();
-    let demo2 = Demo::from_string_map(&map).expect("well-formed demo");
+    let map = demo.to_bytes_map();
+    let demo2 = Demo::from_bytes_map(&map).expect("well-formed demo");
     assert_eq!(demo, demo2);
 
     let rep = Execution::new(rec_config(Strategy::Queue)).replay(&demo2, figure2_client);

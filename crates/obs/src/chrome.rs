@@ -8,7 +8,10 @@
 //! in the histograms and the text timeline only.
 //!
 //! Both exporters read the schedule class of the run's one log through
-//! [`SyncTrace::tracks`], cutting each track to its last `ring` events.
+//! [`SyncTrace::tracks`], cutting each track to its last `ring` events:
+//! the Chrome export to its last `ring` *exported* events, so that the
+//! wakeups it leaves out, whose number follows wall-clock parking, never
+//! decide which records survive the cut.
 
 use std::fmt::Write as _;
 
@@ -34,6 +37,20 @@ fn meta_thread_name(tid: u32, name: &str) -> Json {
         ("tid", num(u64::from(tid))),
         ("args", obj(vec![("name", Json::Str(name.to_owned()))])),
     ])
+}
+
+/// Whether [`event_record`] exports an event of this kind.
+fn exported(kind: &EventKind) -> bool {
+    matches!(
+        kind,
+        EventKind::TickEnd { .. }
+            | EventKind::Decision { .. }
+            | EventKind::SignalDelivered { .. }
+            | EventKind::SyscallRecord { .. }
+            | EventKind::SyscallReplay { .. }
+            | EventKind::StreamCursor { .. }
+            | EventKind::Desync
+    )
 }
 
 /// Converts one event into a trace record, or `None` for events that do
@@ -104,14 +121,15 @@ fn event_record(track_tid: u32, ev: &ObsEvent) -> Option<Json> {
 }
 
 /// Builds the Chrome `trace_event` document for a traced run, keeping
-/// the last `ring` events of each track (all of them when `None`).
+/// the last `ring` exported events of each track (all of them when
+/// `None`).
 ///
 /// Top level is `{"traceEvents": [...], "displayTimeUnit": "ms"}`; every
 /// record uses logical ticks for `ts`, so the export is deterministic
 /// across replays of the same seed.
 #[must_use]
 pub fn chrome_trace(trace: &SyncTrace, ring: Option<usize>) -> Json {
-    let (threads, sched) = trace.tracks(ring);
+    let (threads, sched) = trace.tracks(ring, exported);
     // The scheduler track's synthetic tid: one past the largest thread's.
     let sched_tid = threads.len() as u32;
     let mut events = Vec::new();
@@ -217,7 +235,7 @@ fn describe(ev: &ObsEvent) -> String {
 /// Chrome export this *does* include wall-clock durations.
 #[must_use]
 pub fn text_timeline(trace: &SyncTrace, report: &ObsReport, ring: Option<usize>) -> String {
-    let (threads, sched) = trace.tracks(ring);
+    let (threads, sched) = trace.tracks(ring, |_| true);
     let mut rows: Vec<(u64, String, String)> = Vec::new();
     let track = |t: &ThreadTrace, label: &str, rows: &mut Vec<(u64, String, String)>| {
         for ev in &t.events {
@@ -333,6 +351,79 @@ mod tests {
         };
         assert_eq!(slices(None), 2);
         assert_eq!(slices(Some(1)), 1, "only the newest tick of T0");
+    }
+
+    #[test]
+    fn exported_names_exactly_the_kinds_that_export() {
+        use crate::event::{StreamId, SysKind};
+        let sys = SysKind::from_name("recv");
+        for kind in [
+            EventKind::TickBegin,
+            EventKind::TickEnd {
+                dur_nanos: 1,
+                op: ObsOp::Other,
+            },
+            EventKind::Decision { next: Some(1) },
+            EventKind::Wakeup { target: 1 },
+            EventKind::Broadcast,
+            EventKind::SignalDelivered { signo: 10 },
+            EventKind::SyscallRecord { kind: sys, seq: 0 },
+            EventKind::SyscallReplay { kind: sys, seq: 0 },
+            EventKind::StreamCursor {
+                stream: StreamId::Queue,
+                offset: 1,
+            },
+            EventKind::Desync,
+            EventKind::MutexAcquire { mutex: 0 },
+        ] {
+            let ev = ObsEvent {
+                tid: 0,
+                tick: 1,
+                kind,
+            };
+            assert_eq!(exported(&kind), event_record(0, &ev).is_some(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn scheduler_track_wakeups_do_not_move_the_ring_cut() {
+        // Three ticks of T0, each followed by a decision; the two runs
+        // differ only in how many wakeups the parking happened to issue.
+        let trace = |wakeups: &[usize]| {
+            let mut events = Vec::new();
+            for tick in 1..=3u64 {
+                let ev = |kind| ObsEvent { tid: 0, tick, kind };
+                events.push(ev(EventKind::TickBegin));
+                events.push(ev(EventKind::TickEnd {
+                    dur_nanos: tick,
+                    op: ObsOp::Other,
+                }));
+                events.push(ev(EventKind::Decision { next: Some(0) }));
+                for _ in 0..wakeups[tick as usize - 1] {
+                    events.push(ev(EventKind::Wakeup { target: 0 }));
+                }
+            }
+            SyncTrace {
+                events,
+                ..SyncTrace::default()
+            }
+        };
+        let (a, b) = (trace(&[0, 0, 0]), trace(&[1, 2, 1]));
+        // Ring 2 cuts the scheduler track (three decisions).
+        assert_eq!(
+            chrome_trace(&a, Some(2)).to_pretty(),
+            chrome_trace(&b, Some(2)).to_pretty()
+        );
+        let decisions = chrome_trace(&b, Some(2))
+            .get("traceEvents")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("decision"))
+            .count();
+        assert_eq!(decisions, 2);
+        // The text timeline still shows the wakeups.
+        assert!(text_timeline(&b, &ObsReport::of(&b), None).contains("wakeup T0"));
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl DesyncDiagnostics {
                 }
             }
         }
-        let (threads, sched) = trace.tracks(Some(LAST_EVENTS));
+        let (threads, sched) = trace.tracks(Some(LAST_EVENTS), |_| true);
         diag.last_events = threads;
         if !sched.events.is_empty() {
             diag.last_events.push(sched);

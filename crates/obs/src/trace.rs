@@ -74,18 +74,24 @@ impl SyncTrace {
             .collect()
     }
 
-    /// The export tracks: one per thread, in tid order, and the
-    /// scheduler track. Each keeps the last `ring` schedule-class events
-    /// (all of them when `None`; at least one).
+    /// The export tracks: one per thread that emitted a schedule-class
+    /// event, in tid order, and the scheduler track. Each holds the
+    /// schedule-class events `keep` accepts, cut to the last `ring` of
+    /// them (all of them when `None`; at least one). Events `keep`
+    /// rejects never count toward the cut.
     #[must_use]
-    pub fn tracks(&self, ring: Option<usize>) -> (Vec<ThreadTrace>, ThreadTrace) {
-        let keep = ring.map_or(usize::MAX, |n| n.max(1));
+    pub fn tracks(
+        &self,
+        ring: Option<usize>,
+        keep: impl Fn(&EventKind) -> bool,
+    ) -> (Vec<ThreadTrace>, ThreadTrace) {
+        let cap = ring.map_or(usize::MAX, |n| n.max(1));
         let mut threads: Vec<ThreadTrace> = Vec::new();
         let mut sched = ThreadTrace {
             tid: u32::MAX,
             ..ThreadTrace::default()
         };
-        // Newest first, so a track stops growing once it holds `keep`.
+        // Newest first, so a track stops growing once it holds `cap`.
         for ev in self.events.iter().rev() {
             if ev.kind.class() != EventClass::Schedule {
                 continue;
@@ -99,7 +105,10 @@ impl SyncTrace {
                 }
                 &mut threads[idx]
             };
-            if track.events.len() < keep {
+            if !keep(&ev.kind) {
+                continue;
+            }
+            if track.events.len() < cap {
                 track.events.push(*ev);
             } else {
                 track.dropped += 1;
@@ -181,7 +190,7 @@ mod tests {
         assert_eq!(t.tick_order(), vec![(0, 1), (1, 2), (0, 3)]);
         assert_eq!(t.sync_events().count(), 2);
 
-        let (threads, sched) = t.tracks(None);
+        let (threads, sched) = t.tracks(None, |_| true);
         assert_eq!(threads.len(), 2);
         assert_eq!(threads[0].events.len(), 3, "begin, end, end");
         assert_eq!(threads[1].events.len(), 2, "access is not a track event");
@@ -189,11 +198,24 @@ mod tests {
         assert_eq!(sched.events.len(), 2, "decision and QUEUE cursor");
 
         // A ring keeps each track's newest events, oldest first.
-        let (threads, sched) = t.tracks(Some(1));
+        let (threads, sched) = t.tracks(Some(1), |_| true);
         assert_eq!(threads[0].events, vec![end(0, 3)]);
         assert_eq!(threads[0].dropped, 2);
         assert_eq!(threads[1].events, vec![end(1, 2)]);
         assert_eq!((sched.events.len(), sched.dropped), (1, 1));
-        assert_eq!(t.tracks(Some(0)).0[0].events.len(), 1, "at least one");
+        assert_eq!(
+            t.tracks(Some(0), |_| true).0[0].events.len(),
+            1,
+            "at least one"
+        );
+
+        // Rejected events neither export nor count toward the cut, and
+        // a thread whose events are all rejected keeps its track.
+        let ends = |k: &EventKind| matches!(k, EventKind::TickEnd { .. });
+        let (threads, sched) = t.tracks(Some(2), ends);
+        assert_eq!(threads[0].events, vec![end(0, 1), end(0, 3)]);
+        assert_eq!(threads[0].dropped, 0);
+        assert_eq!(threads.len(), 2);
+        assert!(sched.events.is_empty());
     }
 }

@@ -81,8 +81,7 @@ pub const CODEC_VERSION: u64 = 3;
 pub const PACKED: u8 = 0x80;
 
 /// Longest syscall kind name a demo may hold, in bytes (Linux's longest
-/// syscall name has 23). Both the binary and the text decoder reject
-/// longer ones.
+/// syscall name has 23). The decoder rejects longer ones.
 pub const MAX_KIND_LEN: usize = 64;
 
 /// Most critical sections a binary QUEUE stream may schedule (4 Gi, hours
@@ -120,8 +119,8 @@ impl StreamId {
         StreamId::Alloc,
     ];
 
-    /// The stream's file name inside a demo directory (shared with the
-    /// text format — the bytes, not the name, identify the format).
+    /// The stream's file name inside a demo directory (the text export
+    /// uses the same names).
     #[must_use]
     pub fn file_name(self) -> &'static str {
         match self {
@@ -500,13 +499,6 @@ pub struct Frame<'a> {
     /// The stream payload: borrowed from the input when stored plain,
     /// inflated when packed.
     pub payload: Cow<'a, [u8]>,
-}
-
-/// Whether `bytes` look like a binary stream frame (magic check only —
-/// the auto-detect probe used by [`crate::Demo::load_dir`]).
-#[must_use]
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
 
 /// Wraps a stream payload into a framed file image, LZ77-packed when
@@ -998,8 +990,10 @@ mod tests {
         assert_eq!(parsed.stream, StreamId::Alloc);
         assert_eq!(frame[5] & PACKED, 0, "7 bytes cannot pack smaller");
         assert_eq!(&*parsed.payload, b"payload");
-        assert!(is_binary(&frame));
-        assert!(!is_binary(b"first 1\n"));
+        assert_eq!(
+            parse_frame(b"first 1\n").unwrap_err(),
+            CodecError::BadMagic { found: *b"firs" }
+        );
 
         // Any single-bit flip must fail.
         for byte in 0..frame.len() {

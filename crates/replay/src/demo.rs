@@ -1,6 +1,6 @@
-//! The demo container: header plus the five streams, with directory and
-//! in-memory serialization in two on-disk formats (compact framed
-//! binary, the default; line-oriented text for fixtures and diffing).
+//! The demo container: header plus the five streams, stored as a
+//! directory of framed binary stream files ([`crate::codec`]), with a
+//! line-oriented text rendering for export.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -12,45 +12,10 @@ use std::sync::Arc;
 
 use crate::codec::{self, CodecError, StreamId};
 use crate::rle;
-use crate::streams::{parse_syscalls, AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
+use crate::streams::{AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
 
 /// Demo format version understood by this crate.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// The two on-disk representations of a demo directory. Loading always
-/// auto-detects per file (by the `SRRB` magic), so directories of either
-/// format — or mixed ones — load transparently.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DemoFormat {
-    /// Line-oriented text streams: human-diffable, the import/export and
-    /// fixture format.
-    Text,
-    /// Framed binary streams ([`crate::codec`]): compact, checksummed,
-    /// decoded zero-copy. The default for everything written at runtime.
-    #[default]
-    Binary,
-}
-
-impl DemoFormat {
-    /// The CLI spelling (`srr demo convert --to <name>`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            DemoFormat::Text => "text",
-            DemoFormat::Binary => "bin",
-        }
-    }
-
-    /// Parses the CLI spelling.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<DemoFormat> {
-        match name {
-            "text" => Some(DemoFormat::Text),
-            "bin" | "binary" => Some(DemoFormat::Binary),
-            _ => None,
-        }
-    }
-}
 
 /// Metadata identifying how a demo was recorded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,49 +47,6 @@ impl DemoHeader {
             "tsan11rec-demo v{}\ntool {}\nstrategy {}\nseed {} {}\n",
             self.version, self.tool, self.strategy, self.seeds[0], self.seeds[1]
         )
-    }
-
-    fn from_text(text: &str) -> Result<Self, String> {
-        let mut version = None;
-        let mut tool = None;
-        let mut strategy = None;
-        let mut seeds = None;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(v) = line.strip_prefix("tsan11rec-demo v") {
-                version = Some(v.parse().map_err(|_| format!("bad version `{v}`"))?);
-            } else if let Some(t) = line.strip_prefix("tool ") {
-                tool = Some(t.to_owned());
-            } else if let Some(s) = line.strip_prefix("strategy ") {
-                strategy = Some(s.to_owned());
-            } else if let Some(s) = line.strip_prefix("seed ") {
-                let mut it = s.split_whitespace();
-                let a = it
-                    .next()
-                    .and_then(|x| x.parse().ok())
-                    .ok_or_else(|| format!("bad seed line `{line}`"))?;
-                let b = it
-                    .next()
-                    .and_then(|x| x.parse().ok())
-                    .ok_or_else(|| format!("bad seed line `{line}`"))?;
-                seeds = Some([a, b]);
-            } else {
-                return Err(format!("unknown HEADER line `{line}`"));
-            }
-        }
-        let version = version.ok_or("missing version line")?;
-        if version != FORMAT_VERSION {
-            return Err(format!("unsupported demo version {version}"));
-        }
-        Ok(DemoHeader {
-            version,
-            tool: tool.ok_or("missing tool line")?,
-            strategy: strategy.ok_or("missing strategy line")?,
-            seeds: seeds.ok_or("missing seed line")?,
-        })
     }
 }
 
@@ -180,7 +102,10 @@ impl Demo {
         demo
     }
 
-    /// Serializes into the per-file text map (`HEADER`, `QUEUE`, ...).
+    /// Renders the demo as the per-file text map (`HEADER`, `QUEUE`,
+    /// ...): the line-oriented export `srr demo export` writes, for
+    /// reading and diffing. Nothing loads it back; the binary codec is
+    /// the one on-disk format.
     #[must_use]
     pub fn to_string_map(&self) -> BTreeMap<String, String> {
         let mut map = BTreeMap::new();
@@ -237,15 +162,15 @@ impl Demo {
         map
     }
 
-    /// Parses a per-file byte map, auto-detecting the format of each
-    /// file: files starting with the `SRRB` magic decode through the
-    /// binary codec, anything else parses as text. Mixed directories are
-    /// fine. Missing stream files are treated as empty.
+    /// Decodes a per-file byte map of binary stream frames, `HEADER`
+    /// first. A missing or zero-length stream file is an empty stream;
+    /// files that are not streams (a `CONSOLE` beside them) are ignored.
     ///
     /// # Errors
     ///
-    /// [`DemoLoadError`] naming the offending file (with a line number
-    /// for text streams, a typed [`CodecError`] for binary ones).
+    /// [`DemoLoadError::Codec`] naming the first file that does not
+    /// decode ([`CodecError::BadMagic`] for one that is not a frame at
+    /// all, such as a text export), or [`DemoLoadError::MissingHeader`].
     pub fn from_bytes_map(map: &BTreeMap<String, Vec<u8>>) -> Result<Self, DemoLoadError> {
         let mut header = None;
         let mut queue = QueueStream::default();
@@ -253,74 +178,36 @@ impl Demo {
         let mut syscalls = Vec::new();
         let mut async_events = Vec::new();
         let mut alloc = Vec::new();
-        for (name, bytes) in map {
-            let Some(id) = StreamId::from_file_name(name) else {
-                continue; // side files (e.g. CONSOLE) are not streams
+        for id in StreamId::ALL {
+            let file = id.file_name();
+            let Some(bytes) = map.get(file).filter(|b| !b.is_empty()) else {
+                continue;
             };
-            let file = name.clone();
-            if codec::is_binary(bytes) {
-                let frame = codec::parse_frame(bytes).map_err(|err| DemoLoadError::Codec {
-                    file: file.clone(),
-                    err,
-                })?;
-                if frame.stream != id {
-                    return Err(DemoLoadError::Codec {
-                        file,
-                        err: CodecError::WrongStream {
-                            expected: id,
-                            found: frame.stream,
-                        },
-                    });
+            let codec_err = |err| DemoLoadError::Codec {
+                file: file.to_owned(),
+                err,
+            };
+            let frame = codec::parse_frame(bytes).map_err(codec_err)?;
+            if frame.stream != id {
+                return Err(codec_err(CodecError::WrongStream {
+                    expected: id,
+                    found: frame.stream,
+                }));
+            }
+            let payload = &frame.payload;
+            match id {
+                StreamId::Header => {
+                    header = Some(codec::decode_header(payload).map_err(codec_err)?);
                 }
-                let codec_err = |err| DemoLoadError::Codec {
-                    file: file.clone(),
-                    err,
-                };
-                match id {
-                    StreamId::Header => {
-                        header = Some(codec::decode_header(&frame.payload).map_err(codec_err)?);
-                    }
-                    StreamId::Queue => {
-                        queue = codec::decode_queue(&frame.payload).map_err(codec_err)?;
-                    }
-                    StreamId::Signal => {
-                        signals = codec::decode_signals(&frame.payload).map_err(codec_err)?;
-                    }
-                    StreamId::Syscall => {
-                        syscalls = codec::decode_syscalls(&frame.payload).map_err(codec_err)?;
-                    }
-                    StreamId::Async => {
-                        async_events = codec::decode_asyncs(&frame.payload).map_err(codec_err)?;
-                    }
-                    StreamId::Alloc => {
-                        alloc = codec::decode_alloc(&frame.payload).map_err(codec_err)?;
-                    }
+                StreamId::Queue => queue = codec::decode_queue(payload).map_err(codec_err)?,
+                StreamId::Signal => signals = codec::decode_signals(payload).map_err(codec_err)?,
+                StreamId::Syscall => {
+                    syscalls = codec::decode_syscalls(payload).map_err(codec_err)?;
                 }
-            } else {
-                let text = std::str::from_utf8(bytes).map_err(|_| DemoLoadError::Malformed {
-                    file: file.clone(),
-                    line: None,
-                    err: "not UTF-8 and not a binary frame".into(),
-                })?;
-                let bad = |err: String| DemoLoadError::Malformed {
-                    file: file.clone(),
-                    line: None,
-                    err,
-                };
-                match id {
-                    StreamId::Header => {
-                        header = Some(DemoHeader::from_text(text).map_err(bad)?);
-                    }
-                    StreamId::Queue => queue = QueueStream::from_text(text).map_err(bad)?,
-                    StreamId::Signal => {
-                        signals = parse_lines(text, &file, SignalEvent::from_line)?;
-                    }
-                    StreamId::Syscall => syscalls = parse_syscalls(text)?,
-                    StreamId::Async => {
-                        async_events = parse_lines(text, &file, AsyncEvent::from_line)?;
-                    }
-                    StreamId::Alloc => alloc = rle::decode_u64s(text).map_err(bad)?,
+                StreamId::Async => {
+                    async_events = codec::decode_asyncs(payload).map_err(codec_err)?;
                 }
+                StreamId::Alloc => alloc = codec::decode_alloc(payload).map_err(codec_err)?,
             }
         }
         let header = header.ok_or(DemoLoadError::MissingHeader)?;
@@ -334,50 +221,16 @@ impl Demo {
         })
     }
 
-    /// Parses the per-file text map produced by [`Demo::to_string_map`].
-    ///
-    /// Missing stream files are treated as empty (sparsity: a recording
-    /// that captured no signals simply has no `SIGNAL` content).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DemoLoadError::Malformed`] naming the offending file.
-    pub fn from_string_map(map: &BTreeMap<String, String>) -> Result<Self, DemoLoadError> {
-        let bytes = map
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone().into_bytes()))
-            .collect();
-        Demo::from_bytes_map(&bytes)
-    }
-
-    /// Writes the demo as a directory of stream files in the default
-    /// (binary) format.
+    /// Writes the demo as a directory of binary stream files. Stream
+    /// files it does not produce (empty streams) are deleted if present,
+    /// so saving over an older demo never leaves stale streams behind.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save_dir(&self, dir: &Path) -> io::Result<()> {
-        self.save_dir_as(dir, DemoFormat::default())
-    }
-
-    /// Writes the demo as a directory of stream files in the given
-    /// format. Stream files the chosen serialization does not produce
-    /// (empty streams in binary form) are deleted if present, so an
-    /// in-place convert never leaves stale streams behind.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_dir_as(&self, dir: &Path, format: DemoFormat) -> io::Result<()> {
         fs::create_dir_all(dir)?;
-        let files: BTreeMap<String, Vec<u8>> = match format {
-            DemoFormat::Text => self
-                .to_string_map()
-                .into_iter()
-                .map(|(k, v)| (k, v.into_bytes()))
-                .collect(),
-            DemoFormat::Binary => self.to_bytes_map(),
-        };
+        let files = self.to_bytes_map();
         for id in StreamId::ALL {
             let path = dir.join(id.file_name());
             match files.get(id.file_name()) {
@@ -392,12 +245,12 @@ impl Demo {
         Ok(())
     }
 
-    /// Loads a demo from a directory written by [`Demo::save_dir`] or
-    /// [`Demo::save_dir_as`], auto-detecting each file's format.
+    /// Loads a demo from a directory written by [`Demo::save_dir`].
     ///
     /// # Errors
     ///
-    /// Returns [`DemoLoadError`] on IO failure or malformed content.
+    /// Returns [`DemoLoadError`] on IO failure or a stream that does not
+    /// decode.
     pub fn load_dir(dir: &Path) -> Result<Self, DemoLoadError> {
         let mut map = BTreeMap::new();
         for id in StreamId::ALL {
@@ -418,25 +271,15 @@ impl Demo {
         Demo::from_bytes_map(&map)
     }
 
-    /// Total serialized size in bytes in the default (binary) format —
-    /// the paper's "demo file size" metric (§5.2).
+    /// Total serialized size in bytes — the paper's "demo file size"
+    /// metric (§5.2).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.size_bytes_as(DemoFormat::default())
+        self.to_bytes_map().values().map(Vec::len).sum()
     }
 
-    /// Total serialized size in bytes in the given format.
-    #[must_use]
-    pub fn size_bytes_as(&self, format: DemoFormat) -> usize {
-        match format {
-            DemoFormat::Text => self.to_string_map().values().map(String::len).sum(),
-            DemoFormat::Binary => self.to_bytes_map().values().map(Vec::len).sum(),
-        }
-    }
-
-    /// Size in bytes of the `SYSCALL` stream alone, in the default
-    /// (binary) format (§5.4 reports the syscall share of the game
-    /// demos).
+    /// Size in bytes of the `SYSCALL` stream alone (§5.4 reports the
+    /// syscall share of the game demos).
     #[must_use]
     pub fn syscall_bytes(&self) -> usize {
         self.to_bytes_map()
@@ -502,41 +345,20 @@ impl fmt::Display for DemoStats {
     }
 }
 
-/// Parses a line-oriented text stream, attaching 1-based line numbers
-/// to failures.
-fn parse_lines<T>(
-    text: &str,
-    file: &str,
-    parse: impl Fn(&str) -> Result<T, String>,
-) -> Result<Vec<T>, DemoLoadError> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| {
-            parse(l).map_err(|err| DemoLoadError::Malformed {
-                file: file.into(),
-                line: Some(i + 1),
-                err,
-            })
-        })
-        .collect()
-}
-
 /// Failure to load a demo.
 #[derive(Debug)]
 pub enum DemoLoadError {
     /// The `HEADER` file is absent.
     MissingHeader,
-    /// A text stream file exists but cannot be parsed.
+    /// A stream's bytes are not what its source promised (a
+    /// [`crate::DemoStore`] blob that no longer matches its hash).
     Malformed {
         /// The stream file name.
         file: String,
-        /// 1-based line number of the offending line, when known.
-        line: Option<usize>,
-        /// Parse error description.
+        /// What is wrong.
         err: String,
     },
-    /// A binary stream file exists but cannot be decoded.
+    /// A stream file exists but does not decode.
     Codec {
         /// The stream file name.
         file: String,
@@ -556,16 +378,7 @@ impl fmt::Display for DemoLoadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DemoLoadError::MissingHeader => write!(f, "demo has no HEADER file"),
-            DemoLoadError::Malformed {
-                file,
-                line: Some(line),
-                err,
-            } => write!(f, "malformed {file} line {line}: {err}"),
-            DemoLoadError::Malformed {
-                file,
-                line: None,
-                err,
-            } => write!(f, "malformed {file}: {err}"),
+            DemoLoadError::Malformed { file, err } => write!(f, "malformed {file}: {err}"),
             DemoLoadError::Codec { file, err } => write!(f, "cannot decode {file}: {err}"),
             DemoLoadError::Io { file, source } => write!(f, "cannot read {file}: {source}"),
         }
@@ -611,61 +424,72 @@ mod tests {
     }
 
     #[test]
-    fn header_roundtrips() {
-        let h = DemoHeader::new("tsan11rec", "random", [123, 456]);
-        assert_eq!(DemoHeader::from_text(&h.to_text()).unwrap(), h);
+    fn string_map_is_the_text_export() {
+        let map = sample_demo().to_string_map();
+        let files: Vec<(&str, &str)> = map.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        assert_eq!(
+            files,
+            [
+                ("ALLOC", "4096 8192 12288\n"),
+                ("ASYNC", "reschedule 2\nsigwakeup 0 4\n"),
+                (
+                    "HEADER",
+                    "tsan11rec-demo v1\ntool tsan11rec\nstrategy queue\nseed 7 9\n"
+                ),
+                ("QUEUE", "first 1+1\nticks 3+1 0*2\n"),
+                ("SIGNAL", "2 5 15\n"),
+                (
+                    "SYSCALL",
+                    "syscall 0 1 3 recv ret=10 errno=0 nbufs=1\nbuf 10 010a68656c6c6f776f726c64\n"
+                ),
+            ]
+        );
     }
 
     #[test]
-    fn header_rejects_wrong_version() {
-        let text = "tsan11rec-demo v99\ntool t\nstrategy s\nseed 0 0\n";
-        assert!(DemoHeader::from_text(text).is_err());
-    }
-
-    #[test]
-    fn header_rejects_missing_fields() {
-        assert!(DemoHeader::from_text("tsan11rec-demo v1\n").is_err());
-        assert!(DemoHeader::from_text("tool t\nstrategy s\nseed 0 0\n").is_err());
-    }
-
-    #[test]
-    fn string_map_roundtrips() {
-        let d = sample_demo();
-        let map = d.to_string_map();
-        let back = Demo::from_string_map(&map).unwrap();
-        assert_eq!(back, d);
-    }
-
-    #[test]
-    fn missing_stream_files_mean_empty_streams() {
-        let d = Demo::new(DemoHeader::new("tsan11rec", "random", [1, 2]));
-        let mut map = d.to_string_map();
-        map.remove("SIGNAL");
-        map.remove("QUEUE");
-        map.remove("ASYNC");
-        map.remove("SYSCALL");
-        map.remove("ALLOC");
-        let back = Demo::from_string_map(&map).unwrap();
-        assert_eq!(back, d);
+    fn missing_and_empty_stream_files_mean_empty_streams() {
+        let full = sample_demo().to_bytes_map();
+        let mut map = BTreeMap::new();
+        map.insert("HEADER".to_owned(), full["HEADER"].clone());
+        // A zero-length file is an absent stream too.
+        map.insert("SIGNAL".to_owned(), Vec::new());
+        let back = Demo::from_bytes_map(&map).unwrap();
+        assert_eq!(back, Demo::new(sample_demo().header));
     }
 
     #[test]
     fn missing_header_is_an_error() {
         let map = BTreeMap::new();
         assert!(matches!(
-            Demo::from_string_map(&map),
+            Demo::from_bytes_map(&map),
             Err(DemoLoadError::MissingHeader)
         ));
     }
 
     #[test]
-    fn malformed_stream_names_the_file() {
+    fn text_stream_files_are_bad_magic_naming_the_file() {
         let d = sample_demo();
-        let mut map = d.to_string_map();
-        map.insert("SIGNAL".into(), "not a signal line\n".into());
-        match Demo::from_string_map(&map) {
-            Err(DemoLoadError::Malformed { file, .. }) => assert_eq!(file, "SIGNAL"),
-            other => panic!("expected malformed SIGNAL, got {other:?}"),
+        let text = d.to_string_map();
+        let mut map = d.to_bytes_map();
+        map.insert("SYSCALL".into(), text["SYSCALL"].clone().into_bytes());
+        match Demo::from_bytes_map(&map) {
+            Err(DemoLoadError::Codec {
+                file,
+                err: CodecError::BadMagic { found },
+            }) => {
+                assert_eq!(file, "SYSCALL");
+                assert_eq!(&found, b"sysc");
+            }
+            other => panic!("expected BadMagic on SYSCALL, got {other:?}"),
+        }
+        // A whole text export fails at its HEADER, the first stream read.
+        let map = text.into_iter().map(|(k, v)| (k, v.into_bytes())).collect();
+        match Demo::from_bytes_map(&map) {
+            Err(DemoLoadError::Codec {
+                file,
+                err: CodecError::BadMagic { .. },
+            }) => assert_eq!(file, "HEADER"),
+            other => panic!("expected BadMagic on HEADER, got {other:?}"),
         }
     }
 
@@ -703,16 +527,9 @@ mod tests {
     fn error_display_is_informative() {
         let e = DemoLoadError::Malformed {
             file: "QUEUE".into(),
-            line: None,
             err: "boom".into(),
         };
         assert_eq!(e.to_string(), "malformed QUEUE: boom");
-        let e = DemoLoadError::Malformed {
-            file: "SYSCALL".into(),
-            line: Some(12),
-            err: "boom".into(),
-        };
-        assert_eq!(e.to_string(), "malformed SYSCALL line 12: boom");
         let e = DemoLoadError::Codec {
             file: "SIGNAL".into(),
             err: CodecError::UnsupportedVersion(9),
@@ -738,18 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_format_dir_loads() {
-        let d = sample_demo();
-        let mut map = d.to_bytes_map();
-        // Replace two streams with their text form: auto-detect is per
-        // file, so a half-converted directory still loads.
-        let text = d.to_string_map();
-        map.insert("HEADER".into(), text["HEADER"].clone().into_bytes());
-        map.insert("SYSCALL".into(), text["SYSCALL"].clone().into_bytes());
-        assert_eq!(Demo::from_bytes_map(&map).unwrap(), d);
-    }
-
-    #[test]
     fn misnamed_stream_file_is_rejected() {
         let d = sample_demo();
         let mut map = d.to_bytes_map();
@@ -765,33 +570,19 @@ mod tests {
     }
 
     #[test]
-    fn save_dir_as_converts_in_place_without_stale_streams() {
-        let dir = std::env::temp_dir().join(format!("srr-demo-convert-{}", std::process::id()));
+    fn save_dir_leaves_no_stale_streams() {
+        let dir = std::env::temp_dir().join(format!("srr-demo-resave-{}", std::process::id()));
         let d = sample_demo();
-        d.save_dir_as(&dir, DemoFormat::Text).unwrap();
+        d.save_dir(&dir).unwrap();
         assert!(dir.join("SIGNAL").exists());
-        // Text always writes all six files; converting a demo whose
-        // signal stream is empty must delete the stale text SIGNAL.
+        // Saving a demo whose signal stream is empty over it must
+        // delete the old SIGNAL file.
         let mut sparse = d.clone();
         sparse.signals.clear();
-        sparse.save_dir_as(&dir, DemoFormat::Binary).unwrap();
+        sparse.save_dir(&dir).unwrap();
         assert!(!dir.join("SIGNAL").exists());
         assert_eq!(Demo::load_dir(&dir).unwrap(), sparse);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn text_line_errors_carry_line_numbers() {
-        let d = sample_demo();
-        let mut map = d.to_string_map();
-        map.insert("SIGNAL".into(), "2 5 15\nnot a signal line\n".into());
-        match Demo::from_string_map(&map) {
-            Err(DemoLoadError::Malformed { file, line, .. }) => {
-                assert_eq!(file, "SIGNAL");
-                assert_eq!(line, Some(2));
-            }
-            other => panic!("expected malformed SIGNAL line 2, got {other:?}"),
-        }
     }
 
     #[test]
@@ -810,18 +601,7 @@ mod tests {
                 bufs: vec![vec![0x61; 64]],
             });
         }
-        assert!(d.size_bytes_as(DemoFormat::Binary) < d.size_bytes_as(DemoFormat::Text));
-        assert_eq!(d.size_bytes(), d.size_bytes_as(DemoFormat::Binary));
-    }
-
-    #[test]
-    fn demo_format_names_roundtrip() {
-        assert_eq!(DemoFormat::from_name("text"), Some(DemoFormat::Text));
-        assert_eq!(DemoFormat::from_name("bin"), Some(DemoFormat::Binary));
-        assert_eq!(DemoFormat::from_name("binary"), Some(DemoFormat::Binary));
-        assert_eq!(DemoFormat::from_name("nope"), None);
-        for f in [DemoFormat::Text, DemoFormat::Binary] {
-            assert_eq!(DemoFormat::from_name(f.name()), Some(f));
-        }
+        let text: usize = d.to_string_map().values().map(String::len).sum();
+        assert!(d.size_bytes() < text);
     }
 }

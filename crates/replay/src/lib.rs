@@ -13,20 +13,20 @@
 //! | `ASYNC`   | reschedule / signal-wakeup events floated to their tick |
 //! | `ALLOC`   | (comprehensive tools only) the allocator's address stream |
 //!
-//! Each stream file exists in two formats ([`DemoFormat`]): a framed,
-//! checksummed binary form ([`codec`] — delta-coded varint payloads,
-//! LZ77-packed when that is smaller; the default), and the original
-//! line-oriented text form with run-length coded integers and buffers,
-//! kept for fixtures and diffing. Loading auto-detects per file, so
-//! either (or a mix) loads transparently. [`DemoStore`] layers
-//! content-addressed, stream-deduplicated storage on top for corpora
-//! and archives.
+//! Each stream file is one framed, checksummed binary image ([`codec`]:
+//! delta-coded varint payloads, LZ77-packed when that is smaller), and
+//! the codec is the only reader: a file that is not such a frame fails
+//! to load with a typed error naming it. A line-oriented text rendering
+//! with run-length coded integers and buffers ([`Demo::to_string_map`],
+//! [`rle`]) is written for reading and diffing, never loaded back.
+//! [`DemoStore`] layers content-addressed, stream-deduplicated storage
+//! on top for corpora and archives.
 //!
 //! The crate provides the typed event model ([`SignalEvent`],
-//! [`SyscallRecord`], [`AsyncEvent`], [`QueueStream`]), the text
-//! format's run-length codecs ([`rle`]), serialization ([`Demo::save_dir`] / [`Demo::load_dir`]
-//! and in-memory string/byte forms), and the desynchronisation taxonomy
-//! ([`HardDesync`], [`SoftDesync`]).
+//! [`SyscallRecord`], [`AsyncEvent`], [`QueueStream`]), serialization
+//! ([`Demo::save_dir`] / [`Demo::load_dir`] and in-memory byte maps),
+//! the text export, and the desynchronisation taxonomy ([`HardDesync`],
+//! [`SoftDesync`]).
 //!
 //! # Example
 //!
@@ -35,10 +35,10 @@
 //!
 //! let mut demo = Demo::new(DemoHeader::new("tsan11rec", "random", [1, 2]));
 //! demo.signals.push(SignalEvent { tid: 2, tick: 5, signo: 15 });
+//! let back = Demo::from_bytes_map(&demo.to_bytes_map()).unwrap();
+//! assert_eq!(back, demo);
 //! let text = demo.to_string_map();
-//! assert!(text["SIGNAL"].contains("2 5 15")); // the paper's own example line
-//! let back = Demo::from_string_map(&text).unwrap();
-//! assert_eq!(back.signals, demo.signals);
+//! assert_eq!(text["SIGNAL"], "2 5 15\n"); // the paper's own example line
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,7 +53,7 @@ mod store;
 mod streams;
 
 pub use codec::{CodecError, StreamId};
-pub use demo::{Demo, DemoFormat, DemoHeader, DemoLoadError, DemoStats, FORMAT_VERSION};
+pub use demo::{Demo, DemoHeader, DemoLoadError, DemoStats, FORMAT_VERSION};
 pub use desync::{DesyncKind, HardDesync, SoftDesync};
 pub use store::{DemoStore, StreamHash, StreamHashes};
 pub use streams::{

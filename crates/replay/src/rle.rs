@@ -1,28 +1,24 @@
-//! Run-length codecs for the text demo format.
+//! Run-length codecs for the text export of a demo.
 //!
 //! Two codecs cover the paper's two compression needs:
 //!
-//! * [`encode_u64s`] / [`decode_u64s`] — integer sequences (the QUEUE
-//!   next-tick list, the ALLOC address stream). The dominant pattern is a
-//!   thread scheduled many times in succession, which produces arithmetic
-//!   runs with step 1 (`k, k+1, k+2, …`); repeated constants also occur
-//!   (`0 0 0 …` for "never scheduled again"). Tokens:
+//! * [`encode_u64s`] — integer sequences (the QUEUE next-tick list, the
+//!   ALLOC address stream). The dominant pattern is a thread scheduled
+//!   many times in succession, which produces arithmetic runs with step 1
+//!   (`k, k+1, k+2, …`); repeated constants also occur (`0 0 0 …` for
+//!   "never scheduled again"). Tokens:
 //!   - `N` — a literal value;
 //!   - `N+K` — the run `N, N+1, …, N+K` (K ≥ 1);
 //!   - `N*K` — the value `N` repeated `K` times (K ≥ 2).
-//! * [`encode_bytes`] / [`decode_bytes`] — byte buffers (SYSCALL output
-//!   data). "A simple run length encoding" (§4.4): alternating literal and
-//!   run chunks, serialized as lowercase hex.
+//! * [`encode_bytes`] — byte buffers (SYSCALL output data). "A simple run
+//!   length encoding" (§4.4): alternating literal and run chunks,
+//!   serialized as lowercase hex.
 //!
-//! The binary format ([`crate::codec`]) uses neither: it delta-codes its
-//! integers and leaves repetition to one LZ77 pass.
+//! Nothing decodes them: the text form is export-only. The binary format
+//! ([`crate::codec`]) uses neither; it delta-codes its integers and
+//! leaves repetition to one LZ77 pass.
 
 use std::fmt::Write as _;
-
-/// Most values one text integer stream may decode to (16 Mi, 128 MiB of
-/// `u64`). A token is a few bytes however many values it stands for, so
-/// without a cap `0*18446744073709551615` would ask for all of memory.
-pub const MAX_DECODED_VALUES: usize = 1 << 24;
 
 /// Encodes an integer sequence into the token text form. At each value
 /// it takes the longest arithmetic(+1) run, else the longest constant
@@ -61,51 +57,6 @@ pub fn encode_u64s(values: impl IntoIterator<Item = u64>) -> String {
         push(&mut out, done);
     }
     out
-}
-
-/// Decodes the token text form produced by [`encode_u64s`].
-///
-/// # Errors
-///
-/// Returns a description of the first malformed token, of a run that
-/// passes `u64::MAX`, or of the token that takes the stream past
-/// [`MAX_DECODED_VALUES`].
-pub fn decode_u64s(text: &str) -> Result<Vec<u64>, String> {
-    let mut out = Vec::new();
-    for tok in text.split_whitespace() {
-        let (value, count, step) = if let Some((base, k)) = tok.split_once('+') {
-            let base: u64 = base
-                .parse()
-                .map_err(|_| format!("bad run base in `{tok}`"))?;
-            let k: u64 = k
-                .parse()
-                .map_err(|_| format!("bad run length in `{tok}`"))?;
-            base.checked_add(k)
-                .ok_or_else(|| format!("run `{tok}` passes u64::MAX"))?;
-            (base, k.saturating_add(1), 1)
-        } else if let Some((base, k)) = tok.split_once('*') {
-            let base: u64 = base
-                .parse()
-                .map_err(|_| format!("bad repeat base in `{tok}`"))?;
-            let k: u64 = k
-                .parse()
-                .map_err(|_| format!("bad repeat count in `{tok}`"))?;
-            if k < 2 {
-                return Err(format!("repeat count must be >= 2 in `{tok}`"));
-            }
-            (base, k, 0)
-        } else {
-            let v = tok.parse().map_err(|_| format!("bad literal `{tok}`"))?;
-            (v, 1, 0)
-        };
-        if count > (MAX_DECODED_VALUES - out.len()) as u64 {
-            return Err(format!(
-                "`{tok}` takes the stream past {MAX_DECODED_VALUES} values"
-            ));
-        }
-        out.extend((0..count).map(|d| value + d * step));
-    }
-    Ok(out)
 }
 
 /// Minimum run length worth a run chunk in the byte codec.
@@ -158,43 +109,6 @@ pub fn encode_bytes(data: &[u8]) -> String {
     to_hex(&byte_chunks(data))
 }
 
-/// Decodes a raw RLE chunk stream back into the original bytes.
-fn decode_byte_chunks(chunks: &[u8]) -> Result<Vec<u8>, String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < chunks.len() {
-        match chunks[i] {
-            0x00 => {
-                let [len, b] = chunks
-                    .get(i + 1..i + 3)
-                    .and_then(|s| <[u8; 2]>::try_from(s).ok())
-                    .ok_or("truncated run chunk")?;
-                out.resize(out.len() + len as usize, b);
-                i += 3;
-            }
-            0x01 => {
-                let len = *chunks.get(i + 1).ok_or("truncated literal header")? as usize;
-                let lit = chunks
-                    .get(i + 2..i + 2 + len)
-                    .ok_or("truncated literal chunk")?;
-                out.extend_from_slice(lit);
-                i += 2 + len;
-            }
-            tag => return Err(format!("unknown chunk tag {tag:#x}")),
-        }
-    }
-    Ok(out)
-}
-
-/// Decodes the output of [`encode_bytes`].
-///
-/// # Errors
-///
-/// Returns a description of the first malformed digit pair or chunk.
-pub fn decode_bytes(text: &str) -> Result<Vec<u8>, String> {
-    decode_byte_chunks(&from_hex(text)?)
-}
-
 /// Lowercase hex of `data`.
 #[must_use]
 pub fn to_hex(data: &[u8]) -> String {
@@ -205,63 +119,31 @@ pub fn to_hex(data: &[u8]) -> String {
     s
 }
 
-/// Inverse of [`to_hex`].
-///
-/// # Errors
-///
-/// Returns a description of the first malformed digit pair.
-pub fn from_hex(text: &str) -> Result<Vec<u8>, String> {
-    let text = text.trim();
-    if text.len() & 1 != 0 {
-        return Err("odd-length hex string".into());
-    }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&text[i..i + 2], 16).map_err(|_| format!("bad hex at byte {i}"))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn u64_roundtrip_empty() {
+    fn u64_empty_is_no_tokens() {
         assert_eq!(encode_u64s([]), "");
-        assert_eq!(decode_u64s("").unwrap(), Vec::<u64>::new());
     }
 
     #[test]
     fn u64_arithmetic_run_compresses() {
-        let vals: Vec<u64> = (10..30).collect();
-        let enc = encode_u64s(vals.iter().copied());
-        assert_eq!(enc, "10+19");
-        assert_eq!(decode_u64s(&enc).unwrap(), vals);
+        assert_eq!(encode_u64s(10..30), "10+19");
     }
 
     #[test]
     fn u64_constant_run_compresses() {
-        let vals = vec![0; 7];
-        let enc = encode_u64s(vals.iter().copied());
-        assert_eq!(enc, "0*7");
-        assert_eq!(decode_u64s(&enc).unwrap(), vals);
+        assert_eq!(encode_u64s([0; 7]), "0*7");
     }
 
     #[test]
-    fn u64_mixed_sequence_roundtrips() {
-        let vals = vec![5, 6, 7, 3, 3, 3, 9, 100, 101, 0];
-        let enc = encode_u64s(vals.iter().copied());
-        assert_eq!(decode_u64s(&enc).unwrap(), vals);
-        assert_eq!(enc, "5+2 3*3 9 100+1 0");
-    }
-
-    #[test]
-    fn u64_decode_rejects_garbage() {
-        assert!(decode_u64s("abc").is_err());
-        assert!(decode_u64s("5+x").is_err());
-        assert!(decode_u64s("5*1").is_err());
+    fn u64_mixed_sequence_takes_the_longest_runs() {
+        assert_eq!(
+            encode_u64s([5, 6, 7, 3, 3, 3, 9, 100, 101, 0]),
+            "5+2 3*3 9 100+1 0"
+        );
     }
 
     #[test]
@@ -269,81 +151,41 @@ mod tests {
         let top = u64::MAX;
         assert_eq!(encode_u64s([top - 1, top]), format!("{}+1", top - 1));
         assert_eq!(encode_u64s([top, 0]), format!("{top} 0"));
-        assert_eq!(
-            decode_u64s(&format!("{}+1", top - 1)).unwrap(),
-            [top - 1, top]
-        );
-        let err = decode_u64s(&format!("{top}+1")).unwrap_err();
-        assert!(err.contains("passes u64::MAX"), "{err}");
     }
 
     #[test]
-    fn u64_decode_caps_the_decoded_length() {
-        let err = decode_u64s(&format!("0*{}", u64::MAX)).unwrap_err();
-        assert!(err.contains("past"), "{err}");
-        let err = decode_u64s(&format!("0+{}", u64::MAX)).unwrap_err();
-        assert!(err.contains("past"), "{err}");
-    }
-
-    #[test]
-    fn bytes_roundtrip_empty_and_small() {
-        for data in [&b""[..], b"a", b"abc", b"\x00\xff"] {
-            let enc = encode_bytes(data);
-            assert_eq!(decode_bytes(&enc).unwrap(), data, "data {data:?}");
-        }
+    fn bytes_small_buffers_are_literal_chunks() {
+        assert_eq!(encode_bytes(b""), "");
+        assert_eq!(encode_bytes(b"a"), "010161");
+        assert_eq!(encode_bytes(b"\x00\xff"), "010200ff");
+        // A run shorter than BYTE_RUN_MIN stays literal.
+        assert_eq!(encode_bytes(b"aaab"), "010461616162");
     }
 
     #[test]
     fn bytes_runs_compress() {
         let data = vec![7u8; 1000];
-        let enc = encode_bytes(&data);
-        assert!(
-            enc.len() < 50,
-            "1000 bytes should compress, got {} chars",
-            enc.len()
-        );
-        assert_eq!(decode_bytes(&enc).unwrap(), data);
-    }
-
-    #[test]
-    fn bytes_mixed_content_roundtrips() {
-        let mut data = Vec::new();
-        data.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
-        data.resize(data.len() + 300, b' ');
-        data.extend_from_slice(b"payload");
-        data.resize(data.len() + 3, 0u8); // short run stays literal
-        let enc = encode_bytes(&data);
-        assert_eq!(decode_bytes(&enc).unwrap(), data);
+        // Three full 255-byte run chunks and one of 235.
+        assert_eq!(encode_bytes(&data), "00ff0700ff0700ff0700eb07");
+        let mut mixed = b"ab".to_vec();
+        mixed.resize(8, b' ');
+        mixed.push(b'c');
+        assert_eq!(encode_bytes(&mixed), "01026162000620010163");
     }
 
     #[test]
     fn bytes_literal_longer_than_255_chunks() {
         let data: Vec<u8> = (0..=255u8).cycle().take(700).collect();
         let enc = encode_bytes(&data);
-        assert_eq!(decode_bytes(&enc).unwrap(), data);
+        // Literal chunks of 255, 255 and 190 bytes: 2 header bytes each.
+        assert_eq!(enc.len(), 2 * (700 + 3 * 2));
+        assert!(enc.starts_with("01ff00010203"));
+        assert!(enc[2 * 257..].starts_with("01ff"));
+        assert!(enc[2 * 514..].starts_with("01be"));
     }
 
     #[test]
-    fn bytes_decode_rejects_garbage() {
-        assert!(decode_bytes("zz").is_err());
-        assert!(decode_bytes("00").is_err(), "truncated run");
-        assert!(
-            decode_bytes("0105aa").is_err(),
-            "literal shorter than header"
-        );
-        assert!(decode_bytes("ff").is_err(), "unknown tag");
-        assert!(decode_bytes("abc").is_err(), "odd length");
-    }
-
-    #[test]
-    fn hex_roundtrip() {
-        let data = vec![0x00, 0x7f, 0xff, 0x10];
-        assert_eq!(to_hex(&data), "007fff10");
-        assert_eq!(from_hex("007fff10").unwrap(), data);
-        assert_eq!(
-            from_hex("  007fff10\n").unwrap(),
-            data,
-            "whitespace tolerated"
-        );
+    fn hex_is_lowercase_pairs() {
+        assert_eq!(to_hex(&[0x00, 0x7f, 0xff, 0x10]), "007fff10");
     }
 }

@@ -147,7 +147,6 @@ impl DemoStore {
             if actual != hash {
                 return Err(DemoLoadError::Malformed {
                     file: name.clone(),
-                    line: None,
                     err: format!("store blob corrupted: indexed {hash}, found {actual}"),
                 });
             }
@@ -454,7 +453,7 @@ mod tests {
         bytes[last] ^= 0x01;
         fs::write(&blob, bytes).unwrap();
         match store.load("a") {
-            Err(DemoLoadError::Malformed { file, err, .. }) => {
+            Err(DemoLoadError::Malformed { file, err }) => {
                 assert_eq!(file, "SYSCALL");
                 assert!(err.contains("corrupted"), "err: {err}");
             }

@@ -1,14 +1,12 @@
-//! Typed events for the demo streams, with their line formats.
+//! Typed events for the demo streams, with their text export lines.
 
 use std::collections::VecDeque;
 
-use crate::codec::MAX_KIND_LEN;
-use crate::demo::DemoLoadError;
 use crate::rle;
 
 /// An asynchronous signal pinned to logical time (§4.3).
 ///
-/// Line format (the paper's own example): `2 5 15` — thread 2 receives
+/// Export line (the paper's own example): `2 5 15` — thread 2 receives
 /// signal 15 at tick 5. On replay the thread raises the signal itself at
 /// the end of its `Tick()` for that tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,22 +23,6 @@ impl SignalEvent {
     pub(crate) fn to_line(self) -> String {
         format!("{} {} {}", self.tid, self.tick, self.signo)
     }
-
-    pub(crate) fn from_line(line: &str) -> Result<Self, String> {
-        let mut it = line.split_whitespace();
-        let parse = |s: Option<&str>, what: &str| -> Result<i64, String> {
-            s.ok_or_else(|| format!("missing {what} in SIGNAL line `{line}`"))?
-                .parse()
-                .map_err(|_| format!("bad {what} in SIGNAL line `{line}`"))
-        };
-        let tid = parse(it.next(), "tid")? as u32;
-        let tick = parse(it.next(), "tick")? as u64;
-        let signo = parse(it.next(), "signo")? as i32;
-        if it.next().is_some() {
-            return Err(format!("trailing junk in SIGNAL line `{line}`"));
-        }
-        Ok(SignalEvent { tid, tick, signo })
-    }
 }
 
 /// One recorded system call (§4.4): return value, errno and every output
@@ -54,7 +36,8 @@ pub struct SyscallRecord {
     /// Tick of the syscall's critical section.
     pub tick: u64,
     /// Syscall kind name (e.g. `recv`, `poll`), at most
-    /// [`MAX_KIND_LEN`] bytes: a demo holding a longer one does not load.
+    /// [`crate::codec::MAX_KIND_LEN`] bytes: a demo holding a longer one
+    /// does not load.
     pub kind: String,
     /// The return value to enforce on replay.
     pub ret: i64,
@@ -121,31 +104,6 @@ impl AsyncEvent {
             AsyncEvent::SignalWakeup { tid, tick } => format!("sigwakeup {tid} {tick}"),
         }
     }
-
-    pub(crate) fn from_line(line: &str) -> Result<Self, String> {
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("reschedule") => {
-                let tick = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("bad reschedule line `{line}`"))?;
-                Ok(AsyncEvent::Reschedule { tick })
-            }
-            Some("sigwakeup") => {
-                let tid = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("bad sigwakeup tid in `{line}`"))?;
-                let tick = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("bad sigwakeup tick in `{line}`"))?;
-                Ok(AsyncEvent::SignalWakeup { tid, tick })
-            }
-            other => Err(format!("unknown ASYNC event {other:?} in `{line}`")),
-        }
-    }
 }
 
 /// The queue-strategy interleaving (§4.2), as runs.
@@ -188,6 +146,13 @@ pub struct QueueRun {
 impl QueueRun {
     /// The step of a section whose thread is never scheduled again.
     pub const NEVER: u64 = 0;
+
+    /// The next tick of a section of this run whose own tick is `own`
+    /// (0 = never again).
+    #[must_use]
+    pub fn next_tick(self, own: u64) -> u64 {
+        next_of(own, self.step)
+    }
 }
 
 /// The step of the section of tick `own` whose thread next runs at
@@ -287,27 +252,6 @@ impl QueueStream {
         out.push_str(&rle::encode_u64s(self.next_ticks()));
         out.push('\n');
         out
-    }
-
-    pub(crate) fn from_text(text: &str) -> Result<Self, String> {
-        let mut first_tick = Vec::new();
-        let mut next_ticks = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("first ") {
-                first_tick = rle::decode_u64s(rest)?;
-            } else if let Some(rest) = line.strip_prefix("ticks ") {
-                next_ticks = rle::decode_u64s(rest)?;
-            } else if line == "first" || line == "ticks" {
-                // Empty stream lines are fine.
-            } else {
-                return Err(format!("unknown QUEUE line `{line}`"));
-            }
-        }
-        Ok(QueueStream::new(first_tick, next_ticks))
     }
 
     /// Builds the stream from an explicit schedule: `(tid, tick)` pairs
@@ -543,156 +487,32 @@ impl QueueBuilder {
     }
 }
 
-/// Parses the text `SYSCALL` stream. Failures carry the 1-based line
-/// number of the offending line in [`DemoLoadError::Malformed`].
-pub(crate) fn parse_syscalls(text: &str) -> Result<Vec<SyscallRecord>, DemoLoadError> {
-    let mut last_line = 0usize;
-    parse_syscalls_inner(text, &mut last_line).map_err(|err| DemoLoadError::Malformed {
-        file: "SYSCALL".into(),
-        line: Some(last_line.max(1)),
-        err,
-    })
-}
-
-fn parse_syscalls_inner(text: &str, last_line: &mut usize) -> Result<Vec<SyscallRecord>, String> {
-    let mut out: Vec<SyscallRecord> = Vec::new();
-    let mut expected_bufs = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        *last_line = lineno + 1;
-        if let Some(rest) = line.strip_prefix("syscall ") {
-            if expected_bufs != 0 {
-                return Err(format!(
-                    "syscall record missing {expected_bufs} buffer line(s) before `{line}`"
-                ));
-            }
-            let mut it = rest.split_whitespace();
-            let mut next = |what: &str| {
-                it.next()
-                    .ok_or_else(|| format!("missing {what} in `{line}`"))
-                    .map(str::to_owned)
-            };
-            let seq = next("seq")?
-                .parse()
-                .map_err(|_| format!("bad seq in `{line}`"))?;
-            let tid = next("tid")?
-                .parse()
-                .map_err(|_| format!("bad tid in `{line}`"))?;
-            let tick = next("tick")?
-                .parse()
-                .map_err(|_| format!("bad tick in `{line}`"))?;
-            let kind = next("kind")?;
-            if kind.len() > MAX_KIND_LEN {
-                return Err(format!(
-                    "syscall kind of {} bytes is longer than {MAX_KIND_LEN}",
-                    kind.len()
-                ));
-            }
-            let field = |s: String, prefix: &str| -> Result<String, String> {
-                s.strip_prefix(prefix)
-                    .map(str::to_owned)
-                    .ok_or_else(|| format!("expected `{prefix}...` in `{line}`"))
-            };
-            let ret = field(next("ret")?, "ret=")?
-                .parse()
-                .map_err(|_| format!("bad ret in `{line}`"))?;
-            let errno = field(next("errno")?, "errno=")?
-                .parse()
-                .map_err(|_| format!("bad errno in `{line}`"))?;
-            expected_bufs = field(next("nbufs")?, "nbufs=")?
-                .parse()
-                .map_err(|_| format!("bad nbufs in `{line}`"))?;
-            out.push(SyscallRecord {
-                seq,
-                tid,
-                tick,
-                kind,
-                ret,
-                errno,
-                bufs: Vec::new(),
-            });
-        } else if let Some(rest) = line.strip_prefix("buf ") {
-            let rec = out.last_mut().ok_or("buf line before any syscall line")?;
-            if expected_bufs == 0 {
-                return Err("more buf lines than nbufs declared".into());
-            }
-            let (len_s, payload) = rest.split_once(' ').unwrap_or((rest, ""));
-            let len: usize = len_s
-                .parse()
-                .map_err(|_| format!("bad buf length `{len_s}`"))?;
-            let data = rle::decode_bytes(payload)?;
-            if data.len() != len {
-                return Err(format!(
-                    "buf length mismatch: declared {len}, got {}",
-                    data.len()
-                ));
-            }
-            rec.bufs.push(data);
-            expected_bufs -= 1;
-        } else {
-            return Err(format!("unknown SYSCALL line `{line}`"));
-        }
-    }
-    if expected_bufs != 0 {
-        return Err(format!(
-            "final syscall record missing {expected_bufs} buffer line(s)"
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn signal_event_roundtrips_paper_example() {
+    fn export_lines_follow_the_paper() {
         let e = SignalEvent {
             tid: 2,
             tick: 5,
             signo: 15,
         };
         assert_eq!(e.to_line(), "2 5 15");
-        assert_eq!(SignalEvent::from_line("2 5 15").unwrap(), e);
-    }
-
-    #[test]
-    fn signal_event_rejects_malformed() {
-        assert!(SignalEvent::from_line("").is_err());
-        assert!(SignalEvent::from_line("2 5").is_err());
-        assert!(SignalEvent::from_line("2 5 x").is_err());
-        assert!(SignalEvent::from_line("2 5 15 9").is_err());
-    }
-
-    #[test]
-    fn async_event_roundtrips() {
-        for e in [
-            AsyncEvent::Reschedule { tick: 9 },
-            AsyncEvent::SignalWakeup { tid: 3, tick: 12 },
-        ] {
-            assert_eq!(AsyncEvent::from_line(&e.to_line()).unwrap(), e);
-        }
+        assert_eq!(AsyncEvent::Reschedule { tick: 9 }.to_line(), "reschedule 9");
+        let wakeup = AsyncEvent::SignalWakeup { tid: 3, tick: 12 };
+        assert_eq!(wakeup.to_line(), "sigwakeup 3 12");
         assert_eq!(AsyncEvent::Reschedule { tick: 9 }.tick(), 9);
-        assert_eq!(AsyncEvent::SignalWakeup { tid: 3, tick: 12 }.tick(), 12);
+        assert_eq!(wakeup.tick(), 12);
     }
 
     #[test]
-    fn async_event_rejects_malformed() {
-        assert!(AsyncEvent::from_line("teleport 3").is_err());
-        assert!(AsyncEvent::from_line("reschedule").is_err());
-        assert!(AsyncEvent::from_line("sigwakeup 1").is_err());
-    }
-
-    #[test]
-    fn queue_stream_roundtrips() {
+    fn queue_stream_exports_its_next_ticks() {
         let q = QueueStream::new(vec![1, 2, 9], [3, 4, 5, 0, 0]);
-        let text = q.to_text();
-        assert_eq!(QueueStream::from_text(&text).unwrap(), q);
+        assert_eq!(q.to_text(), "first 1+1 9\nticks 3+2 0*2\n");
         assert!(!q.is_empty());
         assert!(QueueStream::default().is_empty());
+        assert_eq!(QueueStream::default().to_text(), "first \nticks \n");
     }
 
     #[test]
@@ -872,33 +692,7 @@ mod tests {
     }
 
     #[test]
-    fn syscall_records_roundtrip() {
-        let recs = vec![
-            SyscallRecord {
-                seq: 0,
-                tid: 1,
-                tick: 10,
-                kind: "poll".into(),
-                ret: 1,
-                errno: 0,
-                bufs: vec![vec![1, 0, 0, 0]],
-            },
-            SyscallRecord {
-                seq: 1,
-                tid: 1,
-                tick: 12,
-                kind: "recv".into(),
-                ret: 100,
-                errno: 0,
-                bufs: vec![vec![b'x'; 100], vec![]],
-            },
-        ];
-        let text: String = recs.iter().map(SyscallRecord::to_lines).collect();
-        assert_eq!(parse_syscalls(&text).unwrap(), recs);
-    }
-
-    #[test]
-    fn syscall_negative_ret_and_errno() {
+    fn syscall_records_export_a_line_per_buffer() {
         let rec = SyscallRecord {
             seq: 7,
             tid: 0,
@@ -906,48 +700,11 @@ mod tests {
             kind: "recv".into(),
             ret: -1,
             errno: 11, // EAGAIN
-            bufs: vec![],
+            bufs: vec![vec![b'x'; 100], vec![]],
         };
-        let parsed = parse_syscalls(&rec.to_lines()).unwrap();
-        assert_eq!(parsed, vec![rec]);
-    }
-
-    #[test]
-    fn syscall_parse_rejects_malformed() {
-        assert!(parse_syscalls("syscall 0 1").is_err());
-        assert!(
-            parse_syscalls("buf 3 aabbcc").is_err(),
-            "buf before syscall"
+        assert_eq!(
+            rec.to_lines(),
+            "syscall 7 0 3 recv ret=-1 errno=11 nbufs=2\nbuf 100 006478\nbuf 0 \n"
         );
-        assert!(
-            parse_syscalls("syscall 0 1 2 recv ret=0 errno=0 nbufs=1\n").is_err(),
-            "missing buf line"
-        );
-        assert!(
-            parse_syscalls("syscall 0 1 2 recv ret=0 errno=0 nbufs=0\nbuf 1 0101aa\n").is_err(),
-            "surplus buf line"
-        );
-        let bad_len = "syscall 0 1 2 recv ret=0 errno=0 nbufs=1\nbuf 5 0101aa\n";
-        assert!(parse_syscalls(bad_len).is_err(), "length mismatch");
-    }
-
-    #[test]
-    fn syscall_parse_errors_carry_line_numbers() {
-        // Line 3 (the second record, after a blank line) is malformed.
-        let text = "syscall 0 1 2 recv ret=0 errno=0 nbufs=0\n\nsyscall zero 1 2 recv ret=0 errno=0 nbufs=0\n";
-        match parse_syscalls(text) {
-            Err(DemoLoadError::Malformed { file, line, err }) => {
-                assert_eq!(file, "SYSCALL");
-                assert_eq!(line, Some(3));
-                assert!(err.contains("bad seq"), "err: {err}");
-            }
-            other => panic!("expected malformed line 3, got {other:?}"),
-        }
-        // A bad buf line is reported at the buf line, not the record.
-        let text = "syscall 0 1 2 recv ret=0 errno=0 nbufs=1\nbuf 5 0101aa\n";
-        match parse_syscalls(text) {
-            Err(DemoLoadError::Malformed { line, .. }) => assert_eq!(line, Some(2)),
-            other => panic!("expected malformed line 2, got {other:?}"),
-        }
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests: every codec and stream roundtrips on arbitrary input,
-//! and the offline demo linter (`srr-analysis`) accepts exactly the
-//! well-formed serializations.
+//! the text export encodes exactly its input, and the offline demo
+//! linter (`srr-analysis`) accepts every recorder-shaped demo and flags
+//! one broken invariant at its stream and entry.
 
 use std::sync::Arc;
 
@@ -11,6 +12,56 @@ use srr_replay::{
     AsyncEvent, CodecError, Demo, DemoHeader, DemoLoadError, QueueBuilder, QueueStream,
     SignalEvent, SyscallRecord,
 };
+
+/// The text export's integer tokens (`N`, `N+K`, `N*K`), expanded: the
+/// oracle [`rle::encode_u64s`] is checked against. The crates never
+/// read the export back.
+fn expand_u64s(text: &str) -> Vec<u64> {
+    let mut out = Vec::new();
+    for tok in text.split_whitespace() {
+        let num = |s: &str| s.parse::<u64>().expect("a decimal token");
+        if let Some((base, k)) = tok.split_once('+') {
+            let (base, k) = (num(base), num(k));
+            assert!(k >= 1, "`{tok}`: a run has two values at least");
+            out.extend((0..=k).map(|d| base + d));
+        } else if let Some((base, k)) = tok.split_once('*') {
+            let (base, k) = (num(base), num(k));
+            assert!(k >= 2, "`{tok}`: a repeat has two values at least");
+            out.extend(std::iter::repeat_n(base, k as usize));
+        } else {
+            out.push(num(tok));
+        }
+    }
+    out
+}
+
+/// The text export's byte chunks (hex of `00 len byte` runs and
+/// `01 len bytes…` literals), expanded: the oracle for
+/// [`rle::encode_bytes`].
+fn expand_bytes(hex: &str) -> Vec<u8> {
+    assert!(hex.bytes().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f')));
+    let raw: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("a hex pair"))
+        .collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < raw.len() {
+        let len = usize::from(raw[i + 1]);
+        match raw[i] {
+            0x00 => {
+                out.extend(std::iter::repeat_n(raw[i + 2], len));
+                i += 3;
+            }
+            0x01 => {
+                out.extend_from_slice(&raw[i + 2..i + 2 + len]);
+                i += 2 + len;
+            }
+            tag => panic!("unknown chunk tag {tag:#x}"),
+        }
+    }
+    out
+}
 
 /// The QUEUE stream of a schedule (`order[k]` runs tick `k + 1`), built
 /// the plain way: link each thread's sections once the whole schedule
@@ -127,30 +178,147 @@ fn valid_demo() -> impl Strategy<Value = Demo> {
         })
 }
 
+/// One way to break one invariant of a recorder-shaped demo.
+#[derive(Clone, Copy, Debug)]
+enum Break {
+    /// Thread `tid` loses its first tick: that tick becomes a hole.
+    DropFirst(usize),
+    /// The last section of a thread (next tick 0) names a tick at or
+    /// before its own.
+    NextPast(u64),
+    /// ... or one past the last tick.
+    NextFar(u64),
+    SignalTid(usize),
+    SignalNo(usize),
+    /// A signal's tick drops below its thread's previous one.
+    SignalBack(usize),
+    /// Every seq from this record on skips one.
+    SeqGap(usize),
+    SyscallTid(usize),
+    SyscallBack(usize),
+    AsyncBack(usize),
+}
+
+/// Every [`Break`] that applies to `demo`.
+fn breaks(demo: &Demo) -> Vec<Break> {
+    let mut out = Vec::new();
+    let first = &demo.queue.first_tick;
+    out.extend(
+        (0..first.len())
+            .filter(|&t| first[t] != 0)
+            .map(Break::DropFirst),
+    );
+    for (k, next) in (1..).zip(demo.queue.next_ticks()) {
+        if next == 0 {
+            out.extend([Break::NextPast(k), Break::NextFar(k)]);
+        }
+    }
+    let signals = &demo.signals;
+    for i in 0..signals.len() {
+        out.extend([Break::SignalTid(i), Break::SignalNo(i)]);
+        if i > 0 && signals[i - 1].tid == signals[i].tid && signals[i - 1].tick > 0 {
+            out.push(Break::SignalBack(i));
+        }
+    }
+    for i in 0..demo.syscalls.len() {
+        out.extend([Break::SeqGap(i), Break::SyscallTid(i)]);
+        if i > 0 && demo.syscalls[i - 1].tick > 0 {
+            out.push(Break::SyscallBack(i));
+        }
+    }
+    let asyncs = &demo.async_events;
+    out.extend(
+        (1..asyncs.len())
+            .filter(|&i| asyncs[i - 1].tick() > 0)
+            .map(Break::AsyncBack),
+    );
+    out
+}
+
+/// Applies `b` to `demo` and returns the stream and entry the linter
+/// must flag.
+fn apply(demo: &mut Demo, b: Break, wiggle: u64) -> (&'static str, u64) {
+    let nthreads = demo.queue.first_tick.len() as u32;
+    let total = demo.queue.ticks();
+    let mut first = demo.queue.first_tick.clone();
+    let mut next: Vec<u64> = demo.queue.next_ticks().collect();
+    let back = |t: u64| t - 1 - wiggle % t;
+    match b {
+        Break::DropFirst(tid) => {
+            let lost = std::mem::take(&mut first[tid]);
+            demo.queue = Arc::new(QueueStream::new(first, next));
+            ("QUEUE", lost)
+        }
+        Break::NextPast(k) | Break::NextFar(k) => {
+            next[k as usize - 1] = match b {
+                Break::NextPast(_) => 1 + wiggle % k,
+                _ => total + 1 + wiggle % 4,
+            };
+            demo.queue = Arc::new(QueueStream::new(first, next));
+            ("QUEUE", k)
+        }
+        Break::SignalTid(i) => {
+            demo.signals[i].tid = nthreads;
+            ("SIGNAL", i as u64 + 1)
+        }
+        Break::SignalNo(i) => {
+            demo.signals[i].signo = -((wiggle % 3) as i32);
+            ("SIGNAL", i as u64 + 1)
+        }
+        Break::SignalBack(i) => {
+            demo.signals[i].tick = back(demo.signals[i - 1].tick);
+            ("SIGNAL", i as u64 + 1)
+        }
+        Break::SeqGap(i) => {
+            for r in &mut Arc::make_mut(&mut demo.syscalls)[i..] {
+                r.seq += 1 + wiggle % 3;
+            }
+            ("SYSCALL", i as u64 + 1)
+        }
+        Break::SyscallTid(i) => {
+            Arc::make_mut(&mut demo.syscalls)[i].tid = nthreads;
+            ("SYSCALL", i as u64 + 1)
+        }
+        Break::SyscallBack(i) => {
+            let syscalls = Arc::make_mut(&mut demo.syscalls);
+            syscalls[i].tick = back(syscalls[i - 1].tick);
+            ("SYSCALL", i as u64 + 1)
+        }
+        Break::AsyncBack(i) => {
+            let tick = back(demo.async_events[i - 1].tick());
+            demo.async_events[i] = match demo.async_events[i] {
+                AsyncEvent::Reschedule { .. } => AsyncEvent::Reschedule { tick },
+                AsyncEvent::SignalWakeup { tid, .. } => AsyncEvent::SignalWakeup { tid, tick },
+            };
+            ("ASYNC", i as u64 + 1)
+        }
+    }
+}
+
 proptest! {
     #[test]
-    fn u64_codec_roundtrips(values in proptest::collection::vec(0u64..10_000, 0..200)) {
+    fn u64_export_expands_to_its_input(values in proptest::collection::vec(0u64..10_000, 0..200)) {
         let enc = rle::encode_u64s(values.iter().copied());
-        prop_assert_eq!(rle::decode_u64s(&enc).unwrap(), values);
+        prop_assert_eq!(expand_u64s(&enc), values);
     }
 
     #[test]
-    fn u64_codec_roundtrips_extremes(values in proptest::collection::vec(0u64..=u64::MAX / 2, 0..50)) {
+    fn u64_export_expands_to_its_input_at_extremes(values in proptest::collection::vec(0u64..=u64::MAX / 2, 0..50)) {
         let enc = rle::encode_u64s(values.iter().copied());
-        prop_assert_eq!(rle::decode_u64s(&enc).unwrap(), values);
+        prop_assert_eq!(expand_u64s(&enc), values);
     }
 
     #[test]
-    fn byte_codec_roundtrips(data in proptest::collection::vec(any::<u8>(), 0..600)) {
+    fn byte_export_expands_to_its_input(data in proptest::collection::vec(any::<u8>(), 0..600)) {
         let enc = rle::encode_bytes(&data);
-        prop_assert_eq!(rle::decode_bytes(&enc).unwrap(), data);
+        prop_assert_eq!(expand_bytes(&enc), data);
     }
 
     #[test]
-    fn byte_codec_roundtrips_runs(byte in any::<u8>(), n in 0usize..2000) {
+    fn byte_export_expands_runs(byte in any::<u8>(), n in 0usize..2000) {
         let data = vec![byte; n];
         let enc = rle::encode_bytes(&data);
-        prop_assert_eq!(rle::decode_bytes(&enc).unwrap(), data);
+        prop_assert_eq!(expand_bytes(&enc), data);
     }
 
     #[test]
@@ -161,11 +329,8 @@ proptest! {
         prop_assert!(enc.len() <= (n / 255 + 1) * 6 + 8);
     }
 
-    #[test]
-    fn hex_roundtrips(data in proptest::collection::vec(any::<u8>(), 0..200)) {
-        prop_assert_eq!(rle::from_hex(&rle::to_hex(&data)).unwrap(), data);
-    }
-
+    /// Arbitrary (not recorder-shaped) streams roundtrip through the
+    /// binary map.
     #[test]
     fn demo_roundtrips(
         seeds in (any::<u64>(), any::<u64>()),
@@ -195,90 +360,42 @@ proptest! {
             errno: 11,
             bufs,
         }]);
-        let map = demo.to_string_map();
-        prop_assert_eq!(Demo::from_string_map(&map).unwrap(), demo);
+        prop_assert_eq!(Demo::from_bytes_map(&demo.to_bytes_map()).unwrap(), demo);
     }
 
-    /// Any demo shaped like a real recording serializes to files the
-    /// offline linter accepts without diagnostics.
+    /// Any demo shaped like a real recording lints clean.
     #[test]
     fn schedule_shaped_demos_lint_clean(demo in valid_demo()) {
-        let map = demo.to_string_map();
-        let diags = srr_analysis::lint_demo_map(&map);
-        prop_assert!(diags.is_empty(), "clean demo flagged: {diags:?}\nmap: {map:?}");
+        let diags = srr_analysis::lint_demo(&demo);
+        prop_assert!(diags.is_empty(), "clean demo flagged: {:?}\n{:?}", diags, demo);
     }
 
-    /// Corrupting any digit in any *stream* file (every digit there is
-    /// part of a number or an RLE/hex payload) is caught: the linter
-    /// objects, or parsing fails — a corruption can never slip through
-    /// both and silently change the demo.
+    /// Breaking one invariant of a recorder-shaped demo gives exactly
+    /// one diagnostic, at the broken stream and entry.
     #[test]
-    fn digit_corruption_is_caught(demo in valid_demo(), file_pick in any::<u32>(), pos_pick in any::<u32>()) {
-        let mut map = demo.to_string_map();
-        let streams: Vec<String> = map
-            .keys()
-            .filter(|k| k.as_str() != "HEADER")
-            .cloned()
-            .collect();
-        prop_assume!(!streams.is_empty());
-        let name = streams[file_pick as usize % streams.len()].clone();
-        let text = map[&name].clone();
-        let digit_positions: Vec<usize> = text
-            .char_indices()
-            .filter(|&(_, c)| c.is_ascii_digit())
-            .map(|(i, _)| i)
-            .collect();
-        prop_assume!(!digit_positions.is_empty());
-        let pos = digit_positions[pos_pick as usize % digit_positions.len()];
-        let mut bytes = text.into_bytes();
-        bytes[pos] = b'x';
-        map.insert(name.clone(), String::from_utf8(bytes).unwrap());
-
-        let diags = srr_analysis::lint_demo_map(&map);
-        let reparsed = Demo::from_string_map(&map);
-        prop_assert!(
-            !diags.is_empty() || reparsed.is_err(),
-            "corrupting {name} byte {pos} slipped through: parsed to {reparsed:?}"
+    fn one_broken_invariant_is_flagged_at_its_entry(
+        demo in valid_demo(),
+        pick in any::<usize>(),
+        wiggle in any::<u64>(),
+    ) {
+        let options = breaks(&demo);
+        let b = options[pick % options.len()];
+        let mut broken = demo.clone();
+        let (stream, entry) = apply(&mut broken, b, wiggle);
+        let diags = srr_analysis::lint_demo(&broken);
+        prop_assert_eq!(diags.len(), 1, "{:?}: {:?}", b, diags);
+        prop_assert_eq!(
+            (diags[0].stream.as_str(), diags[0].entry),
+            (stream, entry),
+            "{:?}: {}", b, diags[0]
         );
-        // And when the *parser* still accepts the corrupted text, the
-        // linter must be the one that objected.
-        if reparsed.is_ok() {
-            prop_assert!(!diags.is_empty());
-        }
-    }
-
-    /// Deleting a buffer line from SYSCALL leaves a record short of its
-    /// declared `nbufs` — the linter must catch the truncation.
-    #[test]
-    fn missing_syscall_buffer_is_caught(demo in valid_demo(), pick in any::<u32>()) {
-        let map = demo.to_string_map();
-        let text = map.get("SYSCALL").cloned().unwrap_or_default();
-        let buf_lines: Vec<usize> = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| l.trim_start().starts_with("buf "))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assume!(!buf_lines.is_empty());
-        let drop_ln = buf_lines[pick as usize % buf_lines.len()];
-        let corrupted: String = text
-            .lines()
-            .enumerate()
-            .filter(|&(i, _)| i != drop_ln)
-            .map(|(_, l)| format!("{l}\n"))
-            .collect();
-        let mut map = map.clone();
-        map.insert("SYSCALL".to_owned(), corrupted);
-        let diags = srr_analysis::lint_demo_map(&map);
-        prop_assert!(!diags.is_empty(), "missing buf line not caught");
     }
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec properties: the framed format introduced alongside the
-// text form must roundtrip on the same arbitrary inputs, and converting
-// through either format must be the identity on the other's canonical
-// serialization.
+// Binary codec properties: the framed format must roundtrip on the same
+// arbitrary inputs, and the text export must be a function of the
+// decoded demo alone.
 
 proptest! {
     /// Arbitrary recorded-shaped demos roundtrip through the binary map.
@@ -288,22 +405,11 @@ proptest! {
         prop_assert_eq!(Demo::from_bytes_map(&map).unwrap(), demo);
     }
 
-    /// text → bin → text is the identity on the canonical text form.
+    /// The binary round trip keeps the text export byte for byte.
     #[test]
-    fn text_bin_text_is_identity(demo in valid_demo()) {
-        let text = demo.to_string_map();
-        let through = Demo::from_string_map(&text).unwrap();
-        let back = Demo::from_bytes_map(&through.to_bytes_map()).unwrap();
-        prop_assert_eq!(back.to_string_map(), text);
-    }
-
-    /// bin → text → bin is the identity on the canonical binary form.
-    #[test]
-    fn bin_text_bin_is_identity(demo in valid_demo()) {
-        let bin = demo.to_bytes_map();
-        let through = Demo::from_bytes_map(&bin).unwrap();
-        let back = Demo::from_string_map(&through.to_string_map()).unwrap();
-        prop_assert_eq!(back.to_bytes_map(), bin);
+    fn binary_round_trip_keeps_the_text_export(demo in valid_demo()) {
+        let back = Demo::from_bytes_map(&demo.to_bytes_map()).unwrap();
+        prop_assert_eq!(back.to_string_map(), demo.to_string_map());
     }
 
     /// Schedules synthesized via `QueueStream::from_order` /

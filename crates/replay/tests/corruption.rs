@@ -10,9 +10,9 @@
 //! checksum, before any payload decoding is trusted.
 //!
 //! The checksum is no defence against a frame *crafted* with a valid
-//! one, so the hostile-input battery below feeds such frames (and text
-//! streams) through the loader and checks that each is a typed error
-//! reached without allocating more than its size justifies. A counting
+//! one, so the hostile-input battery below feeds such frames through
+//! the loader and checks that each is a typed error reached without
+//! allocating more than its size justifies. A counting
 //! allocator measures what the decoding thread allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,14 +143,13 @@ fn every_truncation_of_every_stream_is_rejected() {
                 );
                 continue;
             }
-            // Truncating below the 4-byte magic demotes the file to
-            // "looks like text"; either parser must reject it, typed,
-            // blaming the right file.
+            // An empty HEADER is an absent one. Truncating below the
+            // 4-byte magic leaves a bad magic; either way the codec
+            // rejects it, typed, blaming the file.
             let err = got.unwrap_err();
             assert!(
                 matches!(&err, DemoLoadError::Codec { file: f, .. } if f == file)
-                    || matches!(&err, DemoLoadError::Malformed { file: f, .. } if f == file)
-                    || (file == "HEADER" && matches!(err, DemoLoadError::MissingHeader)),
+                    || (keep == 0 && matches!(err, DemoLoadError::MissingHeader)),
                 "{file} truncated to {keep} bytes: wrong error {err}"
             );
         }
@@ -166,14 +165,12 @@ fn every_single_bit_flip_is_rejected() {
                 let mut m = map.clone();
                 m.get_mut(file).unwrap()[pos] ^= 1 << bit;
                 let err = load(&m).expect_err("flip undetected");
-                // Flips inside the 4-byte magic may demote the file to
-                // "looks like text" — still a typed Malformed error.
+                // Flips inside the 4-byte magic are a bad magic, the
+                // rest a checksum mismatch: both typed codec errors.
                 match err {
-                    DemoLoadError::Codec { file: f, .. }
-                    | DemoLoadError::Malformed { file: f, .. } => {
+                    DemoLoadError::Codec { file: f, .. } => {
                         assert_eq!(&f, file, "error blames the corrupted file")
                     }
-                    DemoLoadError::MissingHeader => assert_eq!(file, "HEADER"),
                     other => panic!("{file} byte {pos} bit {bit}: unexpected {other}"),
                 }
             }
@@ -186,17 +183,20 @@ fn bad_magic_and_unknown_version_are_typed() {
     let map = full_demo().to_bytes_map();
     let queue = map.get("QUEUE").unwrap();
 
-    // A wholly different magic: not binary, not valid text either.
+    // A wholly different magic.
     let mut m = map.clone();
     m.insert("QUEUE".to_owned(), {
         let mut b = queue.clone();
         b[..4].copy_from_slice(b"NOPE");
         b
     });
-    assert!(
-        matches!(load(&m).unwrap_err(), DemoLoadError::Malformed { ref file, .. } if file == "QUEUE"),
-        "foreign magic must read as malformed text, not panic"
-    );
+    match load(&m).unwrap_err() {
+        DemoLoadError::Codec {
+            file,
+            err: CodecError::BadMagic { found },
+        } => assert_eq!((file.as_str(), &found), ("QUEUE", b"NOPE")),
+        other => panic!("foreign magic: unexpected {other}"),
+    }
 
     // The real magic with a from-the-future codec version.
     let mut b = queue.clone();
@@ -216,6 +216,28 @@ fn bad_magic_and_unknown_version_are_typed() {
             );
         }
         other => panic!("unexpected {other}"),
+    }
+}
+
+#[test]
+fn a_stream_file_holding_its_text_rendering_is_bad_magic() {
+    // The text export is not a load format: each of its files is
+    // refused by the codec, naming that file.
+    let demo = full_demo();
+    let text = demo.to_string_map();
+    for (file, rendering) in &text {
+        let mut m = demo.to_bytes_map();
+        m.insert(file.clone(), rendering.clone().into_bytes());
+        match load(&m).unwrap_err() {
+            DemoLoadError::Codec {
+                file: f,
+                err: CodecError::BadMagic { found },
+            } => {
+                assert_eq!(&f, file);
+                assert_eq!(&found[..], &rendering.as_bytes()[..4]);
+            }
+            other => panic!("{file} as text: unexpected {other}"),
+        }
     }
 }
 
@@ -278,8 +300,8 @@ fn full_demo_has_packed_and_plain_frames() {
 }
 
 // ---------------------------------------------------------------------
-// Hostile input: crafted frames with valid checksums, and text streams
-// whose few bytes ask for unbounded output.
+// Hostile input: crafted frames with valid checksums whose few bytes
+// ask for unbounded output.
 
 /// A frame with stream-id byte `id` around `payload` and a valid
 /// checksum, so that only the payload decoder stands in its way.
@@ -491,16 +513,6 @@ fn syscall_kind_names_above_the_cap_are_typed() {
                 offset: 1,
             }
         );
-    }
-    // The text decoder holds kind names to the same cap.
-    let long = "k".repeat(MAX_KIND_LEN + 1);
-    let text = format!("syscall 0 0 1 {long} ret=0 errno=0 nbufs=0\n");
-    match rejected("SYSCALL", text.into_bytes()) {
-        DemoLoadError::Malformed { file, err, .. } => {
-            assert_eq!(file, "SYSCALL");
-            assert!(err.contains("longer than 64"), "{err}");
-        }
-        other => panic!("expected malformed text, got {other}"),
     }
 }
 
@@ -723,27 +735,5 @@ fn packed_frames_decode_within_25_bytes_per_raw_byte() {
             "{file}: {raw_len} raw bytes in {} frame bytes allocated {extra}",
             bytes.len()
         );
-    }
-}
-
-#[test]
-fn text_rle_overflows_are_typed() {
-    // Through `Demo::from_bytes_map`, as `Demo::load_dir` reads a text
-    // QUEUE or ALLOC file: a repeat count that would ask for all of
-    // memory, and a run that would wrap past u64::MAX.
-    let max = u64::MAX;
-    for (file, text, why) in [
-        ("QUEUE", format!("first 1\nticks 0*{max}\n"), "values"),
-        ("QUEUE", format!("first 1\nticks {max}+1\n"), "u64::MAX"),
-        ("ALLOC", format!("0*{max}\n"), "values"),
-        ("ALLOC", format!("{max}+1\n"), "u64::MAX"),
-    ] {
-        match rejected(file, text.clone().into_bytes()) {
-            DemoLoadError::Malformed { file: f, err, .. } => {
-                assert_eq!(f, file);
-                assert!(err.contains(why), "{file} `{}`: {err}", text.trim_end());
-            }
-            other => panic!("{file}: expected malformed text, got {other}"),
-        }
     }
 }
