@@ -6,7 +6,7 @@
 #     and (for the seed-deterministic workloads) match a fresh recording
 #     byte for byte. Regenerate after an intentional format change with
 #     UPDATE_GOLDEN=1 (see crates/apps/tests/demo_codec.rs). The
-#     fluidanimate fixture must fit its exact byte budget.
+#     fluidanimate and httpd fixtures must fit their exact byte budgets.
 #  2. Corruption battery: every truncation and single-bit flip of every
 #     stream is a typed load error, never a panic.
 #  3. Export: `srr demo export` writes a live recording's text
@@ -33,6 +33,13 @@ FLUID_BYTES="$(cat crates/apps/tests/fixtures/codec/fluidanimate/* | wc -c)"
 [ "$FLUID_BYTES" -le 211 ] ||
   fail "fluidanimate fixture takes $FLUID_BYTES B, over its 211 B budget"
 echo "fluidanimate fixture: $FLUID_BYTES B (budget 211)"
+
+section "httpd fixture byte budget"
+# What codec v4 spends on the committed httpd recording (v3 spent 1,555).
+HTTPD_BYTES="$(cat crates/apps/tests/fixtures/codec/httpd/* | wc -c)"
+[ "$HTTPD_BYTES" -le 990 ] ||
+  fail "httpd fixture takes $HTTPD_BYTES B, over its 990 B budget"
+echo "httpd fixture: $HTTPD_BYTES B (budget 990)"
 
 section "corruption battery + codec properties"
 cargo test -q -p srr-replay --test corruption

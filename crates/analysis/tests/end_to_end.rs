@@ -16,10 +16,10 @@ const SYNC: TraceSpec = TraceSpec {
     access: false,
 };
 
-fn deadlock_findings(report: &tsan11rec::ExecReport) -> Vec<&tsan11rec::Finding> {
+fn deadlock_findings(report: &tsan11rec::ExecReport) -> Vec<tsan11rec::Finding> {
     report
-        .analysis
-        .iter()
+        .analysis()
+        .into_iter()
         .filter(|f| f.kind == FindingKind::PotentialDeadlock)
         .collect()
 }
@@ -32,8 +32,8 @@ fn completed_abba_run_is_flagged_as_potential_deadlock() {
         .run(hazards::ab_ba_locks(AbBaParams::default()));
     assert_eq!(report.outcome, Outcome::Completed);
     let dl = deadlock_findings(&report);
-    assert_eq!(dl.len(), 1, "exactly one cycle: {:?}", report.analysis);
-    let f = dl[0];
+    assert_eq!(dl.len(), 1, "exactly one cycle: {dl:?}");
+    let f = &dl[0];
     assert!(f.labels.iter().any(|l| l.contains("lock-a")), "{f:?}");
     assert!(f.labels.iter().any(|l| l.contains("lock-b")), "{f:?}");
     assert_eq!(f.threads.len(), 2, "two threads participate: {f:?}");
@@ -59,7 +59,7 @@ fn deadlocked_abba_run_reports_the_same_cycle() {
 
     let from_completed = deadlock_findings(&completed);
     let from_wedged = deadlock_findings(&wedged);
-    assert!(!from_wedged.is_empty(), "{:?}", wedged.analysis);
+    assert!(!from_wedged.is_empty(), "{:?}", wedged.analysis());
     // Same cycle: identical participating lock labels either way.
     let mut a: Vec<_> = from_completed[0].labels.clone();
     let mut b: Vec<_> = from_wedged[0].labels.clone();
@@ -80,7 +80,7 @@ fn well_ordered_workloads_produce_no_deadlock_findings() {
     assert!(
         deadlock_findings(&report).is_empty(),
         "httpd has a consistent lock order: {:?}",
-        report.analysis
+        report.analysis()
     );
 }
 
@@ -160,21 +160,21 @@ fn misuse_lints_fire_through_the_full_stack() {
     let mixed = Execution::new(Tool::Queue.config([7, 11]).with_access_trace())
         .run(hazards::mixed_counter());
     assert!(mixed
-        .analysis
+        .analysis()
         .iter()
         .any(|f| f.kind == FindingKind::MixedAtomicPlain));
 
     let cond = Execution::new(Tool::Queue.config([7, 11]).with_trace(SYNC))
         .run(hazards::cond_no_recheck());
     assert!(cond
-        .analysis
+        .analysis()
         .iter()
         .any(|f| f.kind == FindingKind::CondvarNoRecheck));
 
     let relaxed =
         Execution::new(Tool::Queue.config([7, 11]).with_trace(SYNC)).run(hazards::relaxed_guard());
     assert!(relaxed
-        .analysis
+        .analysis()
         .iter()
         .any(|f| f.kind == FindingKind::RelaxedLoadDecision));
 }

@@ -896,6 +896,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
             let report = Execution::new(config.with_access_trace())
                 .setup(setup)
                 .run(w.program);
+            let findings = report.analysis();
             let doc = Json::Obj(vec![
                 ("workload".to_owned(), Json::Str(w.name.to_owned())),
                 ("tool".to_owned(), Json::Str(tool.label().to_owned())),
@@ -908,8 +909,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                 (
                     "findings".to_owned(),
                     Json::Arr(
-                        report
-                            .analysis
+                        findings
                             .iter()
                             .map(|f| {
                                 Json::Obj(vec![
@@ -925,14 +925,14 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                 print_report(&report);
                 println!("--- analysis --");
                 println!("sync events:  {}", report.sync_trace.events.len());
-                if report.analysis.is_empty() {
+                if findings.is_empty() {
                     println!("no findings");
                 }
-                for f in &report.analysis {
+                for f in &findings {
                     println!("[{}] {}", f.kind.name(), f.message);
                 }
             }
-            Ok(findings_exit(report.analysis.len(), "finding"))
+            Ok(findings_exit(findings.len(), "finding"))
         }
         "predict" => {
             let name = args.positional.first().ok_or("predict needs a workload")?;
@@ -980,7 +980,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                 .map(|p| {
                     let dynamic: Vec<BTreeSet<String>> = run
                         .record
-                        .analysis
+                        .analysis()
                         .iter()
                         .filter(|f| f.kind == srr_analysis::FindingKind::PotentialDeadlock)
                         .map(|f| f.labels.iter().cloned().collect())
@@ -1187,7 +1187,9 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                     Ok(EXIT_OK)
                 }
                 "stats" => {
-                    println!("{}", demo.stats());
+                    let stats = demo.stats();
+                    println!("{stats}");
+                    print!("{}", stats.table());
                     Ok(EXIT_OK)
                 }
                 other => Err(format!(

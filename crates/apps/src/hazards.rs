@@ -343,15 +343,14 @@ mod tests {
     fn serialized_abba_completes_but_is_flagged() {
         let report = analyzed(ab_ba_locks(AbBaParams::default()));
         assert!(report.outcome.is_ok(), "{:?}", report.outcome);
-        let dl: Vec<_> = report
-            .analysis
+        let findings = report.analysis();
+        let dl: Vec<_> = findings
             .iter()
             .filter(|f| f.kind == FindingKind::PotentialDeadlock)
             .collect();
         assert!(
             !dl.is_empty(),
-            "lock-order cycle must be predicted: {:?}",
-            report.analysis
+            "lock-order cycle must be predicted: {findings:?}"
         );
         assert!(
             dl[0].labels.iter().any(|l| l.contains("lock-a")),
@@ -371,15 +370,12 @@ mod tests {
             force_deadlock: true,
         }));
         assert_eq!(report.outcome, Outcome::Deadlock);
-        let dl: Vec<_> = report
-            .analysis
-            .iter()
-            .filter(|f| f.kind == FindingKind::PotentialDeadlock)
-            .collect();
+        let findings = report.analysis();
         assert!(
-            !dl.is_empty(),
-            "deadlocked run still yields the cycle: {:?}",
-            report.analysis
+            findings
+                .iter()
+                .any(|f| f.kind == FindingKind::PotentialDeadlock),
+            "deadlocked run still yields the cycle: {findings:?}"
         );
     }
 
@@ -387,13 +383,12 @@ mod tests {
     fn mixed_counter_is_flagged() {
         let report = analyzed(mixed_counter());
         assert!(report.outcome.is_ok(), "{:?}", report.outcome);
+        let findings = report.analysis();
         assert!(
-            report
-                .analysis
+            findings
                 .iter()
                 .any(|f| f.kind == FindingKind::MixedAtomicPlain),
-            "{:?}",
-            report.analysis
+            "{findings:?}"
         );
     }
 
@@ -401,13 +396,12 @@ mod tests {
     fn cond_no_recheck_is_flagged() {
         let report = analyzed(cond_no_recheck());
         assert!(report.outcome.is_ok(), "{:?}", report.outcome);
+        let findings = report.analysis();
         assert!(
-            report
-                .analysis
+            findings
                 .iter()
                 .any(|f| f.kind == FindingKind::CondvarNoRecheck),
-            "{:?}",
-            report.analysis
+            "{findings:?}"
         );
     }
 
@@ -415,20 +409,19 @@ mod tests {
     fn relaxed_guard_is_flagged() {
         let report = analyzed(relaxed_guard());
         assert!(report.outcome.is_ok(), "{:?}", report.outcome);
+        let findings = report.analysis();
         assert!(
-            report
-                .analysis
+            findings
                 .iter()
                 .any(|f| f.kind == FindingKind::RelaxedLoadDecision),
-            "{:?}",
-            report.analysis
+            "{findings:?}"
         );
     }
 
     #[test]
     fn analysis_is_empty_without_sync_trace() {
         let report = Execution::new(Tool::Queue.config([7, 11])).run(mixed_counter());
-        assert!(report.analysis.is_empty());
+        assert!(report.analysis().is_empty());
         assert!(report.sync_trace.events.is_empty());
     }
 

@@ -14,6 +14,7 @@ use srr_apps::game::netplay::{netplay_client, record_until_bug, NetPlayParams};
 use srr_apps::game::{game, parse_frame_stats, world, GameParams};
 use srr_apps::harness::Tool;
 use srr_bench::{banner, bench_scale, seeds_for, TablePrinter};
+use srr_replay::StreamId;
 use tsan11rec::{Execution, SparseConfig};
 
 fn main() {
@@ -59,10 +60,11 @@ fn main() {
     };
     let (env_seed, demo, rec_console) = record_until_bug(np, config, 64);
     println!("bug manifested in recording session #{env_seed}");
+    let stats = demo.stats();
     println!(
         "demo size: {} bytes ({} syscall bytes)",
-        demo.size_bytes(),
-        demo.syscall_bytes()
+        stats.total_bytes(),
+        stats.stored_bytes(StreamId::Syscall)
     );
 
     let rep = Execution::new(config())

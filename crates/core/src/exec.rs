@@ -1,14 +1,13 @@
 //! The execution harness: runs a program under a tool configuration,
 //! optionally recording or replaying a demo.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering as AOrd;
 use std::sync::Arc;
 use std::time::Instant;
 
 use srr_memmodel::ThreadView;
 use srr_obs::{DesyncDiagnostics, EventClass, ObsReport, StreamCounter};
-use srr_replay::{Demo, DemoHeader};
+use srr_replay::{Demo, DemoHeader, StreamId};
 use srr_vos::{AllocMode, Vos, VosConfig};
 
 use crate::config::{Config, RecordMode};
@@ -286,11 +285,6 @@ impl Execution {
         };
 
         let sync_trace = rt.obs.as_ref().map(|o| o.finish()).unwrap_or_default();
-        let analysis = if sync_trace.sync_events().next().is_some() {
-            srr_analysis::analyze(&sync_trace)
-        } else {
-            Vec::new()
-        };
         let schedule_traced = rt.keeps(EventClass::Schedule);
 
         let mut obs_report = ObsReport::of(&sync_trace);
@@ -301,12 +295,12 @@ impl Execution {
         // entries only.
         let demo_bytes = match (&produced_demo, demo) {
             (Some(d), _) => {
-                let files = d.to_bytes_map();
-                obs_report.streams = demo_stream_counters(d, Some(&files));
-                Some(files.values().map(Vec::len).sum())
+                let stats = d.stats();
+                obs_report.streams = demo_stream_counters(d, |id| stats.stored_bytes(id));
+                Some(stats.total_bytes())
             }
             (None, Some(d)) => {
-                obs_report.streams = demo_stream_counters(d, None);
+                obs_report.streams = demo_stream_counters(d, |_| 0);
                 None
             }
             (None, None) => None,
@@ -348,7 +342,6 @@ impl Execution {
             replay_leftover_syscalls: rt.replay_leftover(),
             strace: vos.take_strace(),
             sync_trace,
-            analysis,
             sched: rt
                 .sched
                 .as_ref()
@@ -380,32 +373,16 @@ impl Execution {
 }
 
 /// Per-stream entry and on-disk byte counters for a demo, keyed the way
-/// the demo directory is laid out; `files` is the binary encoding of a
-/// demo the run produced, where an empty stream writes no file. A
-/// consumed demo is not encoded (`None`), and its bytes read 0.
-fn demo_stream_counters(
-    demo: &Demo,
-    files: Option<&BTreeMap<String, Vec<u8>>>,
-) -> Vec<StreamCounter> {
-    let bytes = |name: &str| {
-        files
-            .and_then(|f| f.get(name))
-            .map_or(0, |b| b.len() as u64)
-    };
-    let entry = |name: &str, entries: u64| StreamCounter {
-        stream: name.to_owned(),
-        entries,
-        bytes: bytes(name),
-    };
-    vec![
-        entry("HEADER", 1),
-        entry(
-            "QUEUE",
-            demo.queue.first_tick.len() as u64 + demo.queue.ticks(),
-        ),
-        entry("SIGNAL", demo.signals.len() as u64),
-        entry("SYSCALL", demo.syscalls.len() as u64),
-        entry("ASYNC", demo.async_events.len() as u64),
-        entry("ALLOC", demo.alloc.len() as u64),
-    ]
+/// the demo directory is laid out; `bytes` sizes a stream's file (0 for a
+/// consumed demo, which is not encoded, and for an empty stream, which
+/// writes no file).
+fn demo_stream_counters(demo: &Demo, bytes: impl Fn(StreamId) -> usize) -> Vec<StreamCounter> {
+    StreamId::ALL
+        .iter()
+        .map(|&id| StreamCounter {
+            stream: id.file_name().to_owned(),
+            entries: demo.entries(id),
+            bytes: bytes(id) as u64,
+        })
+        .collect()
 }

@@ -89,9 +89,6 @@ pub struct ExecReport {
     /// `Config::with_trace` kept, once, in emission order (empty when
     /// tracing was off). [`ExecReport::tick_trace`] is its schedule.
     pub sync_trace: SyncTrace,
-    /// Findings from the offline analysis passes (`srr-analysis`), run
-    /// over `sync_trace` when it kept sync or access events.
-    pub analysis: Vec<Finding>,
     /// Scheduler wakeup counters (zeroed in uncontrolled modes).
     pub sched: SchedCounters,
     /// Observability report: tick histograms from the schedule class of
@@ -136,6 +133,19 @@ impl ExecReport {
     #[must_use]
     pub fn tick_trace(&self) -> Vec<(u32, u64)> {
         self.sync_trace.tick_order()
+    }
+
+    /// Findings of the offline analysis passes (`srr-analysis`:
+    /// deadlock prediction, then the misuse lints) over `sync_trace`;
+    /// none unless it kept sync events. Computed on each call, for the
+    /// callers that read them.
+    #[must_use]
+    pub fn analysis(&self) -> Vec<Finding> {
+        if self.sync_trace.sync_events().next().is_some() {
+            srr_analysis::analyze(&self.sync_trace)
+        } else {
+            Vec::new()
+        }
     }
 
     /// Whether any data race was detected.
@@ -215,7 +225,6 @@ mod tests {
             replay_leftover_syscalls: 0,
             strace: Vec::new(),
             sync_trace: SyncTrace::default(),
-            analysis: Vec::new(),
             sched: SchedCounters::default(),
             obs: ObsReport::default(),
             plan: PlanCounters::default(),

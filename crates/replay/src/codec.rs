@@ -1,6 +1,6 @@
 //! The binary demo codec: per-stream framing with a magic/version
-//! header, delta-coded varint payloads, one optional LZ77 pass, and a
-//! cursor reader.
+//! header, delta-coded varint payloads, one optional DEFLATE block, and
+//! a cursor reader.
 //!
 //! Each stream of a demo serializes to one self-describing *frame*:
 //!
@@ -17,7 +17,7 @@
 //! damaged stream as a shorter or different one (the corruption battery
 //! in `tests/corruption.rs` proves this bit by bit).
 //!
-//! Payloads (codec version 3) are plain LEB128 varints:
+//! Payloads (codec version 4) are plain LEB128 varints:
 //!
 //! * QUEUE is its first-tick table, then its runs (see
 //!   [`QueueStream`]): a count, then each run's step and length. A run
@@ -34,9 +34,13 @@
 //! * syscall kind names are interned into a per-stream string table, so a
 //!   10k-request httpd demo stores `recv` once, not 10k times.
 //!
-//! A payload is then stored either as is or after one LZ77 pass
-//! (`lz.rs`), whichever is smaller. The top bit of the stream-id
-//! byte ([`PACKED`]) records the choice, so no frame grows.
+//! A payload is then stored either as is or packed, whichever is
+//! smaller ([`Packing`]). A packed payload is its raw length, then one
+//! raw-DEFLATE block (RFC 1951, `lz.rs`): LZ77 matches of at most 63
+//! bytes, coded with the fixed Huffman code or a dynamic one, whichever
+//! is smaller. The top bit of the stream-id byte ([`PACKED`]) records
+//! the choice, so no frame grows. Codec v3 wrote the same payloads and
+//! packed them as LZ4-style sequences without entropy coding.
 //!
 //! Decoding allocates in proportion to its input. Every count and
 //! length read from a payload is checked before anything is allocated
@@ -73,12 +77,34 @@ pub const MAGIC: [u8; 4] = *b"SRRB";
 
 /// Binary codec version understood by this crate (independent of the
 /// demo [`FORMAT_VERSION`], which describes the logical stream model).
-/// Frames of any other version, v1 and v2 included, fail with
+/// Frames of any other version, v1 to v3 included, fail with
 /// [`CodecError::UnsupportedVersion`].
-pub const CODEC_VERSION: u64 = 3;
+pub const CODEC_VERSION: u64 = 4;
 
-/// Top bit of the stream-id byte: the payload is stored LZ77-packed.
+/// Top bit of the stream-id byte: the payload is stored packed.
 pub const PACKED: u8 = 0x80;
+
+/// How a frame stores its payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Packing {
+    /// As is: packing would not make it smaller.
+    Plain,
+    /// One DEFLATE block under the fixed Huffman code.
+    Fixed,
+    /// One DEFLATE block under a Huffman code of its own, sent in the
+    /// block header.
+    Dynamic,
+}
+
+impl fmt::Display for Packing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Packing::Plain => "plain",
+            Packing::Fixed => "fixed",
+            Packing::Dynamic => "dynamic",
+        })
+    }
+}
 
 /// Longest syscall kind name a demo may hold, in bytes (Linux's longest
 /// syscall name has 23). The decoder rejects longer ones.
@@ -491,7 +517,7 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
 // ---------------------------------------------------------------------
 
 /// A parsed frame: the stream it carries and its payload (checksum
-/// already verified, LZ77 packing already undone).
+/// already verified, packing already undone).
 #[derive(Clone, Debug)]
 pub struct Frame<'a> {
     /// The stream this frame serializes.
@@ -501,14 +527,19 @@ pub struct Frame<'a> {
     pub payload: Cow<'a, [u8]>,
 }
 
-/// Wraps a stream payload into a framed file image, LZ77-packed when
-/// that is smaller.
+/// Wraps a stream payload into a framed file image, packed when that is
+/// smaller.
 #[must_use]
 pub fn encode_frame(stream: StreamId, payload: &[u8]) -> Vec<u8> {
+    frame_with_packing(stream, payload).0
+}
+
+/// [`encode_frame`], also telling how the payload was stored.
+pub(crate) fn frame_with_packing(stream: StreamId, payload: &[u8]) -> (Vec<u8>, Packing) {
     let packed = lz::pack(payload);
-    let (id, body) = match &packed {
-        Some(p) => (stream as u8 | PACKED, p.as_slice()),
-        None => (stream as u8, payload),
+    let (id, body, packing) = match &packed {
+        Some((p, packing)) => (stream as u8 | PACKED, p.as_slice(), *packing),
+        None => (stream as u8, payload, Packing::Plain),
     };
     let mut out = Vec::with_capacity(body.len() + 24);
     out.extend_from_slice(&MAGIC);
@@ -518,7 +549,7 @@ pub fn encode_frame(stream: StreamId, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(body);
     let sum = fnv1a64(&out[MAGIC.len()..]);
     out.extend_from_slice(&sum.to_le_bytes());
-    out
+    (out, packing)
 }
 
 /// Parses and verifies a framed file image, inflating a packed payload.
@@ -721,7 +752,7 @@ pub(crate) fn encode_syscalls(records: &[SyscallRecord]) -> Vec<u8> {
     }
     write_varint(&mut out, records.len() as u64);
     // Field by field rather than record by record: like values sit
-    // together, so the LZ77 pass finds longer repeats.
+    // together, so the packing finds longer repeats.
     let mut prev = 0;
     for r in records {
         write_delta(&mut out, prev, r.seq);
@@ -1083,7 +1114,7 @@ mod tests {
         // One table entry, not 100 copies of "recvmsg".
         let copies = payload.windows(7).filter(|w| w == b"recvmsg").count();
         assert_eq!(copies, 1);
-        // Buffers are stored raw; the frame's LZ77 pass folds the
+        // Buffers are stored raw; the frame's packing folds the
         // repeats.
         let frame = encode_frame(StreamId::Syscall, &payload);
         assert!(frame.len() < payload.len() / 20, "{} bytes", frame.len());

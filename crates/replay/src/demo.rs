@@ -10,7 +10,7 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::codec::{self, CodecError, StreamId};
+use crate::codec::{self, CodecError, Packing, StreamId};
 use crate::rle;
 use crate::streams::{AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
 
@@ -140,8 +140,19 @@ impl Demo {
     #[must_use]
     pub fn to_bytes_map(&self) -> BTreeMap<String, Vec<u8>> {
         let mut map = BTreeMap::new();
+        self.encode_streams(|id, _, frame, _| {
+            map.insert(id.file_name().to_owned(), frame);
+        });
+        map
+    }
+
+    /// Encodes each stream the demo writes, `HEADER` first, handing
+    /// `each` the stream, its raw payload length, its frame and how the
+    /// frame stores the payload.
+    fn encode_streams(&self, mut each: impl FnMut(StreamId, usize, Vec<u8>, Packing)) {
         let mut put = |id: StreamId, payload: Vec<u8>| {
-            map.insert(id.file_name().to_owned(), codec::encode_frame(id, &payload));
+            let (frame, packing) = codec::frame_with_packing(id, &payload);
+            each(id, payload.len(), frame, packing);
         };
         put(StreamId::Header, codec::encode_header(&self.header));
         if !self.queue.is_empty() {
@@ -159,7 +170,6 @@ impl Demo {
         if !self.alloc.is_empty() {
             put(StreamId::Alloc, codec::encode_alloc(&self.alloc));
         }
-        map
     }
 
     /// Decodes a per-file byte map of binary stream frames, `HEADER`
@@ -275,33 +285,58 @@ impl Demo {
     /// metric (§5.2).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.to_bytes_map().values().map(Vec::len).sum()
+        self.stats().total_bytes()
     }
 
-    /// Size in bytes of the `SYSCALL` stream alone (§5.4 reports the
-    /// syscall share of the game demos).
+    /// Entries in `stream`: one HEADER; for QUEUE, each thread's first
+    /// tick and a next tick per critical section; otherwise one per
+    /// event, record or address.
     #[must_use]
-    pub fn syscall_bytes(&self) -> usize {
-        self.to_bytes_map()
-            .get(StreamId::Syscall.file_name())
-            .map_or(0, Vec::len)
-    }
-
-    /// Per-stream summary statistics (one binary encode).
-    #[must_use]
-    pub fn stats(&self) -> DemoStats {
-        let files = self.to_bytes_map();
-        DemoStats {
-            strategy: self.header.strategy.clone(),
-            queue_entries: usize::try_from(self.queue.ticks()).unwrap_or(usize::MAX),
-            signals: self.signals.len(),
-            syscalls: self.syscalls.len(),
-            async_events: self.async_events.len(),
-            alloc_entries: self.alloc.len(),
-            total_bytes: files.values().map(Vec::len).sum(),
-            syscall_bytes: files.get(StreamId::Syscall.file_name()).map_or(0, Vec::len),
+    pub fn entries(&self, stream: StreamId) -> u64 {
+        match stream {
+            StreamId::Header => 1,
+            StreamId::Queue => self.queue.first_tick.len() as u64 + self.queue.ticks(),
+            StreamId::Signal => self.signals.len() as u64,
+            StreamId::Syscall => self.syscalls.len() as u64,
+            StreamId::Async => self.async_events.len() as u64,
+            StreamId::Alloc => self.alloc.len() as u64,
         }
     }
+
+    /// Where the demo's bytes go, stream by stream (one binary encode,
+    /// one frame held at a time).
+    #[must_use]
+    pub fn stats(&self) -> DemoStats {
+        let mut streams = Vec::new();
+        self.encode_streams(|stream, raw_bytes, frame, packing| {
+            streams.push(StreamStats {
+                stream,
+                entries: self.entries(stream),
+                raw_bytes,
+                stored_bytes: frame.len(),
+                packing,
+            });
+        });
+        DemoStats {
+            strategy: self.header.strategy.clone(),
+            streams,
+        }
+    }
+}
+
+/// One stream's share of an encoded demo.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StreamStats {
+    /// The stream.
+    pub stream: StreamId,
+    /// Its entries ([`Demo::entries`]).
+    pub entries: u64,
+    /// Bytes of its payload before packing.
+    pub raw_bytes: usize,
+    /// Bytes of its frame on disk.
+    pub stored_bytes: usize,
+    /// How the frame stores the payload.
+    pub packing: Packing,
 }
 
 /// Summary of a demo's contents (what each stream captured and how much
@@ -310,37 +345,76 @@ impl Demo {
 pub struct DemoStats {
     /// Recording strategy.
     pub strategy: String,
-    /// Critical sections the QUEUE stream schedules, one next tick each
-    /// (0 for the random strategy).
-    pub queue_entries: usize,
-    /// SIGNAL events.
-    pub signals: usize,
-    /// SYSCALL records.
-    pub syscalls: usize,
-    /// ASYNC events.
-    pub async_events: usize,
-    /// ALLOC addresses (comprehensive recorders only).
-    pub alloc_entries: usize,
+    /// Each stream the demo writes, `HEADER` first; an empty stream
+    /// writes no file and has no row.
+    pub streams: Vec<StreamStats>,
+}
+
+impl DemoStats {
     /// Total serialized bytes.
-    pub total_bytes: usize,
-    /// Bytes of the SYSCALL stream.
-    pub syscall_bytes: usize,
+    #[must_use]
+    pub fn total_bytes(&self) -> usize {
+        self.streams.iter().map(|s| s.stored_bytes).sum()
+    }
+
+    /// The row of `stream`, if it writes a file.
+    #[must_use]
+    pub fn stream(&self, stream: StreamId) -> Option<&StreamStats> {
+        self.streams.iter().find(|s| s.stream == stream)
+    }
+
+    /// Bytes `stream` takes on disk (0 when it writes no file).
+    #[must_use]
+    pub fn stored_bytes(&self, stream: StreamId) -> usize {
+        self.stream(stream).map_or(0, |s| s.stored_bytes)
+    }
+
+    /// One row per stream the demo writes: entries, raw payload bytes,
+    /// stored bytes, stored bytes per entry and the packing, then the
+    /// totals.
+    #[must_use]
+    pub fn table(&self) -> String {
+        let mut out = format!(
+            "{:<8} {:>9} {:>9} {:>9} {:>9}  packing\n",
+            "stream", "entries", "raw", "stored", "B/entry"
+        );
+        for s in &self.streams {
+            out += &format!(
+                "{:<8} {:>9} {:>9} {:>9} {:>9.3}  {}\n",
+                s.stream.file_name(),
+                s.entries,
+                s.raw_bytes,
+                s.stored_bytes,
+                s.stored_bytes as f64 / s.entries.max(1) as f64,
+                s.packing
+            );
+        }
+        out += &format!(
+            "{:<8} {:>9} {:>9} {:>9}\n",
+            "total",
+            "",
+            self.streams.iter().map(|s| s.raw_bytes).sum::<usize>(),
+            self.total_bytes()
+        );
+        out
+    }
 }
 
 impl fmt::Display for DemoStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries = |id: StreamId| self.stream(id).map_or(0, |s| s.entries);
         write!(
             f,
             "{} demo: {} bytes ({} syscall bytes); {} syscalls, {} signals, \
              {} async events, {} queue entries, {} alloc entries",
             self.strategy,
-            self.total_bytes,
-            self.syscall_bytes,
-            self.syscalls,
-            self.signals,
-            self.async_events,
-            self.queue_entries,
-            self.alloc_entries
+            self.total_bytes(),
+            self.stored_bytes(StreamId::Syscall),
+            entries(StreamId::Syscall),
+            entries(StreamId::Signal),
+            entries(StreamId::Async),
+            entries(StreamId::Queue),
+            entries(StreamId::Alloc)
         )
     }
 }
@@ -519,8 +593,43 @@ mod tests {
         let empty = Demo::new(DemoHeader::new("tsan11rec", "random", [1, 2]));
         let full = sample_demo();
         assert!(full.size_bytes() > empty.size_bytes());
-        assert!(full.syscall_bytes() > 0);
-        assert!(full.syscall_bytes() < full.size_bytes());
+        let stats = full.stats();
+        assert_eq!(stats.total_bytes(), full.size_bytes());
+        assert!(stats.stored_bytes(StreamId::Syscall) > 0);
+        assert!(stats.stored_bytes(StreamId::Syscall) < full.size_bytes());
+    }
+
+    #[test]
+    fn stats_show_where_the_bytes_go() {
+        let mut d = sample_demo();
+        Arc::make_mut(&mut d.syscalls)[0].bufs = vec![b"GET /index.html HTTP/1.1\n".repeat(40)];
+        let stats = d.stats();
+        let files = d.to_bytes_map();
+        let mut written: Vec<StreamId> = files
+            .keys()
+            .map(|f| StreamId::from_file_name(f).unwrap())
+            .collect();
+        written.sort();
+        assert_eq!(
+            stats.streams.iter().map(|s| s.stream).collect::<Vec<_>>(),
+            written,
+            "a row per written stream, in stream order"
+        );
+        for s in &stats.streams {
+            assert_eq!(s.stored_bytes, files[s.stream.file_name()].len());
+            assert_eq!(s.entries, d.entries(s.stream));
+        }
+        let syscall = stats.stream(StreamId::Syscall).expect("a SYSCALL row");
+        assert_ne!(syscall.packing, Packing::Plain);
+        assert!(
+            syscall.raw_bytes > 1000 && syscall.stored_bytes < 100,
+            "{syscall:?}"
+        );
+        assert_eq!(stats.streams[0].packing, Packing::Plain);
+        let table = stats.table();
+        assert_eq!(table.lines().count(), 2 + stats.streams.len(), "{table}");
+        assert!(table.contains("SYSCALL"), "{table}");
+        assert!(table.contains(&syscall.packing.to_string()), "{table}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | `ALLOC`   | (comprehensive tools only) the allocator's address stream |
 //!
 //! Each stream file is one framed, checksummed binary image ([`codec`]:
-//! delta-coded varint payloads, LZ77-packed when that is smaller), and
+//! delta-coded varint payloads, DEFLATE-packed when that is smaller), and
 //! the codec is the only reader: a file that is not such a frame fails
 //! to load with a typed error naming it. A line-oriented text rendering
 //! with run-length coded integers and buffers ([`Demo::to_string_map`],
@@ -52,8 +52,8 @@ pub mod rle;
 mod store;
 mod streams;
 
-pub use codec::{CodecError, StreamId};
-pub use demo::{Demo, DemoHeader, DemoLoadError, DemoStats, FORMAT_VERSION};
+pub use codec::{CodecError, Packing, StreamId};
+pub use demo::{Demo, DemoHeader, DemoLoadError, DemoStats, StreamStats, FORMAT_VERSION};
 pub use desync::{DesyncKind, HardDesync, SoftDesync};
 pub use store::{DemoStore, StreamHash, StreamHashes};
 pub use streams::{

@@ -16,7 +16,7 @@
 //!
 //! Nothing decodes them: the text form is export-only. The binary format
 //! ([`crate::codec`]) uses neither; it delta-codes its integers and
-//! leaves repetition to one LZ77 pass.
+//! leaves repetition to one DEFLATE block.
 
 use std::fmt::Write as _;
 

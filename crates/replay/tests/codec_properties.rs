@@ -6,11 +6,13 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use srr_replay::codec::{fnv1a64, parse_frame, PACKED};
+use srr_replay::codec::{
+    encode_frame, fnv1a64, parse_frame, write_varint, Cursor, MAX_EXPANSION, PACKED,
+};
 use srr_replay::rle;
 use srr_replay::{
     AsyncEvent, CodecError, Demo, DemoHeader, DemoLoadError, QueueBuilder, QueueStream,
-    SignalEvent, SyscallRecord,
+    SignalEvent, StreamId, SyscallRecord,
 };
 
 /// The text export's integer tokens (`N`, `N+K`, `N*K`), expanded: the
@@ -471,8 +473,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Codec v2: every field round-trips whatever its values. The deltas wrap,
-// so non-monotone and extreme sequences are as lossless as recorded ones.
+// The binary codec: every field round-trips whatever its values. The deltas
+// wrap, so non-monotone and extreme sequences are as lossless as recorded
+// ones.
 
 /// A `u64` biased to the edges: 0, `u64::MAX`, small, or anything.
 fn edgy_u64() -> impl Strategy<Value = u64> {
@@ -550,7 +553,7 @@ fn cycled<T: Clone>(v: &[T], n: usize) -> Vec<T> {
 }
 
 /// An arbitrary demo with every stream repeated `n` times over: the
-/// LZ77 pass packs its longer streams.
+/// packing folds its longer streams.
 fn repetitive_demo() -> impl Strategy<Value = Demo> {
     (any_demo(), 2usize..60).prop_map(|(mut demo, n)| {
         let next: Vec<u64> = demo.queue.next_ticks().collect();
@@ -569,7 +572,7 @@ fn repetitive_demo() -> impl Strategy<Value = Demo> {
 proptest! {
     /// Arbitrary demos — any values, in any order — round-trip.
     #[test]
-    fn v3_roundtrips_arbitrary_demos(demo in any_demo()) {
+    fn codec_roundtrips_arbitrary_demos(demo in any_demo()) {
         let map = demo.to_bytes_map();
         prop_assert_eq!(Demo::from_bytes_map(&map).unwrap(), demo);
     }
@@ -577,11 +580,96 @@ proptest! {
     /// Repetitive demos round-trip through their packed frames, and the
     /// binary encoding is canonical: re-encoding reproduces the bytes.
     #[test]
-    fn v3_roundtrips_packed_frames(demo in repetitive_demo()) {
+    fn codec_roundtrips_packed_frames(demo in repetitive_demo()) {
         let map = demo.to_bytes_map();
         let back = Demo::from_bytes_map(&map).unwrap();
         prop_assert_eq!(&back, &demo);
         prop_assert_eq!(back.to_bytes_map(), map);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Packing: a frame's payload is stored plain or as one DEFLATE block,
+// whichever is smaller, and a packed one never asks the decoder for more
+// than `MAX_EXPANSION` raw bytes per packed byte.
+
+/// A few bytes cycled `n` times, with a few bytes overwritten.
+fn repetitive_payload() -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec(any::<u8>(), 1..40),
+        1usize..400,
+        proptest::collection::vec((any::<usize>(), any::<u8>()), 0..20),
+    )
+        .prop_map(|(unit, n, noise)| {
+            let mut p = cycled(&unit, n);
+            for (i, b) in noise {
+                let k = i % p.len();
+                p[k] = b;
+            }
+            p
+        })
+}
+
+fn any_payload() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..600),
+        proptest::collection::vec(0u8..4, 0..2000),
+        repetitive_payload(),
+    ]
+}
+
+/// The bytes of `payload`'s frame stored plain.
+fn plain_frame_len(payload: &[u8]) -> usize {
+    let mut len = Vec::new();
+    write_varint(&mut len, payload.len() as u64);
+    4 + 1 + 1 + len.len() + payload.len() + 8
+}
+
+/// A packed frame's declared raw length and the block bytes after it.
+fn packed_body(frame: &[u8]) -> (u64, usize) {
+    let mut cur = Cursor::new(&frame[6..]);
+    let body_len = cur.read_varint("payload length").unwrap() as usize;
+    let at = cur.pos();
+    let raw_len = cur.read_varint("raw length").unwrap();
+    (raw_len, body_len - (cur.pos() - at))
+}
+
+proptest! {
+    /// Arbitrary and repetitive payloads round-trip through their frames.
+    #[test]
+    fn payloads_roundtrip_through_frames(payload in any_payload()) {
+        let frame = encode_frame(StreamId::Syscall, &payload);
+        let parsed = parse_frame(&frame).unwrap();
+        prop_assert_eq!(parsed.stream, StreamId::Syscall);
+        prop_assert_eq!(&*parsed.payload, payload.as_slice());
+        prop_assert_eq!(encode_frame(StreamId::Syscall, &parsed.payload), frame);
+    }
+
+    /// A packed frame is smaller than the plain one; otherwise the payload
+    /// is stored plain.
+    #[test]
+    fn packed_frames_are_never_larger(payload in any_payload()) {
+        let frame = encode_frame(StreamId::Syscall, &payload);
+        if frame[5] & PACKED != 0 {
+            prop_assert!(frame.len() < plain_frame_len(&payload));
+        } else {
+            prop_assert_eq!(frame.len(), plain_frame_len(&payload));
+        }
+    }
+
+    /// Every packed frame declares at most `MAX_EXPANSION` raw bytes per
+    /// block byte, so the decoder's bound never refuses what the encoder
+    /// wrote, even for a long run of one byte.
+    #[test]
+    fn packed_frames_stay_within_max_expansion(
+        payload in prop_oneof![any_payload(), (any::<u8>(), 64usize..100_000).prop_map(|(b, n)| vec![b; n])],
+    ) {
+        let frame = encode_frame(StreamId::Syscall, &payload);
+        if frame[5] & PACKED != 0 {
+            let (raw_len, block) = packed_body(&frame);
+            prop_assert_eq!(raw_len, payload.len() as u64);
+            prop_assert!(raw_len <= MAX_EXPANSION * block as u64, "{} raw bytes in {}", raw_len, block);
+        }
     }
 }
 

@@ -84,7 +84,7 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// A demo exercising every stream and every payload encoder: periodic
 /// and broken queue runs, interned and distinct syscall kinds,
 /// compressible and incompressible buffers. Its QUEUE and SYSCALL
-/// payloads are stored LZ77-packed, its HEADER and ASYNC ones plain
+/// payloads are stored packed, its HEADER and ASYNC ones plain
 /// (`full_demo_has_packed_and_plain_frames`).
 fn full_demo() -> Demo {
     let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 40398]));
@@ -316,39 +316,215 @@ fn frame(version: u64, id: u8, payload: &[u8]) -> Vec<u8> {
     f
 }
 
-/// A packed payload: declared raw length, then LZ77 sequences.
-fn packed(raw_len: u64, sequences: &[u8]) -> Vec<u8> {
+/// A packed payload: declared raw length, then a DEFLATE block.
+fn packed(raw_len: u64, block: &[u8]) -> Vec<u8> {
     let mut p = Vec::new();
     write_varint(&mut p, raw_len);
-    p.extend_from_slice(sequences);
+    p.extend_from_slice(block);
     p
 }
 
-/// Appends the LZ77 extension bytes of a length whose token nibble is
-/// `len.min(15)`.
-fn push_len_ext(out: &mut Vec<u8>, len: usize) {
-    if len >= 15 {
-        let mut rest = len - 15;
-        while rest >= 255 {
-            out.push(255);
-            rest -= 255;
+// A test-side writer for raw-DEFLATE blocks (RFC 1951), well formed or
+// not, independent of the crate's encoder.
+
+const LEN_BASE: [usize; 29] = [
+    3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115, 131,
+    163, 195, 227, 258,
+];
+const LEN_EXTRA: [u32; 29] = [
+    0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0,
+];
+const DIST_BASE: [usize; 30] = [
+    1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025, 1537,
+    2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577,
+];
+const CL_ORDER: [usize; 19] = [
+    16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
+];
+
+/// An LSB-first bit writer.
+#[derive(Default)]
+struct Bits {
+    out: Vec<u8>,
+    acc: u64,
+    n: u32,
+}
+
+impl Bits {
+    fn put(&mut self, value: usize, count: u32) -> &mut Self {
+        self.acc |= (value as u64) << self.n;
+        self.n += count;
+        while self.n >= 8 {
+            self.out.push(self.acc as u8);
+            self.acc >>= 8;
+            self.n -= 8;
         }
-        out.push(rest as u8);
+        self
+    }
+
+    /// A Huffman code, which goes most significant bit first.
+    fn code(&mut self, (code, len): (usize, u32)) -> &mut Self {
+        self.put((code as u32).reverse_bits() as usize >> (32 - len), len)
+    }
+
+    fn done(&mut self) -> Vec<u8> {
+        if self.n > 0 {
+            self.out.push(self.acc as u8);
+        }
+        std::mem::take(&mut self.out)
     }
 }
 
+/// The fixed code of literal/length symbol `sym` (RFC 1951 §3.2.6).
+fn fixed(sym: usize) -> (usize, u32) {
+    match sym {
+        0..=143 => (0x30 + sym, 8),
+        144..=255 => (0x190 + sym - 144, 9),
+        256..=279 => (sym - 256, 7),
+        _ => (0xC0 + sym - 280, 8),
+    }
+}
+
+/// The symbol index, extra bits value and extra bit count of a match
+/// length or distance.
+fn length_code(len: usize) -> (usize, usize, u32) {
+    let s = LEN_BASE.partition_point(|&b| b <= len) - 1;
+    (s, len - LEN_BASE[s], LEN_EXTRA[s])
+}
+
+fn distance_code(dist: usize) -> (usize, usize, u32) {
+    let s = DIST_BASE.partition_point(|&b| b <= dist) - 1;
+    (s, dist - DIST_BASE[s], (s as u32 / 2).saturating_sub(1))
+}
+
+/// Canonical codes for `lens` (RFC 1951 §3.2.2).
+fn canonical(lens: &[u32]) -> Vec<usize> {
+    let mut count = [0usize; 16];
+    for &l in lens.iter().filter(|&&l| l > 0) {
+        count[l as usize] += 1;
+    }
+    let mut next = [0usize; 16];
+    for len in 1..16 {
+        next[len] = (next[len - 1] + count[len - 1]) << 1;
+    }
+    lens.iter()
+        .map(|&l| {
+            let c = next[l as usize];
+            next[l as usize] += 1;
+            c
+        })
+        .collect()
+}
+
+/// One element of a crafted fixed block.
+#[derive(Clone, Copy)]
+enum Tok {
+    Lit(u8),
+    /// A match: length, distance.
+    Copy(usize, usize),
+    /// A literal/length symbol, raw (the fixed code assigns 286-287).
+    Sym(usize),
+    /// A match of three at raw distance code `d` (the fixed code
+    /// assigns 30-31).
+    DistCode(usize),
+    End,
+}
+
+/// A final block under the fixed code.
+fn fixed_block(toks: &[Tok]) -> Vec<u8> {
+    let mut b = Bits::default();
+    b.put(0b011, 3);
+    for &t in toks {
+        match t {
+            Tok::Lit(x) => b.code(fixed(usize::from(x))),
+            Tok::Copy(len, dist) => {
+                let (s, x, n) = length_code(len);
+                b.code(fixed(257 + s)).put(x, n);
+                let (s, x, n) = distance_code(dist);
+                b.code((s, 5)).put(x, n)
+            }
+            Tok::Sym(sym) => b.code(fixed(sym)),
+            Tok::DistCode(d) => b.code(fixed(257)).code((d, 5)),
+            Tok::End => b.code(fixed(256)),
+        };
+    }
+    b.done()
+}
+
+/// A complete code-length code over the symbols the crafted dynamic
+/// headers use: 0 in two bits; 1, 2, 5, 16, 17 and 18 in three.
+const CL: [u32; 19] = [2, 3, 3, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 3];
+
+/// Starts a final dynamic block: HLIT and HDIST, the code-length code
+/// `cl` (all 19 entries), then `lens`, code-length symbols with their
+/// extra bits, coded by `cl`. The literal/length and distance codes the
+/// lengths describe follow.
+fn dynamic_header(
+    b: &mut Bits,
+    hlit: usize,
+    hdist: usize,
+    cl: &[u32; 19],
+    lens: &[(usize, usize)],
+) {
+    b.put(0b101, 3)
+        .put(hlit - 257, 5)
+        .put(hdist - 1, 5)
+        .put(15, 4);
+    for s in CL_ORDER {
+        b.put(cl[s] as usize, 3);
+    }
+    let codes = canonical(cl);
+    for &(sym, extra) in lens {
+        b.code((codes[sym], cl[sym]));
+        match sym {
+            16 => b.put(extra, 2),
+            17 => b.put(extra, 3),
+            18 => b.put(extra, 7),
+            _ => b,
+        };
+    }
+}
+
+/// Code-length symbols, each with its extra bits value.
+type ClSyms = Vec<(usize, usize)>;
+
+/// Code-length symbols for `n` zero lengths.
+fn zeros(mut n: usize) -> ClSyms {
+    let mut out = Vec::new();
+    while n >= 11 {
+        let r = n.min(138);
+        out.push((18, r - 11));
+        n -= r;
+    }
+    if n >= 3 {
+        out.push((17, n - 3));
+        n = 0;
+    }
+    out.extend(std::iter::repeat_n((0, 0), n));
+    out
+}
+
+/// Code-length symbols for 257 literal/length lengths: `a` for `'a'`,
+/// `b` for `'b'`, `eob` for the end-of-block, zero elsewhere.
+fn lit_lens(a: usize, b: usize, eob: usize) -> ClSyms {
+    let mut out = zeros(97);
+    out.extend([(a, 0), (b, 0)]);
+    out.extend(zeros(256 - 99));
+    out.push((eob, 0));
+    out
+}
+
 /// `payload` framed as stream `id` twice: stored plain, and stored
-/// packed as one LZ77 literal run.
+/// packed as one fixed block of literals.
 fn plain_and_packed(id: StreamId, payload: &[u8]) -> [Vec<u8>; 2] {
-    let mut run = vec![(payload.len().min(15) as u8) << 4];
-    push_len_ext(&mut run, payload.len());
-    run.extend_from_slice(payload);
+    let mut toks: Vec<Tok> = payload.iter().map(|&b| Tok::Lit(b)).collect();
+    toks.push(Tok::End);
     [
         frame(CODEC_VERSION, id as u8, payload),
         frame(
             CODEC_VERSION,
             id as u8 | PACKED,
-            &packed(payload.len() as u64, &run),
+            &packed(payload.len() as u64, &fixed_block(&toks)),
         ),
     ]
 }
@@ -382,27 +558,222 @@ fn codec_err(file: &str, bytes: Vec<u8>) -> CodecError {
 
 const QUEUE: u8 = StreamId::Queue as u8;
 
+/// The codec error of a packed QUEUE frame declaring `raw_len` raw
+/// bytes and holding `block`.
+fn block_err(raw_len: u64, block: &[u8]) -> CodecError {
+    codec_err(
+        "QUEUE",
+        frame(CODEC_VERSION, QUEUE | PACKED, &packed(raw_len, block)),
+    )
+}
+
+fn invalid_saying(err: &CodecError, words: &str) -> bool {
+    matches!(err, CodecError::Invalid { what, .. } if what.contains(words))
+}
+
 #[test]
 fn lz77_distance_outside_the_output_is_typed() {
-    // One literal byte, then a match at distance 0, and at distance 2
-    // (one past the single byte decoded).
-    for dist in [0u8, 2] {
-        let payload = packed(8, &[0x10, 0, dist]);
-        let err = codec_err("QUEUE", frame(CODEC_VERSION, QUEUE | PACKED, &payload));
-        assert!(
-            matches!(&err, CodecError::Invalid { what, .. } if what.contains("distance")),
-            "distance {dist}: {err}"
-        );
+    // A match before any byte is decoded, and one at distance 2 after a
+    // single literal.
+    for toks in [
+        &[Tok::Copy(3, 1), Tok::End][..],
+        &[Tok::Lit(0), Tok::Copy(3, 2), Tok::End],
+    ] {
+        let err = block_err(8, &fixed_block(toks));
+        assert!(invalid_saying(&err, "distance"), "{err}");
     }
 }
 
 #[test]
 fn lz77_match_past_the_declared_length_is_typed() {
-    // One literal and a 4-byte match cannot fit in 4 declared bytes.
-    let payload = packed(4, &[0x10, 0, 1]);
-    let err = codec_err("QUEUE", frame(CODEC_VERSION, QUEUE | PACKED, &payload));
+    // One literal and a 4-byte match cannot fit in 4 declared bytes, nor
+    // a third literal in 2.
+    let err = block_err(4, &fixed_block(&[Tok::Lit(0), Tok::Copy(4, 1), Tok::End]));
     assert!(
-        matches!(&err, CodecError::Invalid { what, .. } if what.contains("past the declared")),
+        invalid_saying(&err, "match of 4 bytes runs past the declared raw length 4"),
+        "{err}"
+    );
+    let abc = [Tok::Lit(b'a'), Tok::Lit(b'b'), Tok::Lit(b'c'), Tok::End];
+    let err = block_err(2, &fixed_block(&abc));
+    assert!(
+        invalid_saying(&err, "literal runs past the declared raw length 2"),
+        "{err}"
+    );
+}
+
+#[test]
+fn block_types_outside_the_subset_are_typed() {
+    // BFINAL, then BTYPE: a stored block, a reserved one, and a fixed
+    // block that is not the last.
+    for (header, words) in [
+        (0b001, "stored block"),
+        (0b111, "reserved type 3"),
+        (0b010, "not the final one"),
+    ] {
+        let block = Bits::default().put(header, 3).put(0, 13).done();
+        let err = block_err(1, &block);
+        assert!(
+            matches!(&err, CodecError::Invalid { what, offset: 1 } if what.contains(words)),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn bad_code_lengths_are_typed() {
+    let ab = lit_lens(1, 1, 0);
+    let cases: Vec<(usize, [u32; 19], ClSyms, &str)> = vec![
+        // The code-length code itself: three one-bit codes, and one.
+        (
+            1,
+            [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            vec![],
+            "over-subscribed code length",
+        ),
+        (
+            1,
+            [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            vec![],
+            "incomplete code length",
+        ),
+        // Literal/length codes: `a` in one bit and the end-of-block in
+        // two leave a quarter of the code space unused; `a`, `b` and the
+        // end-of-block in one bit each overfill it.
+        (
+            1,
+            CL,
+            [lit_lens(1, 0, 2), vec![(1, 0)]].concat(),
+            "incomplete literal/length",
+        ),
+        (
+            1,
+            CL,
+            [lit_lens(1, 1, 1), vec![(1, 0)]].concat(),
+            "over-subscribed literal/length",
+        ),
+        // No end-of-block code at all.
+        (
+            1,
+            CL,
+            [ab.clone(), vec![(1, 0)]].concat(),
+            "no end-of-block code",
+        ),
+        // Distance codes: three one-bit codes, and two two-bit codes
+        // (incomplete, and not RFC 1951's single one-bit code).
+        (
+            3,
+            CL,
+            [lit_lens(1, 0, 1), vec![(1, 0); 3]].concat(),
+            "over-subscribed distance",
+        ),
+        (
+            2,
+            CL,
+            [lit_lens(1, 0, 1), vec![(2, 0); 2]].concat(),
+            "incomplete distance",
+        ),
+        // A repeat of the previous length before there is one, and a
+        // run of zeros past the 258 lengths.
+        (1, CL, vec![(16, 0)], "repeat with no previous length"),
+        (
+            1,
+            CL,
+            [zeros(250), vec![(18, 0)]].concat(),
+            "runs past the 258 lengths",
+        ),
+    ];
+    for (hdist, cl, lens, words) in cases {
+        let mut b = Bits::default();
+        dynamic_header(&mut b, 257, hdist, &cl, &lens);
+        let err = block_err(1, &b.put(0, 16).done());
+        assert!(invalid_saying(&err, words), "{words}: {err}");
+    }
+}
+
+#[test]
+fn single_and_empty_distance_codes_load() {
+    // RFC 1951's two incomplete distance codes: one one-bit code, and
+    // none at all for a block of literals. `a` and the end-of-block take
+    // a bit each: `0` and `1`.
+    for dist in [(1, 0), (0, 0)] {
+        let mut b = Bits::default();
+        dynamic_header(
+            &mut b,
+            257,
+            1,
+            &CL,
+            &[lit_lens(1, 0, 1), vec![dist]].concat(),
+        );
+        let block = b.put(0b00, 2).put(0b1, 1).done();
+        let payload = packed(2, &block);
+        let mut map = full_demo().to_bytes_map();
+        map.insert(
+            "ALLOC".to_owned(),
+            frame(CODEC_VERSION, StreamId::Alloc as u8 | PACKED, &payload),
+        );
+        // Two `a`s: an ALLOC count of 97 in no bytes is refused typed,
+        // after the block decoded.
+        match load(&map).unwrap_err() {
+            DemoLoadError::Codec {
+                err:
+                    CodecError::TooLarge {
+                        what, declared: 97, ..
+                    },
+                ..
+            } => assert_eq!(what, "ALLOC count"),
+            other => panic!("{dist:?}: {other}"),
+        }
+    }
+}
+
+#[test]
+fn symbols_outside_the_alphabets_are_typed() {
+    // HLIT and HDIST that would make 286-287 or 30-31 codes.
+    for (hlit, hdist, words) in [(287, 1, "286-287"), (288, 1, "286-287"), (257, 31, "30-31")] {
+        let mut b = Bits::default();
+        dynamic_header(&mut b, hlit, hdist, &CL, &[]);
+        let err = block_err(1, &b.put(0, 16).done());
+        assert!(invalid_saying(&err, words), "{hlit}/{hdist}: {err}");
+    }
+    // The fixed code assigns them; a block may not use them.
+    for (toks, words) in [
+        ([Tok::Sym(286), Tok::End], "literal/length symbol 286"),
+        ([Tok::Sym(287), Tok::End], "literal/length symbol 287"),
+        ([Tok::DistCode(30), Tok::End], "distance code 30"),
+        ([Tok::DistCode(31), Tok::End], "distance code 31"),
+    ] {
+        let err = block_err(8, &fixed_block(&toks));
+        assert!(invalid_saying(&err, words), "{err}");
+    }
+}
+
+#[test]
+fn block_ends_are_typed() {
+    let ab = [Tok::Lit(b'a'), Tok::Lit(b'b')];
+    // No end-of-block: the bits run out.
+    assert!(matches!(
+        block_err(2, &fixed_block(&ab)),
+        CodecError::Truncated {
+            what: "literal/length code",
+            ..
+        }
+    ));
+    // A byte after the end-of-block.
+    let mut block = fixed_block(&[ab[0], ab[1], Tok::End]);
+    let end = block.len();
+    block.push(0);
+    let err = block_err(2, &block);
+    assert_eq!(err, CodecError::TrailingBytes { offset: 1 + end });
+    // An end-of-block short of the declared length.
+    let err = block_err(3, &fixed_block(&[ab[0], ab[1], Tok::End]));
+    assert!(
+        matches!(
+            err,
+            CodecError::Truncated {
+                what: "packed payload",
+                ..
+            }
+        ),
         "{err}"
     );
 }
@@ -532,6 +903,21 @@ fn v1_and_v2_frames_are_refused_unread() {
 }
 
 #[test]
+fn v3_frames_are_refused_unread() {
+    // A v3 QUEUE frame as v3 wrote it, checksum valid: its payload packed
+    // as LZ4-style sequences (raw length 9, then two literals and a
+    // 7-byte match at distance 1), which v4 does not read.
+    let v3 = [
+        0x53, 0x52, 0x52, 0x42, 0x03, 0x81, 0x05, 0x09, 0x23, 0x07, 0x00, 0x01, 0x36, 0x31, 0x53,
+        0xfe, 0x8f, 0x9d, 0xd1, 0x03,
+    ];
+    assert_eq!(
+        codec_err("QUEUE", v3.to_vec()),
+        CodecError::UnsupportedVersion(3)
+    );
+}
+
+#[test]
 fn hostile_queue_runs_are_typed() {
     // No first ticks, then `runs` as (step, length) pairs.
     let queue = |runs: &[(u64, u64)]| {
@@ -619,23 +1005,76 @@ fn hostile_queue_runs_are_typed() {
 }
 
 /// A packed frame for stream `id` whose raw payload is `head` and then
-/// `unit` repeated to `len` bytes, written as the head and one `unit` as
-/// literals and one match at distance `unit.len()` whose length
-/// extension is all 255s: as close to 255 raw bytes per packed byte as
-/// a frame gets. Returns the frame and its raw length.
+/// `unit` repeated to `len` bytes: as close to 255 raw bytes per packed
+/// byte as a frame gets. Its dynamic code gives every symbol it uses
+/// five bits, and its one distance code (17-24, three extra bits) one
+/// bit, so each 258-byte match takes nine bits, 229 raw bytes a packed
+/// byte; a match in eight would pass `MAX_EXPANSION`. Returns the frame
+/// and its raw length.
 fn repeat_frame(id: StreamId, head: &[u8], unit: &[u8], len: usize) -> (Vec<u8>, usize) {
-    let literals = head.len() + unit.len();
-    let mut seq = vec![(literals.min(15) as u8) << 4 | 0x0F];
-    push_len_ext(&mut seq, literals);
-    seq.extend_from_slice(head);
-    seq.extend_from_slice(unit);
-    write_varint(&mut seq, unit.len() as u64); // distance: repeat the unit
-    push_len_ext(&mut seq, len - unit.len() - 4);
+    let dist = 17usize.div_ceil(unit.len()) * unit.len();
+    assert!(dist <= 24, "no multiple of {} in 17-24", unit.len());
+    let pattern = |k: usize| unit[k % unit.len()];
+    let (matches, tail) = ((len - dist) / 258, (len - dist) % 258);
+    assert!(tail == 0 || tail >= 3, "tail of {tail}");
+    let tail_sym = 257 + length_code(tail.max(3)).0;
+    let mut used: Vec<usize> = head.iter().chain(unit).map(|&b| usize::from(b)).collect();
+    used.extend([256, 285, tail_sym]);
+    used.sort_unstable();
+    used.dedup();
+    // Fill the code out to 32 five-bit codes with symbols never sent.
+    for filler in 257..285 {
+        if used.len() < 32 && !used.contains(&filler) {
+            used.push(filler);
+        }
+    }
+    assert_eq!(used.len(), 32, "{} symbols do not fit", used.len());
+    let mut lit = [0u32; 286];
+    for &s in &used {
+        lit[s] = 5;
+    }
+    let mut lens = Vec::new();
+    let mut i = 0;
+    while i < 286 {
+        let run = lit[i..].iter().take_while(|&&l| l == lit[i]).count();
+        if lit[i] == 0 {
+            lens.extend(zeros(run));
+        } else {
+            lens.extend(std::iter::repeat_n((5, 0), run));
+        }
+        i += run;
+    }
+    let (dsym, dx, dn) = distance_code(dist);
+    lens.extend(zeros(dsym));
+    lens.push((1, 0));
+    let cl: [u32; 19] = [2, 3, 3, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 3];
+    let mut b = Bits::default();
+    dynamic_header(&mut b, 286, dsym + 1, &cl, &lens);
+    let codes = canonical(&lit);
+    let sym = |b: &mut Bits, s: usize| {
+        b.code((codes[s], 5));
+    };
+    for &x in head {
+        sym(&mut b, usize::from(x));
+    }
+    for k in 0..dist {
+        sym(&mut b, usize::from(pattern(k)));
+    }
+    for _ in 0..matches {
+        sym(&mut b, 285);
+        b.code((0, 1)).put(dx, dn);
+    }
+    if tail > 0 {
+        let (s, x, n) = length_code(tail);
+        sym(&mut b, 257 + s);
+        b.put(x, n).code((0, 1)).put(dx, dn);
+    }
+    sym(&mut b, 256);
     let raw_len = head.len() + len;
     let bytes = frame(
         CODEC_VERSION,
         id as u8 | PACKED,
-        &packed(raw_len as u64, &seq),
+        &packed(raw_len as u64, &b.done()),
     );
     (bytes, raw_len)
 }

@@ -8,6 +8,7 @@
 
 use sparse_rr::apps::game::netplay::{netplay_client, record_until_bug, NetPlayParams};
 use sparse_rr::apps::harness::Tool;
+use sparse_rr::substrates::replay::StreamId;
 use sparse_rr::tsan11rec::{Execution, SparseConfig};
 
 fn main() {
@@ -30,10 +31,11 @@ fn main() {
     {
         println!("  {line}");
     }
+    let stats = demo.stats();
     println!(
         "\ndemo: {} bytes total, {} bytes of syscall data, {} recorded syscalls",
-        demo.size_bytes(),
-        demo.syscall_bytes(),
+        stats.total_bytes(),
+        stats.stored_bytes(StreamId::Syscall),
         demo.syscalls.len()
     );
 
