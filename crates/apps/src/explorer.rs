@@ -78,7 +78,7 @@ impl FarmStrategy {
     /// strategy records).
     #[must_use]
     pub fn config(self, seed: u64) -> tsan11rec::Config {
-        self.tool.config([seed, seed.wrapping_mul(0x9E37) + 1])
+        self.tool.config(crate::harness::seed_pair(seed))
     }
 }
 

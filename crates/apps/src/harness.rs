@@ -112,6 +112,13 @@ impl fmt::Display for Tool {
     }
 }
 
+/// The PRNG seed pair the CLI, the explore farm and the tests derive
+/// from one user-facing seed.
+#[must_use]
+pub fn seed_pair(seed: u64) -> [u64; 2] {
+    [seed, seed.wrapping_mul(0x9E37) + 1]
+}
+
 /// The outcome of one measured run.
 #[derive(Debug)]
 pub struct RunResult {

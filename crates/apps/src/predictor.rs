@@ -200,7 +200,8 @@ mod tests {
         }
         /// Both predictions start from `demo`'s one schedule: plan
         /// filtering must not change a verdict, whichever schedule that is.
-        fn check<P, F>(name: &str, demo: Demo, make: F)
+        /// Returns the plain events the plan filtered from the trace.
+        fn check<P, F>(name: &str, demo: Demo, make: F) -> u64
         where
             F: Fn() -> P,
             P: FnOnce() + Send + 'static,
@@ -224,15 +225,20 @@ mod tests {
                 "{name}: {:?}",
                 planned.record.plan.unplanned
             );
+            planned.record.plan.filtered_events
         }
         fn recorded<P: FnOnce() + Send + 'static>(program: P) -> Demo {
             let config = Tool::Queue.config([7, 11]).with_access_trace();
             Execution::new(config).record(program).1
         }
-        check(
+        let filtered = check(
             "hidden_handoff",
             hidden_handoff_recording(),
             hazards::hidden_handoff,
+        );
+        assert!(
+            filtered > 0,
+            "the plan filters hidden_handoff's proven sites"
         );
         check(
             "atomic_guard",

@@ -141,3 +141,21 @@ pub fn fixture_dir(strategy: &str) -> PathBuf {
         .join("tests/fixtures/sched")
         .join(strategy)
 }
+
+/// Compares `actual` with the golden file `tests/fixtures/cli/<name>`;
+/// with `UPDATE_GOLDEN=1` the run rewrites the file first.
+pub fn assert_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/cli")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).expect("golden file is writable");
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    assert!(
+        expected == actual,
+        "{} drifted (UPDATE_GOLDEN=1 regenerates it)\n--- expected\n{expected}--- actual\n{actual}",
+        path.display()
+    );
+}

@@ -53,7 +53,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use srr_apps::harness::Tool;
+use srr_apps::harness::{seed_pair, Tool};
 use srr_apps::parsec::{fluidanimate, ParsecParams};
 use srr_apps::{hazards, httpd};
 use srr_replay::codec::{fnv1a64, parse_frame, write_varint, CODEC_VERSION, MAGIC, PACKED};
@@ -70,7 +70,7 @@ const SEED: u64 = 7;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn seeds() -> [u64; 2] {
-    [SEED, SEED.wrapping_mul(0x9E37) + 1]
+    seed_pair(SEED)
 }
 
 fn config_for(tool: Tool) -> Config {

@@ -6,7 +6,12 @@
 //! * the on-disk corpus round-trips (INDEX + imported demos) and the
 //!   imported demos replay through `srr replay`;
 //! * `explore-worker` speaks the pipe protocol verbatim over
-//!   stdin/stdout.
+//!   stdin/stdout;
+//! * the signatures found on fixed seeds match
+//!   `fixtures/cli/explore_expected.txt` (`UPDATE_GOLDEN=1` regenerates
+//!   it): a missing one is a finding the farm lost.
+
+mod common;
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
@@ -17,11 +22,11 @@ fn srr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_srr"))
 }
 
-/// Runs `srr explore` with the given extra args and parses the JSON
-/// report from stdout.
-fn explore_json(extra: &[&str]) -> (Json, Option<i32>) {
+/// Runs `srr explore WORKLOAD` on the fixed seeds with the given extra
+/// args and parses the JSON report from stdout.
+fn explore_workload(workload: &str, extra: &[&str]) -> (Json, Option<i32>) {
     let out = srr()
-        .args(["explore", "barrier", "--runs", "24", "--shard", "6"])
+        .args(["explore", workload, "--runs", "24", "--shard", "6"])
         .args(["--strategies", "rnd,queue", "--json"])
         .args(extra)
         .output()
@@ -50,9 +55,9 @@ fn signature_set(doc: &Json) -> Vec<String> {
 
 #[test]
 fn worker_count_is_invisible_in_the_results() {
-    let (serial, code1) = explore_json(&["--workers", "1"]);
-    let (parallel, code2) = explore_json(&["--workers", "2"]);
-    let (wide, code4) = explore_json(&["--workers", "4"]);
+    let (serial, code1) = explore_workload("barrier", &["--workers", "1"]);
+    let (parallel, code2) = explore_workload("barrier", &["--workers", "2"]);
+    let (wide, code4) = explore_workload("barrier", &["--workers", "4"]);
 
     let sigs = signature_set(&serial);
     assert!(!sigs.is_empty(), "barrier races within 24 seeds");
@@ -75,10 +80,26 @@ fn worker_count_is_invisible_in_the_results() {
 }
 
 #[test]
+fn explore_signatures_match_their_golden() {
+    let mut golden = String::new();
+    for workload in ["barrier", "dekker-fences"] {
+        let (doc, code) = explore_workload(workload, &["--workers", "1"]);
+        assert_eq!(code, Some(2), "{workload}: known races found");
+        for sig in signature_set(&doc) {
+            golden.push_str(&format!("{workload} {sig}\n"));
+        }
+    }
+    common::assert_golden("explore_expected.txt", &golden);
+}
+
+#[test]
 fn corpus_persists_and_its_demos_replay() {
     let dir = std::env::temp_dir().join(format!("srr-explore-corpus-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (doc, _) = explore_json(&["--workers", "2", "--corpus", dir.to_str().unwrap()]);
+    let (doc, _) = explore_workload(
+        "barrier",
+        &["--workers", "2", "--corpus", dir.to_str().unwrap()],
+    );
 
     let index = std::fs::read_to_string(dir.join("INDEX")).expect("corpus INDEX written");
     assert_eq!(
@@ -117,7 +138,10 @@ fn corpus_persists_and_its_demos_replay() {
 
     // Reopening the corpus with more of the same seeds keeps it stable:
     // no signature vanishes, winners only improve.
-    let (_, _) = explore_json(&["--workers", "1", "--corpus", dir.to_str().unwrap()]);
+    let (_, _) = explore_workload(
+        "barrier",
+        &["--workers", "1", "--corpus", dir.to_str().unwrap()],
+    );
     let reindex = std::fs::read_to_string(dir.join("INDEX")).expect("INDEX survives reopening");
     assert!(reindex.lines().count() >= index.lines().count());
     let _ = std::fs::remove_dir_all(&dir);

@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use srr_apps::harness::Tool;
+use srr_apps::harness::{seed_pair, Tool};
 use srr_apps::hazards;
 use srr_apps::predictor::{replay_prediction, run_prediction};
 use srr_predict::Classification;
@@ -144,7 +144,7 @@ proptest! {
     /// did fire at the predicted pair — re-replaying it reproduces both.
     #[test]
     fn confirmed_witnesses_replay_without_hard_desync(seed in 1u64..50) {
-        let seeds = [seed, seed.wrapping_mul(0x9E37) + 1];
+        let seeds = seed_pair(seed);
         let run = run_prediction(seeds, hazards::hidden_handoff);
         for race in &run.predictions.races {
             if race.classification != Classification::Confirmed {

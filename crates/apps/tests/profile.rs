@@ -2,12 +2,16 @@
 //! plane through the real `srr` binary and the library API:
 //!
 //! * `srr profile --json` over the committed httpd demo is byte-identical
-//!   across runs and its bucket totals sum exactly to the tick count;
+//!   across runs, its bucket totals sum exactly to the tick count, and
+//!   its ranking matches `fixtures/cli/profile_expected.txt`
+//!   (`UPDATE_GOLDEN=1` regenerates it);
 //! * `-o`/`--folded` route output to files and leave stdout clean;
 //! * `srr explore --metrics-out` leaves metrics.json + metrics.prom;
 //! * `Config::with_metrics` publishes scheduler counters and vOS gauges
 //!   onto a caller-owned registry;
 //! * `PredictReport::publish_metrics` mirrors the prediction totals.
+
+mod common;
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -84,6 +88,19 @@ fn profile_json_is_exact_ranked_and_byte_identical() {
         .map(|b| b.get("share").and_then(Json::as_f64).expect("share"))
         .sum();
     assert!((shares - 1.0).abs() < 1e-9, "shares sum to 1, got {shares}");
+    // The ranking is in logical time only, so it is exact: a drift means
+    // the attribution rules or the replay itself changed.
+    let ranking: String = buckets
+        .iter()
+        .zip(&ticks)
+        .map(|(b, t)| {
+            format!(
+                "{} {t}\n",
+                b.get("name").and_then(Json::as_str).expect("name")
+            )
+        })
+        .collect();
+    common::assert_golden("profile_expected.txt", &ranking);
 }
 
 #[test]

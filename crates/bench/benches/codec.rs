@@ -17,6 +17,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use srr_apps::harness::seed_pair;
 use srr_apps::{hazards, httpd};
 use srr_bench::report::{BenchReport, BenchRow, Json};
 use srr_bench::{banner, bench_runs, quick_mode, Stats, TablePrinter, Tool};
@@ -40,7 +41,7 @@ const HAZARDS: [Hazard; 9] = [
 ];
 
 fn record_hazard(make: fn() -> Box<dyn FnOnce() + Send>, seed: u64) -> Demo {
-    let seeds = [seed, seed.wrapping_mul(0x9E37) + 1];
+    let seeds = seed_pair(seed);
     let cfg = Tool::RndRec.config(seeds).without_liveness();
     Execution::new(cfg).record(make()).1
 }

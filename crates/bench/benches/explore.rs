@@ -2,7 +2,7 @@
 //! seed×strategy space, and how quickly it surfaces the first confirmed
 //! race — the paper's "thousands of controlled runs per minute" claim as
 //! a tracked number. Emits `BENCH_explore.json` for the CI gate
-//! (`ci/check_explore.sh`).
+//! (`ci/check_bench.sh`).
 //!
 //! Two measurements:
 //!

@@ -1,11 +1,12 @@
 //! Causal-profiler overhead: what `srr profile` costs on top of a plain
 //! replay, and what an attached metrics registry costs a normal run.
-//! Emits `BENCH_profile.json` for the CI gate (`ci/check_profile.sh`).
+//! Emits `BENCH_profile.json` for the CI gate (`ci/check_bench.sh`).
 //!
 //! Three measurements over the httpd-sim workload:
 //!
 //! * **plain replay** — the committed httpd demo (the one
-//!   `ci/check_profile.sh` profiles) replayed with every trace plane off
+//!   `profile_json_is_exact_ranked_and_byte_identical` profiles) replayed
+//!   with every trace plane off
 //!   (the baseline `srr replay` path);
 //! * **profiled replay** — the same demo with the schedule and sync
 //!   classes traced, plus the critical-path walk itself (the full

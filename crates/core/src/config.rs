@@ -304,10 +304,6 @@ pub struct Config {
     /// Liveness reschedule interval (§3.3); `None` disables the
     /// background rescheduler.
     pub liveness: Option<Duration>,
-    /// Per-location store-history bound for the weak memory model.
-    pub history_cap: usize,
-    /// Thread that receives asynchronous process-directed signals.
-    pub signal_target: u32,
     /// Record the allocator's address stream (comprehensive, rr-style
     /// recorders only — sparse tsan11rec deliberately does not, §5.5).
     pub record_alloc: bool,
@@ -350,8 +346,6 @@ impl Config {
             report_races: true,
             sparse: SparseConfig::paper_default(),
             liveness: Some(Duration::from_millis(10)),
-            history_cap: srr_memmodel::DEFAULT_HISTORY_CAP,
-            signal_target: 0,
             record_alloc: false,
             detect_races: true,
             trace: None,
@@ -386,13 +380,6 @@ impl Config {
     #[must_use]
     pub fn without_liveness(mut self) -> Self {
         self.liveness = None;
-        self
-    }
-
-    /// Sets the signal target thread.
-    #[must_use]
-    pub fn with_signal_target(mut self, tid: u32) -> Self {
-        self.signal_target = tid;
         self
     }
 
@@ -570,12 +557,10 @@ mod tests {
         let c = Config::new(Mode::Tsan11Rec(Strategy::Queue))
             .with_seeds([1, 2])
             .without_reports()
-            .without_liveness()
-            .with_signal_target(2);
+            .without_liveness();
         assert_eq!(c.seeds, Some([1, 2]));
         assert!(!c.report_races);
         assert!(c.liveness.is_none());
-        assert_eq!(c.signal_target, 2);
         assert!(c.trace.is_none(), "tracing is off by default");
         let schedule = TraceSpec {
             schedule: true,

@@ -176,12 +176,6 @@ impl Execution {
                 .lock()
                 .set_target(label.clone(), *a as usize, *b as usize);
         }
-        if let Some(reg) = &metrics {
-            if rt.mode().is_controlled() {
-                rt.sched().enable_metrics(reg);
-            }
-        }
-
         // A replay reads the demo's streams in place: the scheduler and
         // the syscall cursor share them with the caller's demo.
         match (&rec_mode, demo) {
@@ -351,6 +345,19 @@ impl Execution {
             plan: rt.plan_counters(),
         };
         if let Some(reg) = &metrics {
+            if rt.mode().is_controlled() {
+                let c = &report.sched;
+                reg.counter("sched_wakeups_total").add(c.wakeups_issued);
+                reg.counter("sched_broadcasts_total").add(c.broadcasts);
+                reg.counter("sched_spurious_wakeups_total")
+                    .add(c.spurious_wakeups);
+                // A run raises the stall desync at most once: the check
+                // returns once the run has failed.
+                let stalled = matches!(&report.outcome,
+                    Outcome::HardDesync(d) if d.constraint == "schedule-stall");
+                reg.counter("sched_replay_stalls_total")
+                    .add(u64::from(stalled));
+            }
             vos.publish_metrics(reg);
             reg.gauge("run_ticks").set(report.ticks);
             reg.gauge("run_visible_ops").set(report.visible_ops);

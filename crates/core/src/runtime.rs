@@ -26,6 +26,9 @@ use crate::ids::{AtomicId, CondId, MutexId, Tid};
 use crate::prng::Prng;
 use crate::sched::{FailReason, SchedAbort, Scheduler};
 
+/// The thread that receives asynchronous process-directed signals.
+const SIGNAL_TARGET: Tid = Tid::MAIN;
+
 thread_local! {
     static CTX: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
 }
@@ -285,11 +288,10 @@ impl Runtime {
         if due.is_empty() {
             return;
         }
-        let target = Tid(self.config.signal_target);
         for signo in due {
             // During replay the scheduler ignores these; the SIGNAL
             // stream raises them instead.
-            self.sched().deliver_signal(target, signo, true);
+            self.sched().deliver_signal(SIGNAL_TARGET, signo, true);
         }
     }
 
@@ -298,10 +300,9 @@ impl Runtime {
         if due.is_empty() {
             return;
         }
-        let target = self.config.signal_target;
         self.free_pending
             .lock()
-            .entry(target)
+            .entry(SIGNAL_TARGET.0)
             .or_default()
             .extend(due);
     }
@@ -326,11 +327,7 @@ impl Runtime {
     pub fn register_atomic(&self, init: u64, view: &ThreadView) -> AtomicId {
         let mut mem = self.mem.lock();
         let id = AtomicId(mem.cells.len() as u32);
-        mem.cells.push(AtomicCell::with_capacity(
-            init,
-            view,
-            self.config.history_cap,
-        ));
+        mem.cells.push(AtomicCell::new(init, view));
         id
     }
 

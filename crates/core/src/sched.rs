@@ -195,18 +195,6 @@ struct SchedState {
     /// then a single `Option` check. `Obs` takes no locks besides its
     /// own, so it is a safe leaf under the scheduler mutex.
     obs: Option<Arc<Obs>>,
-    /// Handles onto the unified metrics plane (`Config::with_metrics`).
-    /// Pre-registered at enable time so the hot path is one `Option`
-    /// check plus a relaxed atomic bump — no registry lock.
-    metrics: Option<SchedMetrics>,
-}
-
-/// Scheduler counters mirrored onto the metrics registry.
-struct SchedMetrics {
-    wakeups: srr_obs::Counter,
-    broadcasts: srr_obs::Counter,
-    spurious: srr_obs::Counter,
-    stalls: srr_obs::Counter,
 }
 
 /// The controlled scheduler shared by all threads of one execution.
@@ -262,7 +250,6 @@ impl Scheduler {
                 broadcasts: 0,
                 spurious_wakeups: 0,
                 obs: None,
-                metrics: None,
             }),
         }
     }
@@ -275,18 +262,6 @@ impl Scheduler {
     /// Attaches the event-log collector for the schedule class.
     pub fn enable_obs(&self, obs: Arc<Obs>) {
         self.state.lock().obs = Some(obs);
-    }
-
-    /// Mirrors the scheduler counters onto the unified metrics plane.
-    /// Handles are registered once here; bumping them afterwards is a
-    /// single relaxed atomic op under the scheduler mutex.
-    pub fn enable_metrics(&self, registry: &srr_obs::MetricsRegistry) {
-        self.state.lock().metrics = Some(SchedMetrics {
-            wakeups: registry.counter("sched_wakeups_total"),
-            broadcasts: registry.counter("sched_broadcasts_total"),
-            spurious: registry.counter("sched_spurious_wakeups_total"),
-            stalls: registry.counter("sched_replay_stalls_total"),
-        });
     }
 
     /// Switches on replay from the given streams. The QUEUE stream is
@@ -351,9 +326,6 @@ impl Scheduler {
             }
             if slept {
                 g.spurious_wakeups += 1;
-                if let Some(m) = &g.metrics {
-                    m.spurious.inc();
-                }
             }
             g.threads[tid.index()].in_wait = true;
             g.in_wait_count += 1;
@@ -523,9 +495,6 @@ impl Scheduler {
             }
             if slept {
                 g.spurious_wakeups += 1;
-                if let Some(m) = &g.metrics {
-                    m.spurious.inc();
-                }
             }
             g.threads[tid.index()].in_wait = true;
             g.in_wait_count += 1;
@@ -806,12 +775,6 @@ impl Scheduler {
     /// Total critical sections executed.
     pub fn total_ticks(&self) -> u64 {
         self.state.lock().tick
-    }
-
-    /// Number of live (unfinished) threads.
-    #[allow(dead_code)]
-    pub fn live_threads(&self) -> usize {
-        self.state.lock().live
     }
 
     /// Extracts the recorded scheduling streams: `(QUEUE, SIGNAL, ASYNC)`.
@@ -1102,9 +1065,6 @@ impl SchedState {
         if let Some(t) = target {
             if self.threads[t.index()].in_wait {
                 self.wakeups_issued += 1;
-                if let Some(m) = &self.metrics {
-                    m.wakeups.inc();
-                }
                 if let Some(obs) = &self.obs {
                     obs.emit(t.0, self.tick, EventKind::Wakeup { target: t.0 });
                 }
@@ -1117,9 +1077,6 @@ impl SchedState {
     /// parked threads must observe (execution failure, replay stall).
     fn wake_all(&mut self) {
         self.broadcasts += 1;
-        if let Some(m) = &self.metrics {
-            m.broadcasts.inc();
-        }
         if let Some(obs) = &self.obs {
             obs.emit(u32::MAX, self.tick, EventKind::Broadcast);
         }
@@ -1168,9 +1125,6 @@ impl SchedState {
                     )
                 })
                 .collect();
-            if let Some(m) = &self.metrics {
-                m.stalls.inc();
-            }
             if let Some(obs) = &self.obs {
                 obs.emit(u32::MAX, self.tick, EventKind::Desync);
             }

@@ -8,26 +8,28 @@
 //! which workers race to report: the determinism half of the farm's
 //! worker-count invariance.
 //!
-//! On disk, a corpus directory holds an `INDEX` file (one protocol-style
-//! line per entry), a content-addressed [`DemoStore`] deduplicating the
-//! stream blobs across entries, and one subdirectory per entry that has
-//! a demo (stream files hard-linked out of the store, so entries stay
-//! directly replayable with `srr replay --demo`):
+//! On disk, a corpus directory is a content-addressed [`DemoStore`]:
+//! one store `INDEX` line per entry carries the entry's fields as
+//! percent-escaped labels beside its stream hashes, the blobs are shared
+//! across entries, and each entry that has a demo is materialized as a
+//! subdirectory (stream files hard-linked out of the store, so entries
+//! stay directly replayable with `srr replay --demo`). A recipe-only
+//! entry (a strategy that cannot record) has labels and no streams.
 //!
 //! ```text
 //! corpus/
-//!   INDEX
-//!   store/                          # blobs shared across entries
-//!     INDEX blobs/<hash>
+//!   INDEX                           # demo=<id> seed=3 sig=… … QUEUE=<hash> …
+//!   blobs/<hash>                    # shared across entries
 //!   race_counter_0,1_ww-a1b2c3d4/   # sanitized signature + fnv tag
-//!     HEADER QUEUE SYSCALL ...      # links into store/blobs
+//!     HEADER QUEUE SYSCALL ...      # links into blobs/
+//!   .spool/                         # the farm workers' finding demos
 //! ```
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use srr_replay::{Demo, DemoStore};
+use srr_replay::{Demo, DemoStore, Labels};
 
 use crate::protocol::Finding;
 use crate::signature::{escape, unescape, Signature};
@@ -72,7 +74,6 @@ pub enum Offered {
 /// The deduplicated corpus, optionally persisted to a directory.
 #[derive(Debug, Default)]
 pub struct Corpus {
-    dir: Option<PathBuf>,
     store: Option<DemoStore>,
     entries: BTreeMap<Signature, CorpusEntry>,
 }
@@ -84,39 +85,41 @@ impl Corpus {
         Corpus::default()
     }
 
-    /// Opens (or creates) an on-disk corpus, loading any existing INDEX
-    /// so repeated farm sessions accumulate.
+    /// Opens (or creates) an on-disk corpus, loading any existing
+    /// entries so repeated farm sessions accumulate.
     ///
     /// # Errors
     ///
-    /// Fails when the directory cannot be created or an existing INDEX
-    /// is unreadable or malformed.
+    /// Fails when the directory cannot be created or its store INDEX is
+    /// unreadable; a malformed INDEX line or entry reports as
+    /// [`io::ErrorKind::InvalidData`].
     pub fn open(dir: &Path) -> io::Result<Corpus> {
-        std::fs::create_dir_all(dir)?;
-        let mut corpus = Corpus {
-            dir: Some(dir.to_owned()),
-            store: Some(DemoStore::open(&dir.join("store"))?),
-            entries: BTreeMap::new(),
-        };
-        let index = dir.join("INDEX");
-        if index.exists() {
-            let text = std::fs::read_to_string(&index)?;
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                let (sig, entry) = parse_index_line(line).map_err(io::Error::other)?;
-                corpus.entries.insert(sig, entry);
-            }
+        let store = DemoStore::open(dir)?;
+        let mut entries = BTreeMap::new();
+        for id in store.ids() {
+            let (sig, entry) = entry_from_store(&store, id).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("corpus entry `{id}`: {e}"),
+                )
+            })?;
+            entries.insert(sig, entry);
         }
-        Ok(corpus)
+        Ok(Corpus {
+            store: Some(store),
+            entries,
+        })
     }
 
     /// Offers a finding; keeps it only when it is the first or the
     /// smallest reproduction of its signature. The winning demo (if any)
-    /// is copied from the worker's spool path into the corpus directory
+    /// is imported from the worker's spool path into the corpus store
     /// and a superseded demo is deleted.
     ///
     /// # Errors
     ///
-    /// Fails only on filesystem errors while copying or evicting demos.
+    /// Filesystem errors while importing or evicting demos; a spooled
+    /// demo that does not load reports as [`io::ErrorKind::InvalidData`].
     pub fn offer(&mut self, workload: &str, finding: &Finding) -> io::Result<Offered> {
         let candidate = CorpusEntry {
             workload: workload.to_owned(),
@@ -134,38 +137,26 @@ impl Corpus {
             return Ok(Offered::Kept);
         }
         let mut winner = candidate;
-        if let Some(dir) = self.dir.clone() {
-            // Evict the superseded demo before importing the new one.
-            let old_sub = self
-                .entries
-                .get(&finding.signature)
-                .and_then(|old| old.demo_subdir.clone());
-            if let Some(sub) = old_sub {
-                let _ = std::fs::remove_dir_all(dir.join(&sub));
-                if let Some(store) = self.store.as_mut() {
-                    let _ = store.remove(&sub);
-                }
-            }
-            if let Some(spool) = &finding.demo_path {
-                let subdir = entry_dir_name(&finding.signature);
-                let dest = dir.join(&subdir);
-                let _ = std::fs::remove_dir_all(&dest);
-                // Loadable demos go through the content-addressed store
-                // (streams shared byte-identically across entries) and
-                // are materialized back as a replayable directory.
-                // Spools that are not demo directories import verbatim.
-                match (Demo::load_dir(Path::new(spool)), self.store.as_mut()) {
-                    (Ok(demo), Some(store)) => {
-                        store.insert(&subdir, &demo)?;
-                        store.materialize(&subdir, &dest)?;
-                    }
-                    _ => copy_dir_flat(Path::new(spool), &dest)?,
-                }
-                winner.demo_subdir = Some(subdir);
+        if let Some(store) = self.store.as_mut() {
+            let demo = match &finding.demo_path {
+                Some(spool) => Some(Demo::load_dir(Path::new(spool)).map_err(|e| {
+                    io::Error::new(io::ErrorKind::InvalidData, format!("spool {spool}: {e}"))
+                })?),
+                None => None,
+            };
+            // One signature, one id: the new winner replaces the entry
+            // and its demo directory, and the store drops blobs only the
+            // superseded demo used.
+            let id = entry_dir_name(&finding.signature);
+            let dest = store.root().join(&id);
+            let _ = std::fs::remove_dir_all(&dest);
+            store.insert_labeled(&id, &labels(&finding.signature, &winner), demo.as_ref())?;
+            if demo.is_some() {
+                store.materialize(&id, &dest)?;
+                winner.demo_subdir = Some(id);
             }
         }
         self.entries.insert(finding.signature.clone(), winner);
-        self.save()?;
         Ok(verdict)
     }
 
@@ -204,66 +195,42 @@ impl Corpus {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Rewrites the INDEX (no-op for in-memory corpora).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the INDEX cannot be written.
-    pub fn save(&self) -> io::Result<()> {
-        let Some(dir) = &self.dir else {
-            return Ok(());
-        };
-        let mut text = String::new();
-        for (sig, e) in &self.entries {
-            text.push_str(&format!(
-                "sig={} workload={} strategy={} seed={} demo_bytes={} demo={}\n",
-                sig.encode(),
-                escape(&e.workload),
-                escape(&e.strategy),
-                e.seed,
-                e.demo_bytes.map_or("-".to_owned(), |b| b.to_string()),
-                e.demo_subdir.as_deref().map_or("-".to_owned(), escape),
-            ));
-        }
-        std::fs::write(dir.join("INDEX"), text)
-    }
 }
 
-fn parse_index_line(line: &str) -> Result<(Signature, CorpusEntry), String> {
-    let mut fields = BTreeMap::new();
-    for tok in line.split_ascii_whitespace() {
-        let (k, v) = tok
-            .split_once('=')
-            .ok_or_else(|| format!("INDEX field `{tok}` is not key=value"))?;
-        fields.insert(k.to_owned(), v.to_owned());
+/// Percent-escapes `s` into a store label value: [`escape`], plus `=`.
+fn label(s: &str) -> String {
+    escape(s).replace('=', "%3D")
+}
+
+/// An entry's fields as store labels.
+fn labels(sig: &Signature, e: &CorpusEntry) -> Labels {
+    let mut labels = Labels::from([
+        ("sig".to_owned(), label(&sig.encode())),
+        ("workload".to_owned(), label(&e.workload)),
+        ("strategy".to_owned(), label(&e.strategy)),
+        ("seed".to_owned(), e.seed.to_string()),
+    ]);
+    if let Some(b) = e.demo_bytes {
+        labels.insert("demo_bytes".to_owned(), b.to_string());
     }
-    let get = |k: &str| {
-        fields
-            .get(k)
-            .cloned()
-            .ok_or_else(|| format!("INDEX line missing `{k}`: {line}"))
-    };
-    let opt = |v: String| if v == "-" { None } else { Some(v) };
+    labels
+}
+
+/// The corpus entry stored under `id`; it has a demo directory when the
+/// store holds streams for it.
+fn entry_from_store(store: &DemoStore, id: &str) -> Result<(Signature, CorpusEntry), String> {
+    let labels = store.labels(id).cloned().unwrap_or_default();
+    let get = |k: &str| labels.get(k).ok_or_else(|| format!("no `{k}` label"));
+    let number = |v: &String| v.parse().map_err(|_| format!("bad number `{v}`"));
+    let has_demo = store.streams(id).is_some_and(|s| !s.is_empty());
     Ok((
-        Signature::decode(&get("sig")?)?,
+        Signature::decode(&unescape(get("sig")?)?)?,
         CorpusEntry {
-            workload: unescape(&get("workload")?)?,
-            strategy: unescape(&get("strategy")?)?,
-            seed: get("seed")?
-                .parse()
-                .map_err(|_| format!("bad seed in `{line}`"))?,
-            demo_bytes: match opt(get("demo_bytes")?) {
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| format!("bad demo_bytes in `{line}`"))?,
-                ),
-                None => None,
-            },
-            demo_subdir: match opt(get("demo")?) {
-                Some(v) => Some(unescape(&v)?),
-                None => None,
-            },
+            workload: unescape(get("workload")?)?,
+            strategy: unescape(get("strategy")?)?,
+            seed: number(get("seed")?)?,
+            demo_bytes: labels.get("demo_bytes").map(number).transpose()?,
+            demo_subdir: has_demo.then(|| id.to_owned()),
         },
     ))
 }
@@ -289,17 +256,6 @@ fn entry_dir_name(sig: &Signature) -> String {
         })
         .collect();
     format!("{safe}-{:08x}", hash as u32)
-}
-
-fn copy_dir_flat(src: &Path, dest: &Path) -> io::Result<()> {
-    std::fs::create_dir_all(dest)?;
-    for entry in std::fs::read_dir(src)? {
-        let entry = entry?;
-        if entry.file_type()?.is_file() {
-            std::fs::copy(entry.path(), dest.join(entry.file_name()))?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -390,16 +346,21 @@ mod tests {
         assert_eq!(winners[0].1.as_ref().unwrap().seed, 5);
     }
 
+    fn demo_with_queue(first: Vec<u64>, next: Vec<u64>) -> Demo {
+        let mut demo = Demo::new(srr_replay::DemoHeader::new("tsan11rec", "queue", [3, 5]));
+        demo.queue = Arc::new(QueueStream::new(first, next));
+        demo
+    }
+
     #[test]
     fn on_disk_corpus_imports_demos_and_evicts_losers() {
         let root = std::env::temp_dir().join(format!("srr-corpus-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let spool_a = root.join("spool-a");
-        let spool_b = root.join("spool-b");
-        std::fs::create_dir_all(&spool_a).unwrap();
-        std::fs::create_dir_all(&spool_b).unwrap();
-        std::fs::write(spool_a.join("QUEUE"), "big demo contents").unwrap();
-        std::fs::write(spool_b.join("QUEUE"), "small").unwrap();
+        let big = demo_with_queue(vec![1, 2, 3], vec![4, 5, 6, 0, 0, 0]);
+        let small = demo_with_queue(vec![1], vec![0]);
+        let (spool_a, spool_b) = (root.join("spool-a"), root.join("spool-b"));
+        big.save_dir(&spool_a).unwrap();
+        small.save_dir(&spool_b).unwrap();
 
         let dir = root.join("corpus");
         let mut c = Corpus::open(&dir).unwrap();
@@ -411,35 +372,83 @@ mod tests {
             .demo_subdir
             .clone()
             .unwrap();
-        assert!(dir.join(&first_sub).join("QUEUE").exists());
+        assert_eq!(Demo::load_dir(&dir.join(&first_sub)).unwrap(), big);
 
-        // Smaller demo replaces and the old dir is gone (same signature →
-        // same dir name, so assert on contents).
+        // Smaller demo replaces; the entry keeps its directory (one
+        // signature, one name) and holds the new demo.
         c.offer("w", &finding("x|0,1|ww", 8, Some(5), spool_b.to_str()))
             .unwrap();
         let e = c.entry(&sig("x|0,1|ww")).unwrap().clone();
         assert_eq!(e.demo_bytes, Some(5));
-        let kept =
-            std::fs::read_to_string(dir.join(e.demo_subdir.as_deref().unwrap()).join("QUEUE"))
-                .unwrap();
-        assert_eq!(kept, "small");
+        assert_eq!(e.demo_subdir.as_deref(), Some(first_sub.as_str()));
+        assert_eq!(Demo::load_dir(&dir.join(&first_sub)).unwrap(), small);
+        assert_eq!(
+            c.store().unwrap().blob_count().unwrap(),
+            small.to_bytes_map().len(),
+            "the loser's blobs are gone"
+        );
+        // A recipe-only finding keeps its fields and no demo.
+        c.offer("w", &finding("y|1,2|rw", 4, None, None)).unwrap();
 
-        // Reopening loads the INDEX back.
+        // Reopening loads every entry back from the store INDEX.
         let reopened = Corpus::open(&dir).unwrap();
         assert_eq!(reopened.signatures(), c.signatures());
         assert_eq!(reopened.entry(&sig("x|0,1|ww")), Some(&e));
+        assert_eq!(reopened.entry(&sig("y|1,2|rw")), c.entry(&sig("y|1,2|rw")));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn fields_round_trip_through_labels_whatever_they_hold() {
+        let root = std::env::temp_dir().join(format!("srr-corpus-labels-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut c = Corpus::open(&root).unwrap();
+        let panic = Signature::panic("assertion `left == right` failed: a=1");
+        let mut f = finding("_", 2, None, None);
+        f.signature = panic.clone();
+        f.strategy = "pct delay=3".into();
+        c.offer("work load", &f).unwrap();
+        let reopened = Corpus::open(&root).unwrap();
+        assert_eq!(reopened.entry(&panic), c.entry(&panic));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_spool_that_does_not_load_is_an_error() {
+        let root = std::env::temp_dir().join(format!("srr-corpus-badspool-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let spool = root.join("spool");
+        std::fs::create_dir_all(&spool).unwrap();
+        std::fs::write(spool.join("HEADER"), "not a frame").unwrap();
+        let mut c = Corpus::open(&root.join("corpus")).unwrap();
+        let err = c
+            .offer("w", &finding("x|0,1|ww", 3, Some(17), spool.to_str()))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(c.is_empty());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_corpus_index_of_the_old_format_does_not_open() {
+        let root = std::env::temp_dir().join(format!("srr-corpus-oldidx-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let line = "sig=race:x|0,1|ww workload=w strategy=rnd seed=3 demo_bytes=- demo=-";
+        std::fs::write(root.join("INDEX"), format!("{line}\n")).unwrap();
+        let err = Corpus::open(&root).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(line), "{err}");
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn identical_spooled_demos_share_store_blobs() {
-        use srr_replay::DemoHeader;
         let root = std::env::temp_dir().join(format!("srr-corpus-dedup-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
 
         // Two shards record byte-identical demos into separate spools.
-        let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [3, 5]));
-        demo.queue = Arc::new(QueueStream::new(vec![1, 2], vec![3, 4, 0, 0]));
+        let demo = demo_with_queue(vec![1, 2], vec![3, 4, 0, 0]);
         let spool_a = root.join("t0_s3");
         let spool_b = root.join("t1_s3");
         demo.save_dir(&spool_a).unwrap();

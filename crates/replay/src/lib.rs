@@ -55,7 +55,7 @@ mod streams;
 pub use codec::{CodecError, Packing, StreamId};
 pub use demo::{Demo, DemoHeader, DemoLoadError, DemoStats, StreamStats, FORMAT_VERSION};
 pub use desync::{DesyncKind, HardDesync, SoftDesync};
-pub use store::{DemoStore, StreamHash, StreamHashes};
+pub use store::{DemoStore, Labels, StreamHash, StreamHashes};
 pub use streams::{
     AsyncEvent, QueueBuilder, QueueCursor, QueueRun, QueueStream, SignalEvent, SyscallRecord,
 };

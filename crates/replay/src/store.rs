@@ -6,13 +6,16 @@
 //! byte-identical. The store deduplicates at stream granularity — each
 //! encoded stream file is one blob named by its FNV-1a/128 content hash,
 //! and a demo is just an `INDEX` line mapping its id to the hashes of
-//! its streams:
+//! its streams, beside any labels its caller keeps with it:
 //!
 //! ```text
 //! store/
-//!   INDEX                 # demo=<id> HEADER=<hash> QUEUE=<hash> …
+//!   INDEX                 # demo=<id> <key>=<value>… HEADER=<hash> QUEUE=<hash> …
 //!   blobs/<32 hex chars>  # one framed stream file each
 //! ```
+//!
+//! The store keeps labels and never interprets them; an entry may hold
+//! labels and no streams at all.
 //!
 //! Two demos sharing a stream share the blob. Reference counts are
 //! derived from the index (no separate refcount file to corrupt);
@@ -61,11 +64,21 @@ impl fmt::Display for StreamHash {
 /// A demo's index entry: stream file name → blob hash.
 pub type StreamHashes = BTreeMap<String, StreamHash>;
 
+/// What a caller keeps beside a stored demo: key → value. Neither may
+/// contain whitespace or `=`, and a key may not be a stream name.
+pub type Labels = BTreeMap<String, String>;
+
+#[derive(Debug, Default)]
+struct Entry {
+    labels: Labels,
+    streams: StreamHashes,
+}
+
 /// A content-addressed demo store rooted at one directory.
 #[derive(Debug)]
 pub struct DemoStore {
     root: PathBuf,
-    entries: BTreeMap<String, StreamHashes>,
+    entries: BTreeMap<String, Entry>,
 }
 
 impl DemoStore {
@@ -86,13 +99,13 @@ impl DemoStore {
                 if line.is_empty() {
                     continue;
                 }
-                let (id, streams) = parse_index_line(line).ok_or_else(|| {
+                let (id, entry) = parse_index_line(line).ok_or_else(|| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("malformed store INDEX line {}: `{line}`", lineno + 1),
                     )
                 })?;
-                entries.insert(id, streams);
+                entries.insert(id, entry);
             }
         }
         Ok(DemoStore {
@@ -109,20 +122,42 @@ impl DemoStore {
     /// Filesystem errors; an id that is not filesystem-safe reports as
     /// [`io::ErrorKind::InvalidInput`].
     pub fn insert(&mut self, id: &str, demo: &Demo) -> io::Result<StreamHashes> {
+        self.insert_labeled(id, &Labels::new(), Some(demo))
+    }
+
+    /// Inserts (or replaces) the entry `id`: `labels`, plus the streams of
+    /// `demo` when there is one. Returns the stream hashes.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors; an id that is not filesystem-safe, or a label
+    /// breaking the rules of [`Labels`], reports as
+    /// [`io::ErrorKind::InvalidInput`].
+    pub fn insert_labeled(
+        &mut self,
+        id: &str,
+        labels: &Labels,
+        demo: Option<&Demo>,
+    ) -> io::Result<StreamHashes> {
         validate_id(id)?;
-        let mut hashes = StreamHashes::new();
-        for (name, bytes) in demo.to_bytes_map() {
+        validate_labels(labels)?;
+        let mut streams = StreamHashes::new();
+        for (name, bytes) in demo.map(Demo::to_bytes_map).unwrap_or_default() {
             let hash = StreamHash::of(&bytes);
             let blob = self.blob_path(hash);
             if !blob.exists() {
                 fs::write(&blob, &bytes)?;
             }
-            hashes.insert(name, hash);
+            streams.insert(name, hash);
         }
-        self.entries.insert(id.to_owned(), hashes.clone());
+        let entry = Entry {
+            labels: labels.clone(),
+            streams: streams.clone(),
+        };
+        self.entries.insert(id.to_owned(), entry);
         self.save_index()?;
         self.gc()?;
-        Ok(hashes)
+        Ok(streams)
     }
 
     /// Loads the demo stored under `id`, verifying each blob against its
@@ -138,7 +173,7 @@ impl DemoStore {
             source: io::Error::new(io::ErrorKind::NotFound, "no such demo in store"),
         })?;
         let mut map = BTreeMap::new();
-        for (name, &hash) in entry {
+        for (name, &hash) in &entry.streams {
             let bytes = fs::read(self.blob_path(hash)).map_err(|source| DemoLoadError::Io {
                 file: name.clone(),
                 source,
@@ -177,7 +212,7 @@ impl DemoStore {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e),
             }
-            if let Some(&hash) = entry.get(name) {
+            if let Some(&hash) = entry.streams.get(name) {
                 let blob = self.blob_path(hash);
                 if fs::hard_link(&blob, &target).is_err() {
                     fs::copy(&blob, &target)?;
@@ -206,7 +241,19 @@ impl DemoStore {
     /// The stream hashes of the demo stored under `id`.
     #[must_use]
     pub fn streams(&self, id: &str) -> Option<&StreamHashes> {
-        self.entries.get(id)
+        self.entries.get(id).map(|e| &e.streams)
+    }
+
+    /// The labels stored with `id`.
+    #[must_use]
+    pub fn labels(&self, id: &str) -> Option<&Labels> {
+        self.entries.get(id).map(|e| &e.labels)
+    }
+
+    /// The directory the store is rooted at.
+    #[must_use]
+    pub fn root(&self) -> &Path {
+        &self.root
     }
 
     /// All stored demo ids, sorted.
@@ -231,7 +278,7 @@ impl DemoStore {
     pub fn refcount(&self, hash: StreamHash) -> usize {
         self.entries
             .values()
-            .flat_map(BTreeMap::values)
+            .flat_map(|e| e.streams.values())
             .filter(|&&h| h == hash)
             .count()
     }
@@ -265,14 +312,14 @@ impl DemoStore {
 
     fn save_index(&self) -> io::Result<()> {
         let mut out = String::new();
-        for (id, streams) in &self.entries {
+        for (id, entry) in &self.entries {
             out.push_str("demo=");
             out.push_str(id);
-            for (name, hash) in streams {
-                out.push(' ');
-                out.push_str(name);
-                out.push('=');
-                out.push_str(&hash.to_string());
+            for (key, value) in &entry.labels {
+                out.push_str(&format!(" {key}={value}"));
+            }
+            for (name, hash) in &entry.streams {
+                out.push_str(&format!(" {name}={hash}"));
             }
             out.push('\n');
         }
@@ -284,7 +331,7 @@ impl DemoStore {
         let live: BTreeSet<String> = self
             .entries
             .values()
-            .flat_map(BTreeMap::values)
+            .flat_map(|e| e.streams.values())
             .map(StreamHash::to_string)
             .collect();
         for entry in fs::read_dir(self.root.join("blobs"))? {
@@ -297,16 +344,39 @@ impl DemoStore {
     }
 }
 
-fn parse_index_line(line: &str) -> Option<(String, StreamHashes)> {
+fn parse_index_line(line: &str) -> Option<(String, Entry)> {
     let mut it = line.split_whitespace();
     let id = it.next()?.strip_prefix("demo=")?.to_owned();
-    let mut streams = StreamHashes::new();
+    let mut entry = Entry::default();
     for field in it {
-        let (name, hash) = field.split_once('=')?;
-        crate::codec::StreamId::from_file_name(name)?;
-        streams.insert(name.to_owned(), StreamHash::parse(hash)?);
+        let (key, value) = field.split_once('=')?;
+        if crate::codec::StreamId::from_file_name(key).is_some() {
+            let hash = StreamHash::parse(value)?;
+            entry.streams.insert(key.to_owned(), hash);
+        } else if !key.is_empty() && !value.contains('=') {
+            entry.labels.insert(key.to_owned(), value.to_owned());
+        } else {
+            return None;
+        }
     }
-    Some((id, streams))
+    Some((id, entry))
+}
+
+fn validate_labels(labels: &Labels) -> io::Result<()> {
+    let token = |s: &str| !s.contains(|c: char| c.is_whitespace() || c == '=');
+    for (key, value) in labels {
+        let ok = !key.is_empty()
+            && token(key)
+            && token(value)
+            && crate::codec::StreamId::from_file_name(key).is_none();
+        if !ok {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("store label `{key}` = `{value}` is not a key=value token"),
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn validate_id(id: &str) -> io::Result<()> {
@@ -480,6 +550,54 @@ mod tests {
         assert_eq!(StreamHash::parse(&h.to_string()), Some(h));
         assert_eq!(StreamHash::parse("xyz"), None);
         assert_eq!(StreamHash::parse(&"a".repeat(31)), None);
+    }
+
+    #[test]
+    fn labels_persist_beside_streams_and_alone() {
+        let root = tmp("labels");
+        let d = demo_with_syscall("queue", b"hello");
+        let labels: Labels = [("seed", "7"), ("sig", "race:x%20y")]
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v.to_owned()))
+            .collect();
+        {
+            let mut store = DemoStore::open(&root).unwrap();
+            let hashes = store.insert_labeled("a", &labels, Some(&d)).unwrap();
+            assert_eq!(store.streams("a"), Some(&hashes), "streams only");
+            store.insert_labeled("recipe", &labels, None).unwrap();
+        }
+        let index = fs::read_to_string(root.join("INDEX")).unwrap();
+        assert!(
+            index.contains("demo=recipe seed=7 sig=race:x%20y\n"),
+            "{index}"
+        );
+        let store = DemoStore::open(&root).unwrap();
+        assert_eq!(store.labels("a"), Some(&labels));
+        assert_eq!(store.load("a").unwrap(), d);
+        assert_eq!(store.labels("recipe"), Some(&labels));
+        assert!(store.streams("recipe").unwrap().is_empty());
+        assert_eq!(store.blob_count().unwrap(), 3, "a recipe stores no blobs");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn labels_that_would_not_parse_back_are_refused() {
+        let root = tmp("badlabels");
+        let mut store = DemoStore::open(&root).unwrap();
+        for (key, value) in [
+            ("QUEUE", "x"),
+            ("a b", "x"),
+            ("a=b", "x"),
+            ("k", "x y"),
+            ("k", "x=y"),
+            ("", "x"),
+        ] {
+            let labels = Labels::from([(key.to_owned(), value.to_owned())]);
+            let err = store.insert_labeled("a", &labels, None).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "`{key}`=`{value}`");
+        }
+        assert!(store.is_empty());
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
