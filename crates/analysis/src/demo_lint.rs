@@ -33,7 +33,7 @@ use std::fmt;
 use std::path::Path;
 
 use srr_replay::{
-    AsyncEvent, Demo, DemoLoadError, QueueRun, QueueStream, SignalEvent, SyscallRecord,
+    AsyncEvent, Demo, DemoLoadError, QueueRun, QueueStream, SignalEvent, SyscallStream,
 };
 
 /// One linter diagnostic, anchored to a stream entry.
@@ -297,14 +297,14 @@ fn lint_signals(signals: &[SignalEvent], nthreads: Option<usize>, diags: &mut Ve
 }
 
 fn lint_syscalls(
-    syscalls: &[SyscallRecord],
+    syscalls: &SyscallStream,
     nthreads: Option<usize>,
     diags: &mut Vec<DemoDiagnostic>,
 ) {
     const FILE: &str = "SYSCALL";
     let mut next_seq = 0u64;
     let mut last_tick = 0u64;
-    for (entry, r) in entries(syscalls) {
+    for (entry, r) in (1..).zip(syscalls.iter().map(|c| c.head)) {
         if r.seq != next_seq {
             diag(
                 diags,
@@ -347,7 +347,7 @@ fn lint_asyncs(events: &[AsyncEvent], diags: &mut Vec<DemoDiagnostic>) {
 mod tests {
     use super::*;
     use srr_replay::codec::{encode_frame, write_varint};
-    use srr_replay::{DemoHeader, StreamId};
+    use srr_replay::{DemoHeader, StreamId, SyscallRecord};
     use std::sync::Arc;
 
     fn sample_demo() -> Demo {
@@ -359,7 +359,7 @@ mod tests {
             tick: 3,
             signo: 15,
         });
-        Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
+        Arc::make_mut(&mut d.syscalls).extend([SyscallRecord {
             seq: 0,
             tid: 0,
             tick: 2,
@@ -367,7 +367,7 @@ mod tests {
             ret: 10,
             errno: 0,
             bufs: vec![b"helloworld".to_vec()],
-        });
+        }]);
         d.alloc = Arc::new(vec![4096, 8192]);
         d
     }
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn seq_gap_and_tick_regression_are_caught() {
         let mut d = sample_demo();
-        Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
+        Arc::make_mut(&mut d.syscalls).extend([SyscallRecord {
             seq: 2, // gap: expected 1
             tid: 1,
             tick: 1, // regression: previous record was tick 2
@@ -413,7 +413,7 @@ mod tests {
             ret: 0,
             errno: 0,
             bufs: vec![],
-        });
+        }]);
         assert_eq!(
             found(&d),
             [
@@ -434,7 +434,9 @@ mod tests {
     #[test]
     fn syscall_tid_out_of_range_is_caught() {
         let mut d = sample_demo();
-        Arc::make_mut(&mut d.syscalls)[0].tid = 2;
+        let mut call = d.syscalls.get(0).unwrap().to_record();
+        call.tid = 2;
+        d.syscalls = Arc::new([call].into_iter().collect());
         let diags = lint_demo(&d);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!((diags[0].stream.as_str(), diags[0].entry), ("SYSCALL", 1));

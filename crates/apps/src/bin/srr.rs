@@ -63,8 +63,8 @@ const COMMANDS: &[Command] = &[
     Command { name: "explore-worker", run: cmd_explore_worker, flags: "--out", synopsis: &[] },
     Command { name: "analyze", run: cmd_analyze, flags: "--tool --seed --sparse --json --out",
         synopsis: &["<workload> [--tool TOOL] [--seed N] [--sparse SET] [--json] [--out FILE]"] },
-    Command { name: "predict", run: cmd_predict, flags: "--seed --plan --json --out",
-        synopsis: &["<workload> [--seed N] [--plan FILE] [--json] [--out DIR]"] },
+    Command { name: "predict", run: cmd_predict, flags: "--seed --demo --plan --json --out",
+        synopsis: &["<workload> [--seed N | --demo DIR] [--plan FILE] [--json] [--out DIR]"] },
     Command { name: "demo", run: cmd_demo, flags: "--demo --out",
         synopsis: &["export --demo DIR --out DIR", "hash|stats --demo DIR"] },
     Command { name: "lint-demo", run: cmd_lint_demo, flags: "--demo", synopsis: &["--demo DIR"] },
@@ -585,6 +585,11 @@ a corpus keyed by signature (smallest reproduction wins; --corpus persists
 it), and with --predict feeds `srr predict` candidates back as directed
 search targets. Exit 2 when distinct signatures were found.
 
+predict records the workload under queue, or replays the queue demo
+--demo DIR names (its header fixes the seeds, so not with --seed),
+predicts races the schedule hid, and replays a witness for each; exit 2
+when one is confirmed.
+
 trace runs or replays with the schedule traced and writes a Chrome trace;
 --ring N keeps the last N exported events of each track (default 256),
 cut at export.
@@ -955,32 +960,56 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
 
 fn cmd_predict(args: &Args) -> Result<u8, String> {
     let w = args.workload()?;
-    let seed = args.seed.unwrap_or(1);
-    let seeds = seed_pair(seed);
+    // A queue recording follows the host's thread arrival order; a demo
+    // fixes one schedule, and its header the seeds.
+    let demo = match (&args.demo, args.seed) {
+        (Some(_), Some(_)) => {
+            return Err("predict takes --seed or --demo, not both: the demo fixes the seeds".into())
+        }
+        (Some(dir), None) => {
+            let demo = load_demo(dir)?;
+            if demo.header.strategy != "queue" {
+                return Err(format!(
+                    "predict --demo needs a queue recording; {} holds a {} one",
+                    dir.display(),
+                    demo.header.strategy
+                ));
+            }
+            Some(demo)
+        }
+        (None, _) => None,
+    };
+    let seeds = match &demo {
+        Some(demo) => demo.header.seeds,
+        None => seed_pair(args.seed.unwrap_or(1)),
+    };
+    let seed = seeds[0];
     let plan_report = args.plan.as_deref().map(load_plan).transpose()?;
     if !args.json {
+        let recording = match &args.demo {
+            Some(dir) => format!("replay of {}", dir.display()),
+            None => "queue record".to_owned(),
+        };
         println!(
-            "predicting races in `{}` (queue record + witness replay, seed {seed})",
+            "predicting races in `{}` ({recording} + witness replay, seed {seed})",
             w.name
         );
     }
     let (setup, program) = (w.setup, w.program);
-    // Under `--plan` the recording runs sparse (statically
-    // proven plain sites never reach the event log) and the
+    // Under `--plan` the recording (or the demo's replay) runs sparse
+    // (statically proven plain sites never reach the event log) and the
     // proven labels are pruned before witness synthesis.
-    let run = match &plan_report {
-        Some(p) => {
-            let proven = p.proven_labels();
-            let plan = AccessPlan::new(p.recorded_labels(), p.known_labels());
-            predictor::run_prediction_in_world_with(
-                seeds,
-                setup,
-                move || program,
-                Some(plan),
-                move |label| !proven.contains(label),
-            )
-        }
-        None => predictor::run_prediction_in_world(seeds, setup, move || program),
+    let (plan, proven) = match &plan_report {
+        Some(p) => (
+            Some(AccessPlan::new(p.recorded_labels(), p.known_labels())),
+            p.proven_labels(),
+        ),
+        None => (None, Default::default()),
+    };
+    let keep = move |label: &str| !proven.contains(label);
+    let run = match demo {
+        Some(demo) => predictor::replay_prediction_with(demo, setup, move || program, plan, keep),
+        None => predictor::run_prediction_in_world_with(seeds, setup, move || program, plan, keep),
     };
     if run.record.plan.is_stale() {
         eprintln!(

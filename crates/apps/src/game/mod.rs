@@ -244,7 +244,7 @@ mod tests {
             .setup(world(params))
             .record(game(params));
         assert!(rec.outcome.is_ok(), "{:?}", rec.outcome);
-        assert!(demo.syscalls.iter().all(|s| s.kind != "ioctl"));
+        assert!(demo.syscalls.iter().all(|s| s.head.kind != "ioctl"));
         // Replay needs the device present but not the input peer script
         // contents — display runs natively, inputs come from the demo.
         let rep = Execution::new(config())

@@ -313,7 +313,7 @@ mod tests {
         let rec = run_tool(Tool::QueueRec, [5, 6], world(params), server(params));
         assert!(rec.report.outcome.is_ok(), "{:?}", rec.report.outcome);
         let demo = rec.demo.expect("recorded");
-        assert!(demo.syscalls.iter().any(|s| s.kind == "accept"));
+        assert!(demo.syscalls.iter().any(|s| s.head.kind == "accept"));
         // Replay into an empty world (no ab swarm!).
         let rep =
             tsan11rec::Execution::new(Tool::QueueRec.config([5, 6])).replay(&demo, server(params));
@@ -355,14 +355,17 @@ mod tests {
         // holding its bytes (closing clients add empty ones), and each
         // response in a `send`.
         fn sends(demo: &tsan11rec::Demo) -> usize {
-            demo.syscalls.iter().filter(|s| s.kind == "send").count()
+            demo.syscalls
+                .iter()
+                .filter(|s| s.head.kind == "send")
+                .count()
         }
         /// The bytes of each `recv` that received a request.
         fn requests(demo: &tsan11rec::Demo) -> Vec<usize> {
             demo.syscalls
                 .iter()
-                .filter(|s| s.kind == "recv")
-                .map(|s| s.bufs.iter().map(Vec::len).sum())
+                .filter(|s| s.head.kind == "recv")
+                .map(|s| s.bufs().map(<[u8]>::len).sum())
                 .filter(|&len| len > 0)
                 .collect()
         }

@@ -5,7 +5,10 @@
 //!   `fixtures/cli/plan_expected.txt` says;
 //! * `srr predict --json` grades the hidden-handoff and atomic-guard
 //!   hazards as `fixtures/cli/predict_expected.txt` says, exiting 2 only
-//!   on a confirmed race;
+//!   on a confirmed race. hidden_handoff predicts from the committed
+//!   queue recording `fixtures/predict/hidden_handoff_queue`: a fresh
+//!   queue recording follows the host's thread arrival order, and on
+//!   some orders it races plainly;
 //! * `srr vet` passes the examples under `ci/vet_allow.txt` and gates on
 //!   the raw-clock and raw-spawn fixtures in `crates/apps`.
 //!
@@ -15,18 +18,11 @@ mod common;
 
 use std::path::Path;
 use std::process::{Command, Output};
-use std::sync::{Mutex, PoisonError};
 
 use common::assert_golden;
 
-/// `srr predict` records under the queue strategy, whose schedule
-/// follows thread arrival, and a concurrent `srr` process perturbs the
-/// arrival order. One command at a time.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// `srr ARGS...` run from the repository root, alone.
+/// `srr ARGS...` run from the repository root.
 fn srr(args: &[&str]) -> Output {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     Command::new(env!("CARGO_BIN_EXE_srr"))
         .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
         .args(args)
@@ -79,9 +75,13 @@ fn predict_json_grades_the_hazards_as_its_golden() {
         "hidden",
         "classification",
     ];
+    const HIDDEN_HANDOFF: &str = "crates/apps/tests/fixtures/predict/hidden_handoff_queue";
     let mut golden = String::new();
-    for workload in ["hidden_handoff", "atomic_guard"] {
-        let out = srr(&["predict", workload, "--json", "--seed", "7"]);
+    for (workload, from) in [
+        ("hidden_handoff", ["--demo", HIDDEN_HANDOFF]),
+        ("atomic_guard", ["--seed", "7"]),
+    ] {
+        let out = srr(&[&["predict", workload, "--json"], &from[..]].concat());
         for line in stdout(&out).lines() {
             if KEYS.iter().any(|k| line.contains(&format!("\"{k}\""))) {
                 let line = line.trim_start().trim_end_matches(',');
@@ -92,6 +92,18 @@ fn predict_json_grades_the_hazards_as_its_golden() {
         golden.push_str(&format!("{workload} exit={code}\n"));
     }
     assert_golden("predict_expected.txt", &golden);
+    // The demo header fixes the seeds.
+    let out = srr(&[
+        "predict",
+        "hidden_handoff",
+        "--demo",
+        HIDDEN_HANDOFF,
+        "--seed",
+        "7",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "--seed beside --demo");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--seed or --demo"), "{stderr}");
 }
 
 #[test]

@@ -17,7 +17,7 @@ use parking_lot::Mutex as PlMutex;
 use srr_memmodel::{AtomicCell, Chooser, ScFenceClock, ThreadView};
 use srr_obs::{EventClass, EventKind, Obs, ObsOp, StreamId, SysKind, TraceSpec};
 use srr_racedet::RaceDetector;
-use srr_replay::{HardDesync, SyscallRecord};
+use srr_replay::{HardDesync, SyscallHead, SyscallStream};
 use srr_vclock::VectorClock;
 use srr_vos::{Fd, Vos};
 
@@ -97,21 +97,19 @@ pub(crate) struct MemState {
 /// lives in [`Scheduler`]).
 pub(crate) enum SysRec {
     Off,
-    Record(Vec<SyscallRecord>),
+    Record(SyscallStream),
     /// A cursor over the demo's SYSCALL stream, shared with the demo.
     Replay {
-        recs: Arc<Vec<SyscallRecord>>,
+        recs: Arc<SyscallStream>,
         at: usize,
     },
 }
 
-/// What replay enforces for one recorded syscall (§4.4): the result,
-/// and the output buffer the wrapper fills (the record's first; empty
-/// when it has none).
+/// The result replay enforces for one recorded syscall (§4.4); its
+/// output buffer went to the wrapper's `fill`.
 pub(crate) struct ReplayedSyscall {
     pub ret: i64,
     pub errno: i32,
-    pub buf: Vec<u8>,
 }
 
 /// Everything shared by the threads of one execution.
@@ -439,11 +437,11 @@ impl Runtime {
 
     /// Sets the syscall side of `mode`; `replay_recs` is the SYSCALL
     /// stream a replay consumes (unused otherwise).
-    pub fn set_record_mode(&self, mode: RecordMode, replay_recs: Arc<Vec<SyscallRecord>>) {
+    pub fn set_record_mode(&self, mode: RecordMode, replay_recs: Arc<SyscallStream>) {
         let mut r = self.sysrec.lock();
         *r = match mode {
             RecordMode::Off => SysRec::Off,
-            RecordMode::Record => SysRec::Record(Vec::new()),
+            RecordMode::Record => SysRec::Record(SyscallStream::default()),
             RecordMode::Replay => SysRec::Replay {
                 recs: replay_recs,
                 at: 0,
@@ -480,8 +478,9 @@ impl Runtime {
         true
     }
 
-    /// Appends a syscall record (record mode).
-    pub fn record_syscall(&self, tid: Tid, kind: &str, ret: i64, errno: i32, bufs: Vec<Vec<u8>>) {
+    /// Appends a syscall record (record mode), copying `bufs` into the
+    /// stream.
+    pub fn record_syscall(&self, tid: Tid, kind: &str, ret: i64, errno: i32, bufs: &[&[u8]]) {
         let tick = match self.config.mode {
             Mode::Tsan11Rec(_) => self.sched().tick_value(),
             _ => 0,
@@ -489,15 +488,15 @@ impl Runtime {
         let mut r = self.sysrec.lock();
         if let SysRec::Record(recs) = &mut *r {
             let seq = recs.len() as u64;
-            recs.push(SyscallRecord {
+            let head = SyscallHead {
                 seq,
                 tid: tid.0,
                 tick,
-                kind: kind.to_owned(),
+                kind,
                 ret,
                 errno,
-                bufs,
-            });
+            };
+            recs.push(head, bufs.iter().copied());
             drop(r);
             if let Some(obs) = &self.obs {
                 obs.emit(
@@ -512,14 +511,20 @@ impl Runtime {
         }
     }
 
-    /// Consumes the next recorded syscall (replay mode) and copies out
-    /// what the wrapper enforces; hard-desynchronises if the kind does
-    /// not match.
+    /// Consumes the next recorded syscall (replay mode): hands `fill`
+    /// the record's first output buffer (empty when it has none), read
+    /// in place from the stream, and returns the result the wrapper
+    /// enforces; hard-desynchronises if the kind does not match.
     ///
     /// # Panics
     ///
     /// Panics with [`SchedAbort`] on desynchronisation.
-    pub fn replay_syscall(&self, tid: Tid, kind: &str) -> Option<ReplayedSyscall> {
+    pub fn replay_syscall(
+        &self,
+        tid: Tid,
+        kind: &str,
+        fill: impl FnOnce(&[u8]),
+    ) -> Option<ReplayedSyscall> {
         enum Next {
             NotReplaying,
             Underrun(u64),
@@ -531,15 +536,17 @@ impl Runtime {
             match &mut *r {
                 SysRec::Replay { recs, at } => match recs.get(*at) {
                     None => Next::Underrun(recs.len() as u64),
-                    Some(rec) if rec.kind != kind => Next::Mismatch(rec.kind.clone(), *at as u64),
+                    Some(rec) if rec.head.kind != kind => {
+                        Next::Mismatch(rec.head.kind.to_owned(), *at as u64)
+                    }
                     Some(rec) => {
                         *at += 1;
+                        fill(rec.bufs().next().unwrap_or_default());
                         Next::Hit(
-                            rec.seq,
+                            rec.head.seq,
                             ReplayedSyscall {
-                                ret: rec.ret,
-                                errno: rec.errno,
-                                buf: rec.bufs.first().cloned().unwrap_or_default(),
+                                ret: rec.head.ret,
+                                errno: rec.head.errno,
                             },
                         )
                     }
@@ -584,12 +591,17 @@ impl Runtime {
         }
     }
 
-    /// Takes the recorded syscall stream (end of a record run).
-    pub fn take_syscall_recording(&self) -> Vec<SyscallRecord> {
+    /// Takes the recorded syscall stream (end of a record run), trimmed
+    /// to its length.
+    pub fn take_syscall_recording(&self) -> SyscallStream {
         let mut r = self.sysrec.lock();
         match &mut *r {
-            SysRec::Record(recs) => std::mem::take(recs),
-            _ => Vec::new(),
+            SysRec::Record(recs) => {
+                let mut recs = std::mem::take(recs);
+                recs.shrink_to_fit();
+                recs
+            }
+            _ => SyscallStream::default(),
         }
     }
 
@@ -671,6 +683,7 @@ impl Chooser for RtChooser {
 mod tests {
     use super::*;
     use crate::config::{SparseConfig, Strategy};
+    use srr_replay::SyscallRecord;
     use srr_vos::VosConfig;
 
     fn rt(mode: Mode) -> Arc<Runtime> {
@@ -750,7 +763,7 @@ mod tests {
     fn record_mode_off_records_nothing() {
         let rt = rt(Mode::Tsan11Rec(Strategy::Random));
         assert!(!rt.should_record_syscall("recv", None));
-        rt.record_syscall(Tid(0), "recv", 1, 0, vec![]);
+        rt.record_syscall(Tid(0), "recv", 1, 0, &[]);
         assert!(rt.take_syscall_recording().is_empty());
     }
 
@@ -760,24 +773,27 @@ mod tests {
         rt.set_record_mode(RecordMode::Record, Arc::default());
         // Recording needs a critical section for the tick value.
         rt.sched().wait(Tid::MAIN);
-        rt.record_syscall(Tid::MAIN, "recv", 5, 0, vec![b"hello".to_vec()]);
+        rt.record_syscall(Tid::MAIN, "recv", 5, 0, &[b"hello"]);
         rt.sched().tick(Tid::MAIN);
         let recs = rt.take_syscall_recording();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].kind, "recv");
-        assert_eq!(recs[0].tick, 1);
+        let head = recs.get(0).unwrap().head;
+        assert_eq!((head.kind, head.tick), ("recv", 1));
 
         rt.set_record_mode(RecordMode::Replay, Arc::new(recs));
-        let rec = rt.replay_syscall(Tid::MAIN, "recv").unwrap();
+        let mut buf = [0; 8];
+        let rec = rt
+            .replay_syscall(Tid::MAIN, "recv", |b| buf[..b.len()].copy_from_slice(b))
+            .unwrap();
         assert_eq!(rec.ret, 5);
-        assert_eq!(rec.buf, b"hello");
+        assert_eq!(&buf[..5], b"hello");
         assert_eq!(rt.replay_leftover(), 0);
     }
 
     #[test]
     fn replay_kind_mismatch_is_hard_desync() {
         let rt = rt(Mode::Tsan11Rec(Strategy::Random));
-        let recs = vec![SyscallRecord {
+        let recs = [SyscallRecord {
             seq: 0,
             tid: 0,
             tick: 1,
@@ -786,9 +802,9 @@ mod tests {
             errno: 0,
             bufs: vec![],
         }];
-        rt.set_record_mode(RecordMode::Replay, Arc::new(recs));
+        rt.set_record_mode(RecordMode::Replay, Arc::new(recs.into_iter().collect()));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.replay_syscall(Tid::MAIN, "send");
+            rt.replay_syscall(Tid::MAIN, "send", |_| {});
         }))
         .unwrap_err();
         let abort = err.downcast_ref::<SchedAbort>().expect("SchedAbort");
@@ -809,7 +825,7 @@ mod tests {
         let rt = rt(Mode::Tsan11Rec(Strategy::Random));
         rt.set_record_mode(RecordMode::Replay, Arc::default());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.replay_syscall(Tid::MAIN, "recv");
+            rt.replay_syscall(Tid::MAIN, "recv", |_| {});
         }))
         .unwrap_err();
         assert!(err.downcast_ref::<SchedAbort>().is_some());

@@ -30,13 +30,23 @@ fn ctx(kind: &str) -> (Arc<Runtime>, Tid) {
     current_rt().unwrap_or_else(|| panic!("sys::{kind} outside an execution"))
 }
 
-fn plan(rt: &Arc<Runtime>, tid: Tid, kind: &str, fd: Option<Fd>) -> Plan {
+/// What to do with a call of `kind`; on replay, `fill` gets the
+/// recorded output buffer, read in place from the demo.
+fn plan(rt: &Arc<Runtime>, tid: Tid, kind: &str, fd: Option<Fd>, fill: impl FnOnce(&[u8])) -> Plan {
     if !rt.should_record_syscall(kind, fd) {
         return Plan::Passthrough;
     }
-    match rt.replay_syscall(tid, kind) {
+    match rt.replay_syscall(tid, kind, fill) {
         Some(rec) => Plan::Replay(rec),
         None => Plan::Record,
+    }
+}
+
+/// Copies a recorded buffer over the front of `buf`.
+fn copy_into(buf: &mut [u8]) -> impl FnOnce(&[u8]) + '_ {
+    |rec| {
+        let n = rec.len().min(buf.len());
+        buf[..n].copy_from_slice(&rec[..n]);
     }
 }
 
@@ -67,19 +77,15 @@ fn bufferful_in(
     rt.enter(tid);
     with_ctx(|ctx| ctx.view.tick());
     let live_res = live(&rt, buf);
-    let res = match plan(&rt, tid, kind, Some(fd)) {
+    let res = match plan(&rt, tid, kind, Some(fd), copy_into(buf)) {
         Plan::Passthrough => live_res,
         Plan::Record => {
             let (ret, errno) = encode(live_res);
             let filled = usize::try_from(ret.max(0)).unwrap_or(0).min(buf.len());
-            rt.record_syscall(tid, kind, ret, errno, vec![buf[..filled].to_vec()]);
+            rt.record_syscall(tid, kind, ret, errno, &[&buf[..filled]]);
             live_res
         }
-        Plan::Replay(rec) => {
-            let n = rec.buf.len().min(buf.len());
-            buf[..n].copy_from_slice(&rec.buf[..n]);
-            decode(rec.ret, rec.errno)
-        }
+        Plan::Replay(rec) => decode(rec.ret, rec.errno),
     };
     rt.exit_op(tid, ObsOp::Syscall);
     res
@@ -95,11 +101,11 @@ fn bufferless(
     rt.enter(tid);
     with_ctx(|ctx| ctx.view.tick());
     let live_res = live(&rt);
-    let res = match plan(&rt, tid, kind, fd) {
+    let res = match plan(&rt, tid, kind, fd, |_| {}) {
         Plan::Passthrough => live_res,
         Plan::Record => {
             let (ret, errno) = encode(live_res);
-            rt.record_syscall(tid, kind, ret, errno, vec![]);
+            rt.record_syscall(tid, kind, ret, errno, &[]);
             live_res
         }
         Plan::Replay(rec) => decode(rec.ret, rec.errno),
@@ -193,20 +199,20 @@ fn poll_like(kind: &'static str, fds: &mut [PollFd]) -> SysResult {
     } else {
         rt.vos.poll(fds)
     };
-    let res = match plan(&rt, tid, kind, None) {
+    let fill = |rec: &[u8]| {
+        for (p, &b) in fds.iter_mut().zip(rec) {
+            p.revents = srr_vos::PollEvents::from_bits(b);
+        }
+    };
+    let res = match plan(&rt, tid, kind, None, fill) {
         Plan::Passthrough => live_res,
         Plan::Record => {
             let (ret, errno) = encode(live_res);
             let revents: Vec<u8> = fds.iter().map(|p| p.revents.to_bits()).collect();
-            rt.record_syscall(tid, kind, ret, errno, vec![revents]);
+            rt.record_syscall(tid, kind, ret, errno, &[&revents]);
             live_res
         }
-        Plan::Replay(rec) => {
-            for (p, &b) in fds.iter_mut().zip(&rec.buf) {
-                p.revents = srr_vos::PollEvents::from_bits(b);
-            }
-            decode(rec.ret, rec.errno)
-        }
+        Plan::Replay(rec) => decode(rec.ret, rec.errno),
     };
     rt.exit_op(tid, ObsOp::Syscall);
     res
@@ -227,7 +233,7 @@ pub fn ioctl(fd: Fd, request: u64, arg: &mut [u8]) -> SysResult {
     rt.enter(tid);
     with_ctx(|ctx| ctx.view.tick());
     let live_res = rt.vos.ioctl(fd, request, arg);
-    let res = match plan(&rt, tid, "ioctl", Some(fd)) {
+    let res = match plan(&rt, tid, "ioctl", Some(fd), copy_into(arg)) {
         Plan::Passthrough => live_res,
         Plan::Record | Plan::Replay(_) if rt.vos.fd_is_opaque_device(fd) => {
             // The §5.4 situation: a proprietary device whose ioctl
@@ -244,14 +250,10 @@ pub fn ioctl(fd: Fd, request: u64, arg: &mut [u8]) -> SysResult {
         }
         Plan::Record => {
             let (ret, errno) = encode(live_res);
-            rt.record_syscall(tid, "ioctl", ret, errno, vec![arg.to_vec()]);
+            rt.record_syscall(tid, "ioctl", ret, errno, &[arg]);
             live_res
         }
-        Plan::Replay(rec) => {
-            let n = rec.buf.len().min(arg.len());
-            arg[..n].copy_from_slice(&rec.buf[..n]);
-            decode(rec.ret, rec.errno)
-        }
+        Plan::Replay(rec) => decode(rec.ret, rec.errno),
     };
     rt.exit_op(tid, ObsOp::Syscall);
     res

@@ -366,7 +366,7 @@ fn sparse_ioctl_ignore_lets_device_run_live_on_replay() {
     let setup = |vos: &Vos| vos.install_gpu();
     let (_, demo) = Execution::new(config()).setup(setup).record(program);
     assert!(
-        demo.syscalls.iter().all(|s| s.kind != "ioctl"),
+        demo.syscalls.iter().all(|s| s.head.kind != "ioctl"),
         "ioctl must not be recorded under the games config"
     );
     // Replay needs the device present (it runs natively, §5.4).

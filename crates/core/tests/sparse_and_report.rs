@@ -31,7 +31,7 @@ fn pipe_rw_recorded_file_rw_not_under_paper_default() {
         .record(program);
     assert!(report.outcome.is_ok(), "{:?}", report.outcome);
 
-    let kinds: Vec<&str> = demo.syscalls.iter().map(|s| s.kind.as_str()).collect();
+    let kinds: Vec<&str> = demo.syscalls.iter().map(|s| s.head.kind).collect();
     assert_eq!(
         kinds.iter().filter(|k| **k == "write").count(),
         1,
@@ -62,9 +62,12 @@ fn custom_sparse_set_with_and_without() {
     assert!(
         demo.syscalls
             .iter()
-            .all(|s| s.kind != "recv" && s.kind != "send"),
+            .all(|s| s.head.kind != "recv" && s.head.kind != "send"),
         "excluded kinds must not appear: {:?}",
-        demo.syscalls.iter().map(|s| &s.kind).collect::<Vec<_>>()
+        demo.syscalls
+            .iter()
+            .map(|s| s.head.kind)
+            .collect::<Vec<_>>()
     );
     // Replay with the live echo peer present: unrecorded syscalls
     // re-execute and the behaviour still reproduces (the peer is

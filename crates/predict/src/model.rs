@@ -153,7 +153,7 @@ impl TraceModel {
             }
         }
         for rec in demo.syscalls.iter() {
-            push(rec.tick, TickOp::Syscall);
+            push(rec.head.tick, TickOp::Syscall);
         }
 
         // A request that did not acquire at its own tick blocked: the

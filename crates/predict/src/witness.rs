@@ -26,7 +26,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use srr_replay::{Demo, DemoHeader, QueueStream};
+use srr_replay::{Demo, DemoHeader, QueueStream, Syscall, SyscallHead, SyscallStream};
 
 use crate::model::{Access, TickOp, TraceModel};
 
@@ -395,16 +395,18 @@ fn rebuild_demo(demo: &Demo, order: &[(u32, u64)], nthreads: usize) -> Demo {
         demo.header.seeds,
     ));
     out.queue = Arc::new(QueueStream::from_order(&new_order, nthreads));
-    let mut syscalls = demo.syscalls.to_vec();
-    for rec in &mut syscalls {
-        rec.tick = remap(rec.tick);
+    let mut calls: Vec<Syscall<'_>> = demo.syscalls.iter().collect();
+    for call in &mut calls {
+        call.head.tick = remap(call.head.tick);
     }
     // Replay consumes syscalls through a single global cursor: the
     // records must follow the new tick order.
-    syscalls.sort_by_key(|r| r.tick);
-    for (i, rec) in syscalls.iter_mut().enumerate() {
-        rec.seq = i as u64;
+    calls.sort_by_key(|c| c.head.tick);
+    let mut syscalls = SyscallStream::default();
+    for (seq, call) in (0..).zip(&calls) {
+        syscalls.push(SyscallHead { seq, ..call.head }, call.bufs());
     }
+    syscalls.shrink_to_fit();
     out.syscalls = Arc::new(syscalls);
     out.signals = demo.signals.clone();
     for s in &mut out.signals {
@@ -578,31 +580,31 @@ mod tests {
     fn rebuild_remaps_syscall_cursor_order() {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
         d.queue = Arc::new(QueueStream::from_order(&[(0, 1), (1, 2)], 2));
-        Arc::make_mut(&mut d.syscalls).push(srr_replay::SyscallRecord {
-            seq: 0,
-            tid: 0,
-            tick: 1,
-            kind: "recv".into(),
+        let call = |seq: u64, kind: &str, buf: &[u8]| srr_replay::SyscallRecord {
+            seq,
+            tid: seq as u32,
+            tick: seq + 1,
+            kind: kind.into(),
             ret: 0,
             errno: 0,
-            bufs: vec![],
-        });
-        Arc::make_mut(&mut d.syscalls).push(srr_replay::SyscallRecord {
-            seq: 1,
-            tid: 1,
-            tick: 2,
-            kind: "send".into(),
-            ret: 0,
-            errno: 0,
-            bufs: vec![],
-        });
+            bufs: vec![buf.to_vec()],
+        };
+        d.syscalls = Arc::new(
+            [call(0, "recv", b"in"), call(1, "send", b"")]
+                .into_iter()
+                .collect(),
+        );
         // Swap the two ticks: the syscall records must swap too.
         let w = rebuild_demo(&d, &[(1, 2), (0, 1)], 2);
-        assert_eq!(w.syscalls[0].kind, "send");
-        assert_eq!(w.syscalls[0].tick, 1);
-        assert_eq!(w.syscalls[0].seq, 0);
-        assert_eq!(w.syscalls[1].kind, "recv");
-        assert_eq!(w.syscalls[1].tick, 2);
+        let heads: Vec<_> = w.syscalls.iter().map(|c| c.head).collect();
+        assert_eq!(
+            heads
+                .iter()
+                .map(|h| (h.kind, h.tick, h.seq))
+                .collect::<Vec<_>>(),
+            [("send", 1, 0), ("recv", 2, 1)]
+        );
+        assert_eq!(w.syscalls.get(1).unwrap().bufs().next(), Some(&b"in"[..]));
         assert_eq!(w.header.strategy, "queue");
         assert_eq!(w.header.seeds, [7, 9]);
     }

@@ -50,13 +50,15 @@
 //! payload's raw length is checked against [`MAX_RAW_LEN`] and
 //! [`MAX_EXPANSION`] times its packed bytes. A QUEUE stream decodes to
 //! its runs, never to a tick each, and the sum of its run lengths is
-//! checked against [`MAX_QUEUE_TICKS`] as it is read. Syscall kind
-//! names are at most [`MAX_KIND_LEN`] bytes, since every record decodes
-//! to its own copy of one. So a payload of `n` raw bytes decodes with at
-//! most `24·n` bytes of allocation besides the payload itself. The worst
-//! case is an empty syscall buffer, a 24-byte `Vec` for one length byte.
-//! A packed frame therefore costs at most `25 × 255` bytes per frame
-//! byte.
+//! checked against [`MAX_QUEUE_TICKS`] as it is read. A SYSCALL stream
+//! decodes to one 40-byte row per record (from seven bytes at least),
+//! a 4-byte offset per buffer and per kind name (from one), and each
+//! buffer byte and kind-name byte once, into arenas sized exactly. So a
+//! payload of `n` raw bytes decodes with at most `8·n` bytes of
+//! allocation besides the payload itself. The worst cases are 8 bytes
+//! of element per byte read: a QUEUE first tick or an ALLOC address of
+//! one byte, or a 16-byte QUEUE run or async event of two. A packed
+//! frame therefore costs at most `9 × 255` bytes per frame byte.
 //!
 //! The layout is mmap-able: frames are length-prefixed and contain no
 //! internal pointers. A plain payload decodes by walking a borrowed
@@ -70,7 +72,7 @@ use std::fmt;
 use crate::demo::{DemoHeader, FORMAT_VERSION};
 use crate::lz;
 pub use crate::lz::{MAX_EXPANSION, MAX_RAW_LEN};
-use crate::streams::{AsyncEvent, QueueRun, QueueStream, SignalEvent, SyscallRecord};
+use crate::streams::{AsyncEvent, QueueRun, QueueStream, SignalEvent, SyscallRow, SyscallStream};
 
 /// The four magic bytes opening every binary stream file.
 pub const MAGIC: [u8; 4] = *b"SRRB";
@@ -107,7 +109,8 @@ impl fmt::Display for Packing {
 }
 
 /// Longest syscall kind name a demo may hold, in bytes (Linux's longest
-/// syscall name has 23). The decoder rejects longer ones.
+/// syscall name has 23). The decoder rejects longer ones. A name is
+/// held once per stream, so the limit bounds no allocation.
 pub const MAX_KIND_LEN: usize = 64;
 
 /// Most critical sections a binary QUEUE stream may schedule (4 Gi, hours
@@ -733,67 +736,93 @@ pub(crate) fn decode_signals(payload: &[u8]) -> Result<Vec<SignalEvent>, CodecEr
     Ok(out)
 }
 
-pub(crate) fn encode_syscalls(records: &[SyscallRecord]) -> Vec<u8> {
-    // Intern the kind names: most demos use a handful of kinds across
-    // thousands of records.
+pub(crate) fn encode_syscalls(stream: &SyscallStream) -> Vec<u8> {
+    // The kind table is written in order of first use, each name once:
+    // a recorded or decoded stream's own table already is, so `renumber`
+    // maps each of its kinds to itself.
+    let table: Vec<&str> = stream.kinds().collect();
+    let mut renumber: Vec<Option<u64>> = vec![None; table.len()];
     let mut kinds: Vec<&str> = Vec::new();
-    let mut kind_idx = Vec::with_capacity(records.len());
-    for r in records {
-        let idx = kinds.iter().position(|k| *k == r.kind).unwrap_or_else(|| {
-            kinds.push(&r.kind);
-            kinds.len() - 1
-        });
-        kind_idx.push(idx as u64);
+    for r in stream.rows() {
+        let k = r.kind as usize;
+        if renumber[k].is_none() {
+            let idx = kinds
+                .iter()
+                .position(|n| *n == table[k])
+                .unwrap_or_else(|| {
+                    kinds.push(table[k]);
+                    kinds.len() - 1
+                });
+            renumber[k] = Some(idx as u64);
+        }
     }
     let mut out = Vec::new();
     write_varint(&mut out, kinds.len() as u64);
     for k in &kinds {
         write_str(&mut out, k);
     }
-    write_varint(&mut out, records.len() as u64);
+    let rows = stream.rows();
+    write_varint(&mut out, rows.len() as u64);
     // Field by field rather than record by record: like values sit
     // together, so the packing finds longer repeats.
     let mut prev = 0;
-    for r in records {
+    for r in rows {
         write_delta(&mut out, prev, r.seq);
         prev = r.seq;
     }
-    for r in records {
+    for r in rows {
         write_varint(&mut out, u64::from(r.tid));
     }
     let mut prev = 0;
-    for r in records {
+    for r in rows {
         write_delta(&mut out, prev, r.tick);
         prev = r.tick;
     }
-    for &idx in &kind_idx {
-        write_varint(&mut out, idx);
+    for r in rows {
+        write_varint(
+            &mut out,
+            renumber[r.kind as usize].expect("renumbered above"),
+        );
     }
-    for r in records {
+    for r in rows {
         write_zigzag(&mut out, r.ret);
     }
-    for r in records {
+    for r in rows {
         write_zigzag(&mut out, i64::from(r.errno));
     }
-    for r in records {
-        write_varint(&mut out, r.bufs.len() as u64);
+    let mut prev = 0;
+    for r in rows {
+        write_varint(&mut out, u64::from(r.bufs_end - prev));
+        prev = r.bufs_end;
     }
-    for b in records.iter().flat_map(|r| &r.bufs) {
+    for b in stream.all_bufs() {
         write_varint(&mut out, b.len() as u64);
         out.extend_from_slice(b);
     }
     out
 }
 
-pub(crate) fn decode_syscalls(payload: &[u8]) -> Result<Vec<SyscallRecord>, CodecError> {
+pub(crate) fn decode_syscalls(payload: &[u8]) -> Result<SyscallStream, CodecError> {
+    // The stream indexes its kind names and buffers by `u32`.
+    if payload.len() > u32::MAX as usize {
+        return Err(CodecError::TooLarge {
+            what: "SYSCALL payload length",
+            declared: payload.len() as u64,
+            limit: u64::from(u32::MAX),
+            offset: 0,
+        });
+    }
     let mut cur = Cursor::new(payload);
     let nkinds = cur.read_count(1, "SYSCALL kind count")?;
-    let mut kinds: Vec<&str> = Vec::with_capacity(nkinds);
+    // A first pass checks the kind table and sizes it, so the stream
+    // holds exactly its names.
+    let table = cur;
+    let mut names_len = 0;
     for _ in 0..nkinds {
         let at = cur.pos();
         let kind = cur.read_str("syscall kind")?;
-        // Every record gets its own copy of its kind name, so a long
-        // name would cost far more than the table entry holding it.
+        // A name is held once whatever the records using it, so this
+        // bounds no allocation: it refuses what no syscall is called.
         if kind.len() > MAX_KIND_LEN {
             return Err(CodecError::TooLarge {
                 what: "syscall kind length",
@@ -802,47 +831,49 @@ pub(crate) fn decode_syscalls(payload: &[u8]) -> Result<Vec<SyscallRecord>, Code
                 offset: at,
             });
         }
-        kinds.push(kind);
+        names_len += kind.len();
+    }
+    let mut kind_names = String::with_capacity(names_len);
+    let mut kind_ends = Vec::with_capacity(nkinds);
+    let mut again = table;
+    for _ in 0..nkinds {
+        kind_names.push_str(again.read_str("syscall kind")?);
+        kind_ends.push(kind_names.len() as u32);
     }
     // A record takes at least a byte in each of its seven columns.
     let count = cur.read_count(7, "SYSCALL count")?;
-    let mut out = Vec::with_capacity(count);
+    let mut rows = Vec::with_capacity(count);
     let mut seq = 0;
     for _ in 0..count {
         seq = cur.read_delta(seq, "syscall seq")?;
-        out.push(SyscallRecord {
+        rows.push(SyscallRow {
             seq,
-            tid: 0,
-            tick: 0,
-            kind: String::new(),
-            ret: 0,
-            errno: 0,
-            bufs: Vec::new(),
+            ..SyscallRow::default()
         });
     }
-    for r in &mut out {
+    for r in &mut rows {
         r.tid = read_u32(&mut cur, "syscall tid")?;
     }
     let mut tick = 0;
-    for r in &mut out {
+    for r in &mut rows {
         tick = cur.read_delta(tick, "syscall tick")?;
         r.tick = tick;
     }
-    for r in &mut out {
+    for r in &mut rows {
         let at = cur.pos();
         let idx = cur.read_varint("syscall kind index")?;
-        let kind = kinds
-            .get(usize::try_from(idx).unwrap_or(usize::MAX))
-            .ok_or_else(|| CodecError::Invalid {
-                what: format!("kind index {idx} out of table (len {})", kinds.len()),
+        if idx >= nkinds as u64 {
+            return Err(CodecError::Invalid {
+                what: format!("kind index {idx} out of table (len {nkinds})"),
                 offset: at,
-            })?;
-        r.kind = (*kind).to_owned();
+            });
+        }
+        r.kind = idx as u32;
     }
-    for r in &mut out {
+    for r in &mut rows {
         r.ret = cur.read_zigzag("syscall ret")?;
     }
-    for r in &mut out {
+    for r in &mut rows {
         let at = cur.pos();
         let errno = cur.read_zigzag("syscall errno")?;
         r.errno = i32::try_from(errno).map_err(|_| CodecError::Invalid {
@@ -851,30 +882,42 @@ pub(crate) fn decode_syscalls(payload: &[u8]) -> Result<Vec<SyscallRecord>, Code
         })?;
     }
     let at = cur.pos();
-    let mut nbufs = Vec::with_capacity(count);
-    for _ in 0..count {
-        nbufs.push(cur.read_varint("syscall buf count")?);
+    let mut nbufs = 0u64;
+    for r in &mut rows {
+        nbufs = nbufs.saturating_add(cur.read_varint("syscall buf count")?);
+        // Past `u32::MAX` only when the check below fails.
+        r.bufs_end = nbufs.min(u64::from(u32::MAX)) as u32;
     }
     // Each buffer takes at least its length byte, so all the buffers
     // together must fit in the bytes left.
-    let total = nbufs.iter().fold(0u64, |sum, &n| sum.saturating_add(n));
-    if total > cur.remaining() as u64 {
+    if nbufs > cur.remaining() as u64 {
         return Err(CodecError::TooLarge {
             what: "syscall buffer count",
-            declared: total,
+            declared: nbufs,
             limit: cur.remaining() as u64,
             offset: at,
         });
     }
-    for (r, n) in out.iter_mut().zip(nbufs) {
-        r.bufs = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let len = cur.read_count(1, "buf length")?;
-            r.bufs.push(cur.read_bytes(len, "buf")?.to_vec());
-        }
+    // A first pass checks the buffers and sizes the arena.
+    let bufs = cur;
+    let mut bytes = 0;
+    for _ in 0..nbufs {
+        let len = cur.read_count(1, "buf length")?;
+        cur.read_bytes(len, "buf")?;
+        bytes += len;
     }
     expect_end(&cur)?;
-    Ok(out)
+    let mut buf_ends = Vec::with_capacity(nbufs as usize);
+    let mut arena = Vec::with_capacity(bytes);
+    let mut again = bufs;
+    for _ in 0..nbufs {
+        let len = again.read_count(1, "buf length")?;
+        arena.extend_from_slice(again.read_bytes(len, "buf")?);
+        buf_ends.push(arena.len() as u32);
+    }
+    Ok(SyscallStream::from_parts(
+        rows, kind_names, kind_ends, buf_ends, arena,
+    ))
 }
 
 const ASYNC_RESCHEDULE: u8 = 0;
@@ -973,6 +1016,7 @@ fn expect_end(cur: &Cursor<'_>) -> Result<(), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streams::SyscallRecord;
 
     #[test]
     fn varint_roundtrips_boundaries() {
@@ -1098,7 +1142,7 @@ mod tests {
 
     #[test]
     fn syscall_kind_interning_pays_off() {
-        let recs: Vec<SyscallRecord> = (0..100)
+        let recs: SyscallStream = (0..100)
             .map(|i| SyscallRecord {
                 seq: i,
                 tid: 1,

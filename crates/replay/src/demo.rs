@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::codec::{self, CodecError, Packing, StreamId};
 use crate::rle;
-use crate::streams::{AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
+use crate::streams::{AsyncEvent, QueueStream, SignalEvent, SyscallStream};
 
 /// Demo format version understood by this crate.
 pub const FORMAT_VERSION: u32 = 1;
@@ -52,8 +52,8 @@ impl DemoHeader {
 
 /// A recorded execution: the constraints replay must satisfy.
 ///
-/// The three streams that grow with the run (QUEUE per tick, SYSCALL
-/// per recorded call, ALLOC per allocation) sit behind [`Arc`]: a
+/// The three streams that grow with the run (QUEUE per run of ticks,
+/// SYSCALL per recorded call, ALLOC per allocation) sit behind [`Arc`]: a
 /// replay shares them with the scheduler, the syscall cursor and the
 /// scripted allocator instead of copying them, and cloning a demo
 /// copies none of them. Mutate one with [`Arc::make_mut`], which copies
@@ -68,7 +68,7 @@ pub struct Demo {
     /// Asynchronous signals.
     pub signals: Vec<SignalEvent>,
     /// Recorded syscalls, in global order.
-    pub syscalls: Arc<Vec<SyscallRecord>>,
+    pub syscalls: Arc<SyscallStream>,
     /// Asynchronous events (reschedules, signal wakeups).
     pub async_events: Vec<AsyncEvent>,
     /// Allocator address stream (comprehensive recorders only).
@@ -117,7 +117,7 @@ impl Demo {
         );
         map.insert(
             "SYSCALL".to_owned(),
-            self.syscalls.iter().map(SyscallRecord::to_lines).collect(),
+            self.syscalls.iter().map(|c| c.to_lines()).collect(),
         );
         map.insert(
             "ASYNC".to_owned(),
@@ -185,7 +185,7 @@ impl Demo {
         let mut header = None;
         let mut queue = QueueStream::default();
         let mut signals = Vec::new();
-        let mut syscalls = Vec::new();
+        let mut syscalls = SyscallStream::default();
         let mut async_events = Vec::new();
         let mut alloc = Vec::new();
         for id in StreamId::ALL {
@@ -472,6 +472,7 @@ impl Error for DemoLoadError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streams::SyscallRecord;
 
     fn sample_demo() -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
@@ -481,7 +482,7 @@ mod tests {
             tick: 5,
             signo: 15,
         });
-        Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
+        Arc::make_mut(&mut d.syscalls).extend([SyscallRecord {
             seq: 0,
             tid: 1,
             tick: 3,
@@ -489,7 +490,7 @@ mod tests {
             ret: 10,
             errno: 0,
             bufs: vec![b"helloworld".to_vec()],
-        });
+        }]);
         d.async_events.push(AsyncEvent::Reschedule { tick: 2 });
         d.async_events
             .push(AsyncEvent::SignalWakeup { tid: 0, tick: 4 });
@@ -602,7 +603,9 @@ mod tests {
     #[test]
     fn stats_show_where_the_bytes_go() {
         let mut d = sample_demo();
-        Arc::make_mut(&mut d.syscalls)[0].bufs = vec![b"GET /index.html HTTP/1.1\n".repeat(40)];
+        let mut call = d.syscalls.get(0).unwrap().to_record();
+        call.bufs = vec![b"GET /index.html HTTP/1.1\n".repeat(40)];
+        d.syscalls = Arc::new([call].into_iter().collect());
         let stats = d.stats();
         let files = d.to_bytes_map();
         let mut written: Vec<StreamId> = files
@@ -699,17 +702,15 @@ mod tests {
         let mut d = sample_demo();
         // Pad with a realistic syscall load so the comparison is not
         // dominated by the header.
-        for i in 0..50 {
-            Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
-                seq: i + 1,
-                tid: 1,
-                tick: 10 + i,
-                kind: "recv".into(),
-                ret: 64,
-                errno: 0,
-                bufs: vec![vec![0x61; 64]],
-            });
-        }
+        Arc::make_mut(&mut d.syscalls).extend((0..50).map(|i| SyscallRecord {
+            seq: i + 1,
+            tid: 1,
+            tick: 10 + i,
+            kind: "recv".into(),
+            ret: 64,
+            errno: 0,
+            bufs: vec![vec![0x61; 64]],
+        }));
         let text: usize = d.to_string_map().values().map(String::len).sum();
         assert!(d.size_bytes() < text);
     }

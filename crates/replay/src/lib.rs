@@ -23,10 +23,21 @@
 //! on top for corpora and archives.
 //!
 //! The crate provides the typed event model ([`SignalEvent`],
-//! [`SyscallRecord`], [`AsyncEvent`], [`QueueStream`]), serialization
+//! [`SyscallStream`], [`AsyncEvent`], [`QueueStream`]), serialization
 //! ([`Demo::save_dir`] / [`Demo::load_dir`] and in-memory byte maps),
 //! the text export, and the desynchronisation taxonomy ([`HardDesync`],
 //! [`SoftDesync`]).
+//!
+//! The streams that grow with a run are held compactly from the
+//! recorder to the replay cursor. QUEUE is a list of runs of equal step
+//! ([`QueueRun`]), 16 bytes a run. SYSCALL is one fixed-width 40-byte
+//! row per record over one byte arena for the output buffers, with each
+//! kind name held once ([`SyscallStream`]); a recorder appends borrowed
+//! buffers, replay copies a record's buffer straight out of the arena,
+//! and [`SyscallRecord`] is only the owned form a caller builds a
+//! stream from or copies a record out as. On srrbench's `httpd` a
+//! SYSCALL record holds 50.5 bytes of heap, where an owned record each
+//! held 107.7 decoded and 118.0 as recorded.
 //!
 //! # Example
 //!
@@ -57,5 +68,6 @@ pub use demo::{Demo, DemoHeader, DemoLoadError, DemoStats, StreamStats, FORMAT_V
 pub use desync::{DesyncKind, HardDesync, SoftDesync};
 pub use store::{DemoStore, Labels, StreamHash, StreamHashes};
 pub use streams::{
-    AsyncEvent, QueueBuilder, QueueCursor, QueueRun, QueueStream, SignalEvent, SyscallRecord,
+    AsyncEvent, QueueBuilder, QueueCursor, QueueRun, QueueStream, SignalEvent, Syscall,
+    SyscallHead, SyscallRecord, SyscallStream,
 };

@@ -412,7 +412,7 @@ mod tests {
     fn demo_with_syscall(strategy: &str, payload: &[u8]) -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", strategy, [7, 9]));
         d.queue = Arc::new(QueueStream::new(vec![1], vec![0]));
-        Arc::make_mut(&mut d.syscalls).push(SyscallRecord {
+        Arc::make_mut(&mut d.syscalls).extend([SyscallRecord {
             seq: 0,
             tid: 0,
             tick: 1,
@@ -420,7 +420,7 @@ mod tests {
             ret: payload.len() as i64,
             errno: 0,
             bufs: vec![payload.to_vec()],
-        });
+        }]);
         d
     }
 

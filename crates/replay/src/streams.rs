@@ -1,6 +1,7 @@
 //! Typed events for the demo streams, with their text export lines.
 
 use std::collections::VecDeque;
+use std::fmt;
 
 use crate::rle;
 
@@ -25,8 +26,11 @@ impl SignalEvent {
     }
 }
 
-/// One recorded system call (§4.4): return value, errno and every output
-/// buffer the call filled.
+/// One recorded system call (§4.4) as an owned value: return value,
+/// errno and every output buffer the call filled. A [`SyscallStream`]
+/// holds records in a layout of its own; this is what a caller builds
+/// one from ([`SyscallStream::extend`]) or copies one out as
+/// ([`Syscall::to_record`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SyscallRecord {
     /// Global sequence number among recorded syscalls.
@@ -48,18 +52,326 @@ pub struct SyscallRecord {
 }
 
 impl SyscallRecord {
-    pub(crate) fn to_lines(&self) -> String {
+    /// Every field but the buffers, borrowed.
+    pub(crate) fn head(&self) -> SyscallHead<'_> {
+        SyscallHead {
+            seq: self.seq,
+            tid: self.tid,
+            tick: self.tick,
+            kind: &self.kind,
+            ret: self.ret,
+            errno: self.errno,
+        }
+    }
+}
+
+/// A recorded syscall's fields other than its buffers, with its kind
+/// name borrowed: what [`SyscallStream::push`] takes beside the buffers,
+/// and what a [`Syscall`] read back carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SyscallHead<'a> {
+    /// Global sequence number among recorded syscalls.
+    pub seq: u64,
+    /// Issuing thread.
+    pub tid: u32,
+    /// Tick of the syscall's critical section.
+    pub tick: u64,
+    /// Syscall kind name.
+    pub kind: &'a str,
+    /// The return value to enforce on replay.
+    pub ret: i64,
+    /// The errno value to enforce on replay.
+    pub errno: i32,
+}
+
+/// The fixed-width part of one [`SyscallStream`] record: 40 bytes.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SyscallRow {
+    pub(crate) seq: u64,
+    pub(crate) tick: u64,
+    pub(crate) ret: i64,
+    pub(crate) tid: u32,
+    pub(crate) errno: i32,
+    /// Index into the stream's kind table.
+    pub(crate) kind: u32,
+    /// End of the record's buffers in the stream's buffer table: its
+    /// buffers follow the previous record's.
+    pub(crate) bufs_end: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<SyscallRow>() == 40);
+
+/// The SYSCALL stream (§4.4): every recorded syscall, in global order.
+///
+/// Each record is one fixed-width 40-byte row (seq, tick, ret, tid,
+/// errno, an index into the stream's kind table and the end of its
+/// buffers), and its output buffers are ranges of one byte arena. A kind
+/// name is held once per stream however many records use it, and a
+/// buffer costs its bytes and a 4-byte end offset, so no record owns an
+/// allocation. A recording appends with [`SyscallStream::push`],
+/// borrowing the kind and buffers, and is trimmed to length
+/// ([`SyscallStream::shrink_to_fit`]) when it ends; replay reads records
+/// in place with [`SyscallStream::get`]. An empty stream is one null
+/// pointer and holds no heap. The arena and the buffer table are
+/// indexed by `u32`: a stream holds at most 4 GiB of buffer bytes.
+///
+/// Equality is record by record, whatever order the kind tables list
+/// the kinds in.
+#[derive(Clone, Default, Eq)]
+pub struct SyscallStream {
+    /// `None` until the first record.
+    tables: Option<Box<Tables>>,
+}
+
+/// The arrays of a non-empty [`SyscallStream`].
+#[derive(Clone, Default, PartialEq, Eq)]
+struct Tables {
+    rows: Vec<SyscallRow>,
+    /// The kind names, back to back; kind `i` ends at `kind_ends[i]`.
+    kind_names: String,
+    kind_ends: Vec<u32>,
+    /// Buffer `j` of the stream ends at `buf_ends[j]` in `arena`.
+    buf_ends: Vec<u32>,
+    arena: Vec<u8>,
+}
+
+/// What an empty [`SyscallStream`] reads.
+static EMPTY: Tables = Tables {
+    rows: Vec::new(),
+    kind_names: String::new(),
+    kind_ends: Vec::new(),
+    buf_ends: Vec::new(),
+    arena: Vec::new(),
+};
+
+/// `len` as a `u32` offset of a [`SyscallStream`] table.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a SYSCALL stream indexes its tables by u32")
+}
+
+/// The range `ends[i - 1]..ends[i]` (from 0 for `i == 0`).
+fn span(ends: &[u32], i: usize) -> std::ops::Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    start..ends[i] as usize
+}
+
+impl Tables {
+    fn kind_name(&self, kind: usize) -> &str {
+        &self.kind_names[span(&self.kind_ends, kind)]
+    }
+}
+
+impl SyscallStream {
+    fn tables(&self) -> &Tables {
+        self.tables.as_deref().unwrap_or(&EMPTY)
+    }
+
+    /// Recorded syscalls in the stream.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.tables().rows.len()
+    }
+
+    /// Whether no syscall was recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends one record: `head.kind` is interned into the kind table,
+    /// and each of `bufs` is copied into the arena.
+    pub fn push<'b>(&mut self, head: SyscallHead<'_>, bufs: impl IntoIterator<Item = &'b [u8]>) {
+        let t = self.tables.get_or_insert_with(Box::default);
+        let kind = match (0..t.kind_ends.len()).find(|&i| t.kind_name(i) == head.kind) {
+            Some(i) => i,
+            None => {
+                t.kind_names.push_str(head.kind);
+                t.kind_ends.push(offset(t.kind_names.len()));
+                t.kind_ends.len() - 1
+            }
+        };
+        for buf in bufs {
+            t.arena.extend_from_slice(buf);
+            t.buf_ends.push(offset(t.arena.len()));
+        }
+        t.rows.push(SyscallRow {
+            seq: head.seq,
+            tick: head.tick,
+            ret: head.ret,
+            tid: head.tid,
+            errno: head.errno,
+            kind: offset(kind),
+            bufs_end: offset(t.buf_ends.len()),
+        });
+    }
+
+    /// The record at `index`, borrowed from the stream.
+    #[must_use]
+    pub fn get(&self, index: usize) -> Option<Syscall<'_>> {
+        let t = self.tables();
+        let row = t.rows.get(index)?;
+        let first = match index {
+            0 => 0,
+            _ => t.rows[index - 1].bufs_end as usize,
+        };
+        Some(Syscall {
+            head: SyscallHead {
+                seq: row.seq,
+                tid: row.tid,
+                tick: row.tick,
+                kind: t.kind_name(row.kind as usize),
+                ret: row.ret,
+                errno: row.errno,
+            },
+            ends: &t.buf_ends[first..row.bufs_end as usize],
+            start: match first {
+                0 => 0,
+                _ => t.buf_ends[first - 1],
+            },
+            arena: &t.arena,
+        })
+    }
+
+    /// Every record, in stream order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Syscall<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i).expect("an index below len"))
+    }
+
+    /// Drops the spare capacity a recording grew: the stream then holds
+    /// exactly its rows, kinds and bytes.
+    pub fn shrink_to_fit(&mut self) {
+        if let Some(t) = &mut self.tables {
+            t.rows.shrink_to_fit();
+            t.kind_names.shrink_to_fit();
+            t.kind_ends.shrink_to_fit();
+            t.buf_ends.shrink_to_fit();
+            t.arena.shrink_to_fit();
+        }
+    }
+
+    /// The kind table, in table order.
+    pub(crate) fn kinds(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let t = self.tables();
+        (0..t.kind_ends.len()).map(|i| t.kind_name(i))
+    }
+
+    /// The rows, in stream order.
+    pub(crate) fn rows(&self) -> &[SyscallRow] {
+        &self.tables().rows
+    }
+
+    /// Every buffer of the stream, in stream order.
+    pub(crate) fn all_bufs(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let t = self.tables();
+        (0..t.buf_ends.len()).map(|j| &t.arena[span(&t.buf_ends, j)])
+    }
+
+    /// A stream from its parts, which the caller has checked: every
+    /// kind index names a table entry, `bufs_end` never decreases and
+    /// stays within `buf_ends`, and `buf_ends` never decreases and stays
+    /// within `arena`.
+    pub(crate) fn from_parts(
+        rows: Vec<SyscallRow>,
+        kind_names: String,
+        kind_ends: Vec<u32>,
+        buf_ends: Vec<u32>,
+        arena: Vec<u8>,
+    ) -> Self {
+        SyscallStream {
+            tables: Some(Box::new(Tables {
+                rows,
+                kind_names,
+                kind_ends,
+                buf_ends,
+                arena,
+            })),
+        }
+    }
+}
+
+impl PartialEq for SyscallStream {
+    fn eq(&self, other: &Self) -> bool {
+        // Streams pushed or decoded alike share one layout; otherwise
+        // (kind tables in another order, say) compare record by record.
+        self.tables() == other.tables()
+            || (self.len() == other.len() && self.iter().eq(other.iter()))
+    }
+}
+
+impl fmt::Debug for SyscallStream {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Extend<SyscallRecord> for SyscallStream {
+    fn extend<I: IntoIterator<Item = SyscallRecord>>(&mut self, records: I) {
+        for rec in records {
+            self.push(rec.head(), rec.bufs.iter().map(Vec::as_slice));
+        }
+    }
+}
+
+impl FromIterator<SyscallRecord> for SyscallStream {
+    fn from_iter<I: IntoIterator<Item = SyscallRecord>>(records: I) -> Self {
+        let mut stream = SyscallStream::default();
+        stream.extend(records);
+        stream
+    }
+}
+
+/// One record of a [`SyscallStream`], borrowed from it.
+#[derive(Clone, Copy)]
+pub struct Syscall<'a> {
+    /// Every field but the buffers.
+    pub head: SyscallHead<'a>,
+    /// Where each of the record's buffers ends in `arena`.
+    ends: &'a [u32],
+    /// Where its first buffer starts.
+    start: u32,
+    arena: &'a [u8],
+}
+
+impl<'a> Syscall<'a> {
+    /// The output buffers, in the syscall's argument order.
+    pub fn bufs(&self) -> impl ExactSizeIterator<Item = &'a [u8]> + Clone + 'a {
+        let arena = self.arena;
+        let mut start = self.start as usize;
+        self.ends.iter().map(move |&end| {
+            let buf = &arena[start..end as usize];
+            start = end as usize;
+            buf
+        })
+    }
+
+    /// The record as an owned value.
+    #[must_use]
+    pub fn to_record(self) -> SyscallRecord {
+        let h = self.head;
+        SyscallRecord {
+            seq: h.seq,
+            tid: h.tid,
+            tick: h.tick,
+            kind: h.kind.to_owned(),
+            ret: h.ret,
+            errno: h.errno,
+            bufs: self.bufs().map(<[u8]>::to_vec).collect(),
+        }
+    }
+
+    pub(crate) fn to_lines(self) -> String {
+        let h = self.head;
         let mut out = format!(
             "syscall {} {} {} {} ret={} errno={} nbufs={}\n",
-            self.seq,
-            self.tid,
-            self.tick,
-            self.kind,
-            self.ret,
-            self.errno,
-            self.bufs.len()
+            h.seq,
+            h.tid,
+            h.tick,
+            h.kind,
+            h.ret,
+            h.errno,
+            self.ends.len()
         );
-        for b in &self.bufs {
+        for b in self.bufs() {
             out.push_str("buf ");
             out.push_str(&b.len().to_string());
             out.push(' ');
@@ -67,6 +379,21 @@ impl SyscallRecord {
             out.push('\n');
         }
         out
+    }
+}
+
+impl PartialEq for Syscall<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.head == other.head && self.bufs().eq(other.bufs())
+    }
+}
+
+impl fmt::Debug for Syscall<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Syscall")
+            .field("head", &self.head)
+            .field("bufs", &self.bufs().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -702,9 +1029,99 @@ mod tests {
             errno: 11, // EAGAIN
             bufs: vec![vec![b'x'; 100], vec![]],
         };
+        let stream: SyscallStream = [rec].into_iter().collect();
         assert_eq!(
-            rec.to_lines(),
+            stream.get(0).unwrap().to_lines(),
             "syscall 7 0 3 recv ret=-1 errno=11 nbufs=2\nbuf 100 006478\nbuf 0 \n"
         );
+    }
+
+    fn call(seq: u64, kind: &str, bufs: &[&[u8]]) -> SyscallRecord {
+        SyscallRecord {
+            seq,
+            tid: (seq % 3) as u32,
+            tick: 10 * seq,
+            kind: kind.into(),
+            ret: seq as i64 - 2,
+            errno: (seq % 2) as i32,
+            bufs: bufs.iter().map(|b| b.to_vec()).collect(),
+        }
+    }
+
+    #[test]
+    fn syscall_stream_reads_back_what_was_pushed() {
+        let recs = [
+            call(0, "recv", &[b"hello"]),
+            call(1, "poll", &[]),
+            call(2, "recv", &[b"", b"world"]),
+            call(3, "", &[b""]),
+        ];
+        let stream: SyscallStream = recs.iter().cloned().collect();
+        assert_eq!(stream.len(), 4);
+        let back: Vec<SyscallRecord> = stream.iter().map(|c| c.to_record()).collect();
+        assert_eq!(back, recs);
+        assert_eq!(stream.get(4), None);
+        // One table entry per kind, one arena for every buffer.
+        assert_eq!(stream.kinds().collect::<Vec<_>>(), ["recv", "poll", ""]);
+        assert_eq!(stream.tables().arena, b"helloworld");
+        assert_eq!(stream.tables().buf_ends, [5, 5, 10, 10]);
+        let third = stream.get(2).unwrap();
+        assert_eq!(third.bufs().len(), 2);
+        assert_eq!(third.bufs().nth(1), Some(&b"world"[..]));
+        assert_eq!(stream.get(1).unwrap().bufs().next(), None);
+    }
+
+    #[test]
+    fn syscall_streams_compare_record_by_record() {
+        let a: SyscallStream = [call(0, "recv", &[b"x"]), call(1, "send", &[])]
+            .into_iter()
+            .collect();
+        // The same records over a kind table in another order.
+        let mut b = SyscallStream::from_parts(
+            Vec::new(),
+            "sendrecv".into(),
+            vec![4, 8],
+            Vec::new(),
+            Vec::new(),
+        );
+        b.extend([call(0, "recv", &[b"x"]), call(1, "send", &[])]);
+        assert_ne!(a.tables().kind_names, b.tables().kind_names);
+        assert_eq!(a, b);
+        let c: SyscallStream = [call(0, "recv", &[b"y"]), call(1, "send", &[])]
+            .into_iter()
+            .collect();
+        assert_ne!(a, c);
+        // No buffer and one empty buffer differ.
+        let none: SyscallStream = [call(0, "recv", &[])].into_iter().collect();
+        let empty: SyscallStream = [call(0, "recv", &[b""])].into_iter().collect();
+        assert_ne!(none, empty);
+        assert_eq!(format!("{none:?}").matches("Syscall {").count(), 1);
+    }
+
+    #[test]
+    fn trimmed_syscall_stream_holds_its_length() {
+        let mut stream = SyscallStream::default();
+        for seq in 0..100 {
+            stream.push(
+                SyscallHead {
+                    seq,
+                    tid: 0,
+                    tick: seq,
+                    kind: "recv",
+                    ret: 3,
+                    errno: 0,
+                },
+                [&b"abc"[..]],
+            );
+        }
+        stream.shrink_to_fit();
+        let t = stream.tables();
+        assert_eq!(t.rows.capacity(), 100);
+        assert_eq!(t.buf_ends.capacity(), 100);
+        assert_eq!(t.arena.capacity(), 300);
+        assert_eq!(t.kind_names, "recv");
+        // An empty stream holds no heap, and is no larger than a `Vec`.
+        assert!(SyscallStream::default().tables.is_none());
+        assert!(std::mem::size_of::<SyscallStream>() <= std::mem::size_of::<Vec<u8>>());
     }
 }

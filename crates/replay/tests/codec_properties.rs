@@ -222,9 +222,10 @@ fn breaks(demo: &Demo) -> Vec<Break> {
             out.push(Break::SignalBack(i));
         }
     }
-    for i in 0..demo.syscalls.len() {
+    let syscalls = records(demo);
+    for i in 0..syscalls.len() {
         out.extend([Break::SeqGap(i), Break::SyscallTid(i)]);
-        if i > 0 && demo.syscalls[i - 1].tick > 0 {
+        if i > 0 && syscalls[i - 1].tick > 0 {
             out.push(Break::SyscallBack(i));
         }
     }
@@ -235,6 +236,18 @@ fn breaks(demo: &Demo) -> Vec<Break> {
             .map(Break::AsyncBack),
     );
     out
+}
+
+/// The demo's SYSCALL records, owned.
+fn records(demo: &Demo) -> Vec<SyscallRecord> {
+    demo.syscalls.iter().map(|c| c.to_record()).collect()
+}
+
+/// Edits the demo's SYSCALL records through their owned copies.
+fn edit_syscalls(demo: &mut Demo, edit: impl FnOnce(&mut [SyscallRecord])) {
+    let mut syscalls = records(demo);
+    edit(&mut syscalls);
+    demo.syscalls = Arc::new(syscalls.into_iter().collect());
 }
 
 /// Applies `b` to `demo` and returns the stream and entry the linter
@@ -272,18 +285,21 @@ fn apply(demo: &mut Demo, b: Break, wiggle: u64) -> (&'static str, u64) {
             ("SIGNAL", i as u64 + 1)
         }
         Break::SeqGap(i) => {
-            for r in &mut Arc::make_mut(&mut demo.syscalls)[i..] {
-                r.seq += 1 + wiggle % 3;
-            }
+            edit_syscalls(demo, |syscalls| {
+                for r in &mut syscalls[i..] {
+                    r.seq += 1 + wiggle % 3;
+                }
+            });
             ("SYSCALL", i as u64 + 1)
         }
         Break::SyscallTid(i) => {
-            Arc::make_mut(&mut demo.syscalls)[i].tid = nthreads;
+            edit_syscalls(demo, |syscalls| syscalls[i].tid = nthreads);
             ("SYSCALL", i as u64 + 1)
         }
         Break::SyscallBack(i) => {
-            let syscalls = Arc::make_mut(&mut demo.syscalls);
-            syscalls[i].tick = back(syscalls[i - 1].tick);
+            edit_syscalls(demo, |syscalls| {
+                syscalls[i].tick = back(syscalls[i - 1].tick);
+            });
             ("SYSCALL", i as u64 + 1)
         }
         Break::AsyncBack(i) => {
@@ -353,7 +369,7 @@ proptest! {
             AsyncEvent::Reschedule { tick: 3 },
             AsyncEvent::SignalWakeup { tid: 1, tick: 9 },
         ];
-        demo.syscalls = Arc::new(vec![SyscallRecord {
+        demo.syscalls = Arc::new([SyscallRecord {
             seq: 0,
             tid: 2,
             tick: 17,
@@ -361,7 +377,7 @@ proptest! {
             ret: -1,
             errno: 11,
             bufs,
-        }]);
+        }].into_iter().collect());
         prop_assert_eq!(Demo::from_bytes_map(&demo.to_bytes_map()).unwrap(), demo);
     }
 
@@ -531,7 +547,7 @@ fn any_demo() -> impl Strategy<Value = Demo> {
                 .into_iter()
                 .map(|(tid, tick, signo)| SignalEvent { tid, tick, signo })
                 .collect();
-            demo.syscalls = Arc::new(syscalls);
+            demo.syscalls = Arc::new(syscalls.into_iter().collect());
             demo.async_events = asyncs
                 .into_iter()
                 .map(|(resched, tid, tick)| {
@@ -562,7 +578,7 @@ fn repetitive_demo() -> impl Strategy<Value = Demo> {
             cycled(&next, n),
         ));
         demo.signals = cycled(&demo.signals, n);
-        demo.syscalls = Arc::new(cycled(&demo.syscalls, n));
+        demo.syscalls = Arc::new(cycled(&records(&demo), n).into_iter().collect());
         demo.async_events = cycled(&demo.async_events, n);
         demo.alloc = Arc::new(cycled(&demo.alloc, n));
         demo

@@ -1087,22 +1087,22 @@ fn elements(demo: &Demo, file: &str) -> usize {
         "ALLOC" => demo.alloc.len(),
         "SIGNAL" => demo.signals.len(),
         "ASYNC" => demo.async_events.len(),
-        "SYSCALL" => demo.syscalls.iter().map(|r| 1 + r.bufs.len()).sum(),
+        "SYSCALL" => demo.syscalls.iter().map(|r| 1 + r.bufs().len()).sum(),
         other => panic!("no elements in {other}"),
     }
 }
 
 #[test]
-fn packed_frames_decode_within_25_bytes_per_raw_byte() {
+fn packed_frames_decode_within_9_bytes_per_raw_byte() {
     // The costliest stream each packed payload of ~255 KB can hold, all
     // zeros after a short head: a zero is a repeated address, a signal
     // or async event at the same tick, a syscall record of the one
-    // kind, or an empty syscall buffer. QUEUE runs cannot repeat (no
-    // zero length, no two adjacent runs of one step), so its payload
-    // alternates runs of steps 1 and 2. Each loads; what it costs must
-    // stay within the codec's stated bound of 24 bytes of allocation per
-    // raw payload byte besides the inflated payload itself, so 25 x 255
-    // per frame byte.
+    // kind, an empty syscall buffer, or an empty kind name. QUEUE runs
+    // cannot repeat (no zero length, no two adjacent runs of one step),
+    // so its payload alternates runs of steps 1 and 2. Each loads; what
+    // it costs must stay within the codec's stated bound of 8 bytes of
+    // allocation per raw payload byte besides the inflated payload
+    // itself, so 9 x 255 per frame byte.
     let n = 255 * 1000;
     let varint = |v: usize| {
         let mut p = Vec::new();
@@ -1157,6 +1157,8 @@ fn packed_frames_decode_within_25_bytes_per_raw_byte() {
             n,
             1 + n,
         ),
+        // A kind table of empty names, then no records.
+        ("SYSCALL", StreamId::Syscall, varint(n - 1), &[0], n, 0),
     ];
     for (file, id, head, unit, len, want) in cases {
         let (bytes, raw_len) = repeat_frame(id, &head, unit, len);
@@ -1169,8 +1171,12 @@ fn packed_frames_decode_within_25_bytes_per_raw_byte() {
         let demo = demo.unwrap_or_else(|e| panic!("{file}: a well-formed frame loads: {e}"));
         assert_eq!(elements(&demo, file), want, "{file}");
         let extra = used - baseline;
+        println!(
+            "{file}: {:.2} bytes allocated per raw byte",
+            extra as f64 / raw_len as f64
+        );
         assert!(
-            extra <= 25 * raw_len,
+            extra <= 9 * raw_len,
             "{file}: {raw_len} raw bytes in {} frame bytes allocated {extra}",
             bytes.len()
         );

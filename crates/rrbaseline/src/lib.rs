@@ -176,7 +176,7 @@ mod tests {
             .setup(setup)
             .record(program);
         assert!(
-            demo.syscalls.iter().any(|s| s.kind == "read"),
+            demo.syscalls.iter().any(|s| s.head.kind == "read"),
             "comprehensive recording includes file reads"
         );
         // Replay against a world whose file says something else: the

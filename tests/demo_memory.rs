@@ -1,4 +1,5 @@
-//! Heap held per tick by recording and by replay, counted by a global
+//! Heap held per tick by recording and by replay, and per SYSCALL
+//! record by a recorded and a decoded demo, counted by a global
 //! allocator.
 //!
 //! A demo's QUEUE stream names a next tick for every critical section,
@@ -11,6 +12,12 @@
 //! entry, not the whole run. A replay reads the caller's demo through
 //! shared streams and cursors, so it adds no per-tick heap of its own.
 //!
+//! A SYSCALL record is a 40-byte row, and its buffers are ranges of one
+//! arena, 4 bytes of offset beside their bytes; kind names are held once
+//! a stream. The third program, dense in recorded syscalls that mostly
+//! fill a buffer, checks what a record costs once a recording is trimmed
+//! and once `Demo::from_bytes_map` has decoded it.
+//!
 //! The whole file is one test: the counters are process-wide, and a
 //! second test running beside it would count into them.
 
@@ -21,7 +28,8 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use sparse_rr::apps::harness::Tool;
-use sparse_rr::tsan11rec::{sys, thread, Execution};
+use sparse_rr::tsan11rec::{sys, thread, Demo, Execution};
+use sparse_rr::vos::PollFd;
 use sparse_rr::{Atomic, MemOrder};
 
 // Statistics only: no other data is published through these counters.
@@ -88,6 +96,13 @@ fn peak_above_start<T>(f: impl FnOnce() -> T) -> (T, usize) {
     PEAK.store(start, Relaxed);
     let out = f();
     (out, PEAK.load(Relaxed) - start)
+}
+
+/// The heap `value` held: what dropping it frees.
+fn held_by<T>(value: T) -> usize {
+    let before = LIVE.load(Relaxed);
+    drop(value);
+    before - LIVE.load(Relaxed)
 }
 
 /// Visible operations of the main thread and of its worker, and how
@@ -174,8 +189,71 @@ fn check(name: &str, program: fn() -> Box<dyn FnOnce() + Send>) {
     );
 }
 
+/// Requests the syscall-dense program sends itself through a pipe: a
+/// write, a poll and a read each, two of the three recorded with an
+/// output buffer.
+const REQUESTS: usize = 1_000;
+
+fn syscall_dense() -> Box<dyn FnOnce() + Send> {
+    Box::new(|| {
+        let (rx, tx) = sys::pipe();
+        let mut buf = [0u8; 64];
+        for i in 0..REQUESTS {
+            let req = format!("GET /item/{i} HTTP/1.1\n");
+            sys::write(tx, req.as_bytes()).expect("the pipe takes a request");
+            let mut fds = [PollFd::readable(rx)];
+            assert_eq!(sys::poll(&mut fds).ok(), Some(1));
+            let n = sys::read(rx, &mut buf).expect("a request") as usize;
+            assert_eq!(&buf[..n], req.as_bytes());
+        }
+    })
+}
+
+/// Records and replays the syscall-dense program, and checks the heap a
+/// SYSCALL record holds in the recording and in its decoded copy.
+fn check_syscalls() {
+    let name = "syscall dense";
+    let tool = Tool::QueueRec;
+    let (recorded, mut demo) = Execution::new(tool.config([3, 5])).record(syscall_dense());
+    assert!(recorded.outcome.is_ok(), "{name}: {:?}", recorded.outcome);
+    let records = demo.syscalls.len();
+    let with_buf = demo.syscalls.iter().filter(|c| c.bufs().len() > 0).count();
+    assert!(records >= 2_000, "{name}: {records} syscalls");
+    assert!(
+        2 * with_buf > records,
+        "{name}: {with_buf} of {records} fill a buffer"
+    );
+
+    let replayed = Execution::new(tool.config([3, 5])).replay(&demo, syscall_dense());
+    assert!(replayed.outcome.is_ok(), "{name}: {:?}", replayed.outcome);
+    assert_eq!(replayed.replay_leftover_syscalls, 0, "{name}");
+
+    let loaded = Demo::from_bytes_map(&demo.to_bytes_map()).expect("the demo decodes");
+    assert_eq!(loaded, demo, "{name}");
+    let decoded = held_by(Arc::try_unwrap(loaded.syscalls).expect("one owner"));
+    let taken = std::mem::take(&mut demo.syscalls);
+    let kept = held_by(Arc::try_unwrap(taken).expect("one owner"));
+
+    let per_record = |bytes: usize| bytes as f64 / records as f64;
+    println!(
+        "{name}: {records} SYSCALL records, {with_buf} with a buffer: recording holds {kept} B \
+         ({:.1} B/record), from_bytes_map holds {decoded} B ({:.1} B/record)",
+        per_record(kept),
+        per_record(decoded)
+    );
+    assert!(
+        per_record(kept) <= 52.0,
+        "{name}: the recording held {kept} B for {records} records"
+    );
+    assert!(
+        per_record(decoded) <= 52.0,
+        "{name}: the decoded demo held {decoded} B for {records} records"
+    );
+}
+
 #[test]
 fn record_and_replay_heap_per_tick() {
     check("interleaved", interleaved);
     check("parked main", parked_main);
+    check_syscalls();
 }
